@@ -11,12 +11,14 @@ and TSPEC) or a list of per-station mappings with their own `traffic` /
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 
 import yaml
 
 from .phy import NS_PER_MS, NS_PER_S, PhyParams
 from .sched import OVERHEAD_MODES, OVERHEAD_PER_MSDU, TSPEC_PRESETS, Tspec, tspec_preset
+from .traffic import FRAME_TYPES
 
 SCHEDULERS = ("reference", "adaptive")
 VALIDATED_STATION_RANGE = (1, 12)
@@ -130,17 +132,21 @@ def _tspec_from(value, fieldname: str) -> Tspec:
             raise ConfigError(fieldname, f"unknown TSPEC preset {value!r}")
         return tspec_preset(value)
     if isinstance(value, dict):
+        def get(key, caster):
+            if key not in value:
+                raise ConfigError(fieldname, f"missing TSPEC key {key!r}")
+            return _cast(caster, value[key], f"{fieldname}.{key}")
+
+        kwargs = dict(
+            mean_data_rate_bps=get("rho_bps", _as_float),
+            nominal_msdu_bytes=get("nominal_bytes", _as_int),
+            max_msdu_bytes=get("max_bytes", _as_int),
+            delay_bound_ns=int(round(get("delay_bound_ms", _as_float) * NS_PER_MS)),
+            max_service_interval_ns=int(round(get("msi_ms", _as_float) * NS_PER_MS)),
+            phys_rate_bps=get("phys_rate_bps", _as_int),
+        )
         try:
-            return Tspec(
-                mean_data_rate_bps=float(value["rho_bps"]),
-                nominal_msdu_bytes=int(value["nominal_bytes"]),
-                max_msdu_bytes=int(value["max_bytes"]),
-                delay_bound_ns=int(round(float(value["delay_bound_ms"]) * NS_PER_MS)),
-                max_service_interval_ns=int(round(float(value["msi_ms"]) * NS_PER_MS)),
-                phys_rate_bps=int(value["phys_rate_bps"]),
-            )
-        except KeyError as e:
-            raise ConfigError(fieldname, f"missing TSPEC key {e.args[0]!r}") from None
+            return Tspec(**kwargs)
         except ValueError as e:
             raise ConfigError(fieldname, str(e)) from None
     raise ConfigError(fieldname, "must be a preset name or a mapping")
@@ -151,22 +157,26 @@ def _traffic_from(value, fieldname: str) -> TrafficConfig:
         return value
     if not isinstance(value, dict):
         raise ConfigError(fieldname, "must be a mapping")
-    known = {f for f in TrafficConfig.__dataclass_fields__}
-    unknown = set(value) - known
+    unknown = set(value) - set(_TRAFFIC_FIELDS)
     if unknown:
         raise ConfigError(fieldname, f"unknown keys {sorted(unknown)}")
-    try:
-        tc = TrafficConfig(**value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(fieldname, str(e)) from None
+    tc = TrafficConfig(**{key: _cast(_TRAFFIC_FIELDS[key], raw, f"{fieldname}.{key}")
+                          for key, raw in value.items()})
     if tc.kind not in ("synth", "trace"):
         raise ConfigError(f"{fieldname}.kind", f"must be 'synth' or 'trace', got {tc.kind!r}")
     if tc.kind == "trace" and not tc.path:
         raise ConfigError(f"{fieldname}.path", "required when kind is 'trace'")
+    if not tc.pattern or set(tc.pattern.upper()) - set(FRAME_TYPES):
+        raise ConfigError(f"{fieldname}.pattern", "must be a non-empty string of I, P and B")
+    for name in ("i_size", "p_size", "b_size"):
+        if getattr(tc, name) <= 0:
+            raise ConfigError(f"{fieldname}.{name}", "must be positive")
     if not 0 <= tc.jitter < 1:
         raise ConfigError(f"{fieldname}.jitter", "must be in [0, 1)")
-    if tc.frame_interval_ms <= 0:
+    if tc.frame_interval_ns <= 0:
         raise ConfigError(f"{fieldname}.frame_interval_ms", "must be positive")
+    if tc.stagger_ms < 0:
+        raise ConfigError(f"{fieldname}.stagger_ms", "must be >= 0")
     return tc
 
 
@@ -193,7 +203,7 @@ def _phy_from(value, fieldname: str) -> PhyParams:
         if key not in key_map:
             raise ConfigError(f"{fieldname}.{key}", "unknown PHY parameter")
         dest, scale = key_map[key]
-        kwargs[dest] = int(round(float(raw) * scale))
+        kwargs[dest] = int(round(_cast(_as_float, raw, f"{fieldname}.{key}") * scale))
     try:
         return PhyParams(**kwargs)
     except ValueError as e:
@@ -209,11 +219,51 @@ def _on_off(value) -> str:
     return str(value)
 
 
+def _as_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("expected true or false")
+    return value
+
+
+def _as_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("expected an integer")
+    return value
+
+
+def _as_float(value) -> float:
+    # Numeric strings stay accepted: YAML 1.1 reads 1e-3 (no dot) as a string.
+    if isinstance(value, bool):
+        raise ValueError("expected a number")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("must be finite")
+    return number
+
+
+def _optional(caster):
+    return lambda value: None if value is None else caster(value)
+
+
+def _cast(caster, value, fieldname: str):
+    try:
+        return caster(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(fieldname, f"cannot interpret {value!r} ({e})") from None
+
+
 _SCALAR_FIELDS = {
-    "scheduler": str, "beacon_interval_ms": float, "traffic_start_s": float,
-    "duration_s": float, "loss_p": float, "qs_exact": bool,
+    "scheduler": str, "beacon_interval_ms": _as_float, "traffic_start_s": _as_float,
+    "duration_s": _as_float, "loss_p": _as_float, "qs_exact": _as_bool,
     "overhead_mode": str, "admission": _on_off, "on_reject": str,
-    "throughput_window": str, "seed": int, "record_polls": bool, "quality": str,
+    "throughput_window": str, "seed": _as_int, "record_polls": _as_bool, "quality": str,
+}
+
+_TRAFFIC_FIELDS = {
+    "kind": str, "pattern": str, "i_size": _as_int, "p_size": _as_int,
+    "b_size": _as_int, "jitter": _as_float, "frame_interval_ms": _as_float,
+    "rotate_gop": _as_bool, "stagger_ms": _as_float, "seed": _optional(_as_int),
+    "path": _optional(str),
 }
 
 
@@ -236,14 +286,8 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                 merged[key] = val
         data = merged
 
-    kwargs = {}
-    for key, caster in _SCALAR_FIELDS.items():
-        if key in data:
-            val = data.pop(key)
-            try:
-                kwargs[key] = caster(val)
-            except (TypeError, ValueError):
-                raise ConfigError(key, f"cannot interpret {val!r}") from None
+    kwargs = {key: _cast(caster, data.pop(key), key)
+              for key, caster in _SCALAR_FIELDS.items() if key in data}
 
     if "phy" in data:
         kwargs["phy"] = _phy_from(data.pop("phy"), "phy")
@@ -271,10 +315,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         kwargs["station_specs"] = tuple(specs)
         kwargs["stations"] = len(specs)
     else:
-        try:
-            kwargs["stations"] = int(stations)
-        except (TypeError, ValueError):
-            raise ConfigError("stations", f"cannot interpret {stations!r}") from None
+        kwargs["stations"] = _cast(_as_int, stations, "stations")
 
     if data:
         raise ConfigError(sorted(data)[0], "unknown configuration key")
@@ -289,7 +330,7 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         raise ConfigError("scheduler", f"must be one of {SCHEDULERS}, got {cfg.scheduler!r}")
     if cfg.stations < 1:
         raise ConfigError("stations", f"must be >= 1, got {cfg.stations}")
-    if cfg.beacon_interval_ms <= 0:
+    if cfg.beacon_interval_ns <= 0:
         raise ConfigError("beacon_interval_ms", "must be positive")
     if cfg.duration_s < 0:
         raise ConfigError("duration_s", "must be >= 0")
@@ -351,12 +392,6 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             node = nxt
         node[parts[-1]] = value
     return data
-
-
-def default_scenario(**kwargs) -> ScenarioConfig:
-    """Programmatic scenario builder used by tests and the sweep harness."""
-    cfg = scenario_from_dict(dict(kwargs))
-    return cfg
 
 
 def with_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:

@@ -1,15 +1,27 @@
 """Deterministic discrete-event simulation of the HCCA polling loop.
 
-One Controlled Access Phase (CAP) runs at every service-interval boundary.
-The HC polls the active stations in admission (FIFO) order; a station
-joins the polling list when its traffic stream starts. Each poll grants a
-TXOP computed either from mean TSPEC characteristics (reference scheduler)
-or from the next-frame size the station piggybacked in the queue-size
-field of its previous QoS data frame (adaptive scheduler). Polling is
-timer-driven and non-work-conserving: a granted TXOP occupies the medium
-in full, and the next poll goes out once the grant has elapsed whether or
-not the station used all of it. Packet receive timestamps still mark the
-exact end of each data frame's air time.
+One Controlled Access Phase (CAP) runs at every service-interval (SI)
+boundary. The HC polls the active stations in admission (FIFO) order; a
+station joins the polling list when its traffic stream starts. Each poll
+grants a TXOP computed either from mean TSPEC characteristics (reference
+scheduler) or from the next-frame size the station piggybacked in the
+queue-size field of its previous QoS data frame (adaptive scheduler).
+Polling is timer-driven and non-work-conserving: a granted TXOP occupies
+the medium in full, and the next poll goes out once the grant has elapsed
+whether or not the station used all of it. Packet receive timestamps still
+mark the exact end of each data frame's air time.
+
+The run is one loop over SI boundaries, with no event queue:
+
+* Beacons go out every beacon interval, interleaved with the CAPs. A
+  beacon due at the same instant as a CAP goes first; one that falls due
+  while a CAP holds the medium waits until that CAP ends.
+* A CAP that runs past the next SI boundary pushes the next CAP back to
+  its end (back-to-back CAPs under overload).
+* Each station's arrivals are a precomputed schedule read through a
+  forward-only cursor. A CAP sees every frame generated up to the instant
+  it fell due, so frames generated while a CAP is under way become
+  pollable only from the next CAP.
 
 All bookkeeping is in integer nanoseconds; runs are bitwise reproducible
 for a fixed (scenario, seed).
@@ -17,26 +29,19 @@ for a fixed (scenario, seed).
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 
 from . import phy as phylib
 from .config import ScenarioConfig
-from .sched import (AdmissionState, adaptive_txop, admit, assign_si, min_msi,
-                    minimal_txop, reference_txop)
+from .phy import NS_PER_S
+from .sched import AdmissionState, admit, assign_si, min_msi, reference_txop
 from .traffic import arrivals, load_trace, synth_trace
 
 BEACON_FRAME_BYTES = 60       # management frame, sent at basic rate
 QS_UNIT_BYTES = 256           # queue-size field granularity (8-bit field)
 QS_MAX_UNITS = 254
 GOP_ROTATE_STEP = 5           # per-station GoP phase shift, coprime with 12
-
-# Event dispatch order at equal timestamps.
-_PRIO_END = 0
-_PRIO_ARRIVAL = 1
-_PRIO_BEACON = 2
-_PRIO_CAP = 3
 
 
 class SimulationError(RuntimeError):
@@ -58,15 +63,6 @@ def decode_qs(qs_field: int, exact: bool) -> int:
     if qs_field <= 0:
         return 0
     return qs_field if exact else qs_field * QS_UNIT_BYTES
-
-
-@dataclass(frozen=True)
-class QosDataFrame:
-    flow: int
-    payload_bytes: int      # 0 for a null frame
-    qs_field: int
-    gen_ns: int             # packet generation time; poll time for null frames
-    seq: int = -1           # trace sequence; -1 for null frames
 
 
 @dataclass(frozen=True)
@@ -159,9 +155,9 @@ class _Station:
 
     frames is the full arrival schedule (gen_ns, size, seq) in coding order;
     indices split it into sent [0:next_tx), queued [next_tx:arrived) and
-    not-yet-generated [arrived:). A prerecorded source knows its own future,
-    so the queue-size report always names frames[next_tx] even when the
-    queue is momentarily empty.
+    not yet seen by a CAP [arrived:). A prerecorded source knows its own
+    future, so the queue-size report always names frames[next_tx] even when
+    the queue is momentarily empty.
 
     The station enters the polling list at active_from (its traffic start,
     when the stream is set up); CAPs before that skip it entirely.
@@ -181,14 +177,6 @@ class _Station:
         self.feedback_valid = False   # no data frame received yet
         self.reported_bytes = 0
 
-    def queued(self) -> int:
-        return self.arrived - self.next_tx
-
-    def next_unsent_size(self) -> int:
-        if self.next_tx < len(self.frames):
-            return self.frames[self.next_tx][1]
-        return 0
-
 
 def _rotate(pattern: str, steps: int) -> str:
     if not pattern:
@@ -199,21 +187,22 @@ def _rotate(pattern: str, steps: int) -> str:
 
 def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
     stations = []
+    dur = cfg.duration_ns
     for i, spec in enumerate(cfg.station_list()):
         tc = spec.traffic
         start_ns = cfg.traffic_start_ns + i * int(round(tc.stagger_ms * phylib.NS_PER_MS))
-        horizon = cfg.duration_ns - start_ns
+        horizon = dur - start_ns
         frames: list = []
         if tc.kind == "trace":
             trace = load_trace(tc.path, tc.frame_interval_ns)
-            frames = [a for a in arrivals(trace, start_ns) if a[0] < cfg.duration_ns]
+            frames = [a for a in arrivals(trace, start_ns) if a[0] < dur]
         elif horizon > 0:
             n = -(-horizon // tc.frame_interval_ns)
             pattern = _rotate(tc.pattern, GOP_ROTATE_STEP * i) if tc.rotate_gop else tc.pattern
             base_seed = cfg.seed if tc.seed is None else tc.seed
             trace = synth_trace(pattern, tc.base_sizes(), tc.jitter, n,
                                 base_seed + i, tc.frame_interval_ns)
-            frames = [a for a in arrivals(trace, start_ns) if a[0] < cfg.duration_ns]
+            frames = [a for a in arrivals(trace, start_ns) if a[0] < dur]
         stations.append(_Station(i, spec.tspec, frames, start_ns))
     return stations
 
@@ -225,25 +214,10 @@ class Simulation:
         self.stations = _build_stations(cfg)
         self.si_ns, self.divisor = assign_si(
             cfg.beacon_interval_ns, min_msi([s.tspec for s in self.stations]))
-        self.counters = Counters()
-        self.packets: list[PacketRecord] = []
-        self.polls: list[PollRecord] = []
         self.admission_notes: list[str] = []
-        self.rng = random.Random(cfg.seed)
-        self.busy_until = 0
-        self._heap: list = []
-        self._evseq = 0
-
-        # Cached air times (integer ns, Table II defaults unless overridden).
-        p = self.phy
-        self.poll_air = phylib.ctrl_tx_time(p.poll_frame_bytes, p)
-        self.ack_air = phylib.ctrl_tx_time(p.ack_frame_bytes, p)
-        self.beacon_air = phylib.ctrl_tx_time(BEACON_FRAME_BYTES, p)
-        self.null_air = phylib.data_tx_time(0, p)
-
         for st in self.stations:
-            st.ref_txop_ns = reference_txop(st.tspec, self.si_ns, p, cfg.overhead_mode)
-
+            st.ref_txop_ns = reference_txop(st.tspec, self.si_ns, self.phy,
+                                            cfg.overhead_mode)
         self._run_admission()
 
     def _run_admission(self):
@@ -266,12 +240,6 @@ class Simulation:
                 f"admission control rejected flow {flow} ({reason}); "
                 f"set on_reject: run or admission: off to simulate anyway")
 
-    # -- event queue ----------------------------------------------------
-
-    def _push(self, t, prio, kind, data=None):
-        heapq.heappush(self._heap, (t, prio, self._evseq, kind, data))
-        self._evseq += 1
-
     def _cap_boundary(self, j: int) -> int:
         # j-th SI boundary; re-anchored at each beacon so a non-dividing
         # divisor never drifts.
@@ -280,166 +248,149 @@ class Simulation:
         return k * beacon_ns + (r * beacon_ns) // self.divisor
 
     def run(self) -> SimReport:
-        cfg = self.cfg
-        dur = cfg.duration_ns
-        flows = {st.flow: FlowTally() for st in self.stations}
+        cfg, p = self.cfg, self.phy
+        dur, beacon_ns, si_ns = cfg.duration_ns, cfg.beacon_interval_ns, self.si_ns
+        adaptive, exact, loss_p = cfg.scheduler == "adaptive", cfg.qs_exact, cfg.loss_p
+        record_polls, polls = cfg.record_polls, []
+        draw = random.Random(cfg.seed).random
 
-        self._push(dur, _PRIO_END, "end")
-        if dur > 0:
-            self._push(0, _PRIO_BEACON, "beacon", 0)
-            self._push(0, _PRIO_CAP, "cap", 0)
-        for st in self.stations:
-            for gen_ns, _size, _seq in st.frames:
-                self._push(gen_ns, _PRIO_ARRIVAL, "arrival", st.flow)
+        # PHY and grant constants, once per run. Frame air times and the
+        # adaptive and minimal grants below expand phylib.data_tx_time and
+        # sched.adaptive_txop / minimal_txop with them, writing
+        # ceil(bits * 1e9 / rate) as -(-bits * 1e9 // rate).
+        poll_lead = phylib.ctrl_tx_time(p.poll_frame_bytes, p) + p.sifs_ns
+        ack_ifs = p.sifs_ns + phylib.ctrl_tx_time(p.ack_frame_bytes, p) + p.sifs_ns
+        beacon_air = phylib.ctrl_tx_time(BEACON_FRAME_BYTES, p)
+        null_air = phylib.data_tx_time(0, p)
+        phy_hdr = p.phy_header_ns()
+        bit_ns = 8 * NS_PER_S
+        neg_mac_num = -p.mac_header_bytes * bit_ns
+        data_rate = p.data_rate_bps
+        txop_o1 = phylib.txop_overhead(1, p)
+        minimal_grant = txop_o1 + null_air
+        polled = [(st, st.tspec.phys_rate_bps, [], FlowTally()) for st in self.stations]
 
-        while self._heap:
-            t, _prio, _seq, kind, data = heapq.heappop(self._heap)
-            if kind == "end":
-                break
-            if kind == "arrival":
-                st = self.stations[data]
-                st.arrived += 1
-                flows[st.flow].generated += 1
-            elif kind == "beacon":
-                start = max(t, self.busy_until)
-                self.busy_until = start + self.beacon_air
-                self.counters.beacons += 1
-                nxt = (data + 1) * cfg.beacon_interval_ns
-                if nxt < dur:
-                    self._push(nxt, _PRIO_BEACON, "beacon", data + 1)
-            elif kind == "cap":
-                cap_end = self._cap_cycle(t, flows)
-                # CAPs serialize on the medium: a late-running CAP pushes the
-                # next one past its nominal SI boundary (back-to-back rounds
-                # under overload, grid-locked polling otherwise).
-                nxt = max(self._cap_boundary(data + 1), cap_end)
-                if nxt < dur:
-                    self._push(nxt, _PRIO_CAP, "cap", data + 1)
+        n_beacons = n_caps = n_overruns = n_data = n_null = n_lost = 0
+        n_reference = n_adaptive = n_fallback = n_minimal = 0
+        busy_until = next_beacon = j = t_cap = 0
+        while t_cap < dur:
+            # A beacon due at or before this CAP goes out first, deferred
+            # while the medium is still busy with the previous CAP.
+            while next_beacon <= t_cap:
+                busy_until = max(next_beacon, busy_until) + beacon_air
+                n_beacons += 1
+                next_beacon += beacon_ns
+            n_caps += 1
+            t = max(t_cap, busy_until)
+            grant_sum = 0
+            overran = False
+            for st, phys_rate, log, tally in polled:
+                if t >= dur:
+                    break
+                if t < st.active_from:
+                    continue  # stream not set up yet; not on the polling list
+                frames = st.frames
+                n_frames = len(frames)
+                arrived = st.arrived
+                while arrived < n_frames and frames[arrived][0] <= t_cap:
+                    arrived += 1
+                st.arrived = arrived
 
-        for st in self.stations:
-            flows[st.flow].queued_end = st.queued()
+                if not adaptive:
+                    grant, branch = st.ref_txop_ns, "reference"
+                    n_reference += 1
+                elif not st.feedback_valid:
+                    grant, branch = st.ref_txop_ns, "fallback"
+                    n_fallback += 1
+                elif st.reported_bytes:
+                    grant = txop_o1 - (-st.reported_bytes * bit_ns) // phys_rate
+                    branch = "adaptive"
+                    n_adaptive += 1
+                else:
+                    grant, branch = minimal_grant, "minimal"
+                    n_minimal += 1
+                grant_sum += grant
+                if grant_sum > si_ns and not overran:
+                    overran = True
+                    n_overruns += 1
 
+                # Poll + TXOP: frames go out while the whole exchange fits
+                # the grant; the AP decodes the piggybacked next-frame size
+                # from every frame it receives.
+                budget_end = t + grant
+                tx = t + poll_lead
+                first = nt = st.next_tx
+                received = False
+                while nt < arrived:
+                    gen_ns, size, seq = frames[nt]
+                    data_end = tx + phy_hdr - (neg_mac_num - size * bit_ns) // data_rate
+                    if data_end + ack_ifs > budget_end or data_end > dur:
+                        break
+                    nt += 1
+                    n_data += 1
+                    if loss_p > 0 and draw() < loss_p:
+                        n_lost += 1
+                        tally.lost += 1
+                        log.append(PacketRecord(st.flow, seq, gen_ns, None, size, True))
+                    else:
+                        tally.delivered += 1
+                        tally.delivered_bytes += size
+                        log.append(PacketRecord(st.flow, seq, gen_ns, data_end, size, False))
+                        received, reported_at = True, nt
+                    tx = data_end + ack_ifs
+                st.next_tx = nt
+                null_end = tx + null_air
+                if nt == first and null_end + ack_ifs <= budget_end and null_end <= dur:
+                    # Nothing sent (empty queue, or head frame larger than the
+                    # grant): one null data frame keeps the feedback loop alive.
+                    n_null += 1
+                    if not (loss_p > 0 and draw() < loss_p):
+                        received, reported_at = True, nt
+                    tx = null_end + ack_ifs
+                st.feedback_valid = received
+                if received:
+                    # Each received frame reports the frame queued behind it;
+                    # the last one received sets the next grant.
+                    next_size = frames[reported_at][1] if reported_at < n_frames else 0
+                    st.reported_bytes = decode_qs(encode_qs(next_size, exact), exact)
+                if record_polls:
+                    polls.append(PollRecord(st.flow, t, grant, tx - t, branch, nt - first))
+                t += grant
+            # CAPs serialize on the medium: a late-running CAP pushes the next
+            # one past its nominal SI boundary (back-to-back rounds under
+            # overload, grid-locked polling otherwise).
+            busy_until = t
+            j += 1
+            t_cap = max(self._cap_boundary(j), t)
+        if next_beacon < dur:
+            n_beacons += -(-(dur - next_beacon) // beacon_ns)
+
+        # Each flow sends its frames in arrival order, so the per-flow logs
+        # concatenate into (flow, gen_ns) order.
+        packets, flows = [], {}
+        for st, _rate, log, tally in polled:
+            packets += log
+            tally.generated = len(st.frames)
+            tally.queued_end = len(st.frames) - st.next_tx
+            flows[st.flow] = tally
+        counters = Counters(
+            beacons=n_beacons, caps=n_caps, overruns=n_overruns,
+            polls_reference=n_reference, polls_adaptive=n_adaptive,
+            polls_fallback=n_fallback, polls_minimal=n_minimal,
+            data_frames=n_data, null_frames=n_null, lost_frames=n_lost)
         report = SimReport(
             scheduler=cfg.scheduler, stations=len(self.stations),
-            quality=cfg.quality, seed=cfg.seed, si_ns=self.si_ns,
-            divisor=self.divisor, beacon_interval_ns=cfg.beacon_interval_ns,
+            quality=cfg.quality, seed=cfg.seed, si_ns=si_ns,
+            divisor=self.divisor, beacon_interval_ns=beacon_ns,
             duration_ns=dur, traffic_start_ns=cfg.traffic_start_ns,
-            loss_p=cfg.loss_p, qs_exact=cfg.qs_exact,
+            loss_p=loss_p, qs_exact=exact,
             overhead_mode=cfg.overhead_mode,
             throughput_window=cfg.throughput_window,
-            packets=sorted(self.packets, key=lambda p: (p.flow, p.gen_ns, p.seq)),
-            polls=self.polls, counters=self.counters, flows=flows,
+            packets=packets, polls=polls, counters=counters, flows=flows,
             admission_notes=self.admission_notes)
         if not report.conservation_ok():
             raise SimulationError("packet conservation violated (internal error)")
         return report
-
-    # -- HCCA polling ---------------------------------------------------
-
-    def _grant_for(self, st: _Station) -> tuple[int, str]:
-        if self.cfg.scheduler == "reference":
-            return st.ref_txop_ns, "reference"
-        if st.feedback_valid:
-            if st.reported_bytes > 0:
-                return adaptive_txop(st.reported_bytes, st.tspec, self.phy), "adaptive"
-            return minimal_txop(st.tspec, self.phy), "minimal"
-        return st.ref_txop_ns, "fallback"
-
-    def _cap_cycle(self, t_event: int, flows: dict) -> int:
-        t = max(t_event, self.busy_until)
-        self.counters.caps += 1
-        grant_sum = 0
-        overran = False
-        for st in self.stations:
-            if t >= self.cfg.duration_ns:
-                break
-            if t < st.active_from:
-                continue  # stream not set up yet; not on the polling list
-            grant, branch = self._grant_for(st)
-            setattr(self.counters, "polls_" + branch,
-                    getattr(self.counters, "polls_" + branch) + 1)
-            grant_sum += grant
-            if grant_sum > self.si_ns and not overran:
-                overran = True
-                self.counters.overruns += 1
-            used, frames_sent = self._poll_exchange(st, t, grant, flows)
-            if self.cfg.record_polls:
-                self.polls.append(PollRecord(st.flow, t, grant, used, branch,
-                                             frames_sent))
-            t += grant
-        self.busy_until = max(self.busy_until, t)
-        return t
-
-    def _poll_exchange(self, st: _Station, t_poll: int, grant_ns: int,
-                       flows: dict) -> tuple[int, int]:
-        """Run one poll + TXOP for a station; returns (air time actually used,
-        data frames sent). Feedback validity for the next SI is set from
-        whether the AP received anything."""
-        cfg = self.cfg
-        p = self.phy
-        sifs = p.sifs_ns
-        budget_end = t_poll + grant_ns
-        t = t_poll + self.poll_air + sifs
-        sent = 0
-        received_any = False
-        tally = flows[st.flow]
-
-        while st.next_tx < st.arrived:
-            gen_ns, size, fseq = st.frames[st.next_tx]
-            data_air = phylib.data_tx_time(size, p)
-            exchange = data_air + sifs + self.ack_air + sifs
-            if t + exchange > budget_end:
-                break
-            data_end = t + data_air
-            if data_end > cfg.duration_ns:
-                break
-            st.next_tx += 1
-            sent += 1
-            qs = encode_qs(st.next_unsent_size(), cfg.qs_exact)
-            frame = QosDataFrame(st.flow, size, qs, gen_ns, fseq)
-            self.counters.data_frames += 1
-            if self._ap_receive(st, frame, data_end, tally):
-                received_any = True
-            t += exchange
-
-        if sent == 0:
-            # Nothing sent (empty queue, or head frame larger than the grant):
-            # one null data frame keeps the feedback loop alive.
-            exchange = self.null_air + sifs + self.ack_air + sifs
-            if t + exchange <= budget_end and t + self.null_air <= cfg.duration_ns:
-                qs = encode_qs(st.next_unsent_size(), cfg.qs_exact)
-                frame = QosDataFrame(st.flow, 0, qs, t_poll)
-                self.counters.null_frames += 1
-                if self._ap_receive(st, frame, t + self.null_air, tally):
-                    received_any = True
-                t += exchange
-
-        st.feedback_valid = received_any
-        return t - t_poll, sent
-
-    def _ap_receive(self, st: _Station, frame: QosDataFrame, data_end: int,
-                    tally: FlowTally) -> bool:
-        """AP side of one data frame: Bernoulli loss draw, delivery accounting,
-        and queue-size decoding. Returns True when the frame got through."""
-        cfg = self.cfg
-        lost = cfg.loss_p > 0 and self.rng.random() < cfg.loss_p
-        if frame.payload_bytes > 0:
-            if lost:
-                self.counters.lost_frames += 1
-                tally.lost += 1
-                self.packets.append(PacketRecord(
-                    frame.flow, frame.seq, frame.gen_ns, None,
-                    frame.payload_bytes, True))
-            else:
-                tally.delivered += 1
-                tally.delivered_bytes += frame.payload_bytes
-                self.packets.append(PacketRecord(
-                    frame.flow, frame.seq, frame.gen_ns, data_end,
-                    frame.payload_bytes, False))
-        if lost:
-            return False
-        st.reported_bytes = decode_qs(frame.qs_field, cfg.qs_exact)
-        return True
 
 
 def run(cfg: ScenarioConfig) -> SimReport:

@@ -1,5 +1,6 @@
 import os
 
+import pytest
 import yaml
 
 from hccasim.cli import main
@@ -101,6 +102,33 @@ def test_validate_ok_and_bad(tmp_path, capsys):
                               "--set", "loss_p=1.5")
     assert code == 2
     assert "loss_p" in stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("override, field", [
+    ("traffic.i_size=-5", "traffic.i_size"),
+    ("traffic.b_size=0", "traffic.b_size"),
+    ("traffic.jitter=1.0", "traffic.jitter"),
+    ("traffic.frame_interval_ms=0", "traffic.frame_interval_ms"),
+    ("duration_s=.inf", "duration_s"),
+    ("seed=1.9", "seed"),
+    ("stations=2.7", "stations"),
+])
+def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, command, override, field):
+    code, stdout, stderr = run_cli(capsys, command, "--set", "preset=vbr-high",
+                                   "--set", "duration_s=21", "--set", override,
+                                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert f"error: {field}:" in stderr
+    assert "config ok" not in stdout
+    assert not (tmp_path / "o").exists()
+
+
+def test_quoted_boolean_in_config_file_is_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, preset="vbr-high", qs_exact="false")
+    code, _, stderr = run_cli(capsys, "validate", "--config", cfg)
+    assert code == 2
+    assert "qs_exact" in stderr
 
 
 def test_sweep_rows_and_determinism(tmp_path, capsys):

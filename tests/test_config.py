@@ -99,3 +99,38 @@ def test_validation_field_names():
                      ("on_reject", "x")]:
         with pytest.raises(ConfigError, match=key):
             scenario_from_dict({key: bad})
+
+
+def test_strict_scalar_casts():
+    for key, bad in [("qs_exact", "false"), ("record_polls", 1), ("seed", 1.9),
+                     ("seed", True), ("stations", 2.7), ("stations", "3"),
+                     ("duration_s", float("inf")), ("loss_p", float("nan")),
+                     ("beacon_interval_ms", "fast")]:
+        with pytest.raises(ConfigError, match=f"^{key}:"):
+            scenario_from_dict({key: bad})
+    # YAML 1.1 reads exponent-only numbers as strings; they still count as numbers
+    assert scenario_from_dict({"loss_p": "1e-3"}).loss_p == 0.001
+
+
+def test_traffic_fields_validated_at_load():
+    for key, bad in [("i_size", -5), ("p_size", 0), ("b_size", 2400.5),
+                     ("jitter", 1.0), ("jitter", "abc"), ("frame_interval_ms", 0),
+                     ("frame_interval_ms", float("inf")), ("pattern", "IXB"),
+                     ("pattern", ""), ("stagger_ms", -1.0), ("rotate_gop", "no"),
+                     ("seed", 0.5)]:
+        with pytest.raises(ConfigError, match=rf"^traffic\.{key}:"):
+            scenario_from_dict({"preset": "vbr-high", "traffic": {key: bad}})
+    assert scenario_from_dict({"traffic": {"seed": None}}).traffic.seed is None
+
+
+def test_phy_and_tspec_values_name_their_key():
+    with pytest.raises(ConfigError, match=r"^phy\.sifs_us:"):
+        scenario_from_dict({"phy": {"sifs_us": float("inf")}})
+    with pytest.raises(ConfigError, match=r"^phy\.slot_us:"):
+        scenario_from_dict({"phy": {"slot_us": "abc"}})
+    tspec = {"rho_bps": 1e5, "nominal_bytes": 500, "max_bytes": 900,
+             "delay_bound_ms": 80, "msi_ms": 40, "phys_rate_bps": 11000000}
+    for key, bad in [("rho_bps", float("inf")), ("nominal_bytes", 500.5),
+                     ("msi_ms", "soon")]:
+        with pytest.raises(ConfigError, match=rf"^tspec\.{key}:"):
+            scenario_from_dict({"tspec": dict(tspec, **{key: bad})})

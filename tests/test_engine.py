@@ -1,11 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario
 from hccasim import engine
 from hccasim.engine import SimulationError, decode_qs, encode_qs
-from hccasim.phy import NS_PER_MS, ctrl_tx_time
-from hccasim.sched import adaptive_txop, reference_txop, tspec_preset
+from hccasim.phy import NS_PER_MS, PhyParams, ctrl_tx_time, data_tx_time
+from hccasim.sched import adaptive_txop, minimal_txop, reference_txop, tspec_preset
 
 
 def total(report, attr):
@@ -199,6 +199,70 @@ def test_grant_always_covers_actual_use():
         r = engine.run(cfg)
         assert r.polls
         assert all(p.used_ns <= p.grant_ns for p in r.polls), kw
+
+
+@settings(max_examples=60, deadline=None)
+@given(phy=st.builds(PhyParams,
+                     sifs_ns=st.integers(0, 50_000),
+                     preamble_bits=st.integers(0, 200),
+                     plcp_header_bits=st.integers(0, 100),
+                     mac_header_bytes=st.integers(0, 60),
+                     data_rate_bps=st.integers(2_000_000, 54_000_000),
+                     basic_rate_bps=st.integers(500_000, 2_000_000),
+                     ack_frame_bytes=st.integers(0, 20),
+                     poll_frame_bytes=st.integers(0, 40)),
+       sizes=st.tuples(*[st.integers(1, 16_000)] * 3),
+       jitter=st.sampled_from([0.0, 0.3]),
+       phys_rate=st.integers(1_000_000, 54_000_000),
+       qs_exact=st.booleans(),
+       loss_p=st.sampled_from([0.0, 0.3]))
+def test_timeline_matches_phy_and_sched_formulas(phy, sizes, jitter, phys_rate,
+                                                 qs_exact, loss_p):
+    # Rebuild one station's whole poll/TXOP timeline from phy.* and sched.*:
+    # the engine's per-run constants and inline air-time and grant formulas
+    # must agree with them exactly.
+    cfg = make_scenario(
+        scheduler="adaptive", stations=1, traffic_start_s=0, duration_s=0.4,
+        seed=1, qs_exact=qs_exact, loss_p=loss_p, record_polls=True, phy=phy,
+        traffic={"pattern": "IPB", "i_size": sizes[0], "p_size": sizes[1],
+                 "b_size": sizes[2], "jitter": jitter},
+        tspec={"rho_bps": 760000.0, "nominal_bytes": 3800, "max_bytes": 16745,
+               "delay_bound_ms": 80.0, "msi_ms": 40.0, "phys_rate_bps": phys_rate})
+    r = engine.run(cfg)
+    frames = engine._build_stations(cfg)[0].frames
+    poll_lead = ctrl_tx_time(phy.poll_frame_bytes, phy) + phy.sifs_ns
+    ack_ifs = phy.sifs_ns + ctrl_tx_time(phy.ack_frame_bytes, phy) + phy.sifs_ns
+
+    def report_for(index):
+        size = frames[index][1] if index < len(frames) else 0
+        return decode_qs(encode_qs(size, qs_exact), qs_exact)
+
+    packets = iter(r.packets)
+    sent, reported = 0, None
+    for poll in r.polls:
+        if poll.branch == "adaptive":
+            assert poll.grant_ns == adaptive_txop(reported, cfg.tspec, phy)
+        elif poll.branch == "minimal":
+            assert reported == 0
+            assert poll.grant_ns == minimal_txop(cfg.tspec, phy)
+        else:
+            assert poll.branch == "fallback"
+            assert poll.grant_ns == reference_txop(cfg.tspec, r.si_ns, phy)
+        tx = poll.poll_ns + poll_lead
+        for _ in range(poll.frames_sent):
+            rec = next(packets)
+            assert (rec.seq, rec.size_bytes) == (frames[sent][2], frames[sent][1])
+            air = data_tx_time(rec.size_bytes, phy)
+            assert rec.recv_ns in (None, tx + air)
+            tx += air + ack_ifs
+            sent += 1
+            if not rec.lost:
+                reported = report_for(sent)
+        if poll.frames_sent == 0 and poll.used_ns != poll_lead:
+            tx += data_tx_time(0, phy) + ack_ifs    # null frame
+            reported = report_for(sent)             # unused if the null was lost
+        assert poll.used_ns == tx - poll.poll_ns
+    assert next(packets, None) is None
 
 
 def test_stream_end_turns_polls_minimal(tmp_path):
