@@ -69,20 +69,20 @@ def cmd_simulate(args) -> int:
         return _fail(f"traffic.path: {e}")
     packets_path = os.path.join(args.out, "packets.csv")
     summary_path = os.path.join(args.out, "summary.csv")
+    summary = metrics.summarize([report])
     try:
         _ensure_outdir(args.out)
         with open(packets_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(report.packets_csv())
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(metrics.summarize([report]))
+            fh.write(summary)
     except OSError as e:
         print(f"error: out: {e}", file=sys.stderr)
         return EXIT_FAILURE
-    for note in report.admission_notes:
+    for note in report.admission_notes + report.traffic_notes:
         _warn(note)
     _say(args, f"wrote {packets_path} and {summary_path}")
-    _say(args, metrics.SUMMARY_CSV_HEADER)
-    _say(args, metrics.summary_row(report))
+    _say(args, summary.rstrip("\n"))
     return EXIT_OK
 
 
@@ -161,6 +161,9 @@ def cmd_sweep(args) -> int:
     except OSError as e:
         print(f"error: out: {e}", file=sys.stderr)
         return EXIT_FAILURE
+    # Station i replays the same traffic in every cell: say each note once.
+    for note in dict.fromkeys(n for r in reports for n in r.traffic_notes):
+        _warn(note)
     _say(args, f"wrote {summary_path} ({len(reports)} runs)")
     return EXIT_OK
 

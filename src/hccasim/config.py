@@ -23,6 +23,12 @@ from .traffic import FRAME_TYPES
 SCHEDULERS = ("reference", "adaptive")
 VALIDATED_STATION_RANGE = (1, 12)
 
+# Largest number of synthetic frames plus beacons a run may generate: about
+# 86 times the largest benchmark and acceptance runs (116k frames). Memory
+# grows with it: two million generated frames, most left unsent, peaked at
+# 97 MiB (Python 3.11, x86-64); sent frames add their log and CSV lines.
+MAX_RUN_FRAMES = 10_000_000
+
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; names the offending field."""
@@ -30,6 +36,11 @@ class ConfigError(ValueError):
     def __init__(self, fieldname: str, message: str):
         super().__init__(f"{fieldname}: {message}")
         self.field = fieldname
+        self.detail = message
+
+    def __reduce__(self):
+        # Sweep workers hand exceptions back pickled.
+        return type(self), (self.field, self.detail)
 
 
 @dataclass(frozen=True)
@@ -349,6 +360,38 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     for i, spec in enumerate(cfg.station_list()):
         if spec.traffic.kind == "trace" and not spec.traffic.path:
             raise ConfigError(f"stations[{i}].traffic.path", "trace path missing")
+    check_run_size(cfg)
+
+
+def check_run_size(cfg: ScenarioConfig) -> None:
+    """Refuse a run that would generate more than MAX_RUN_FRAMES synthetic
+    frames and beacons, before anything per frame is built. Each synthetic
+    station is counted from traffic start to the end of the run (stagger
+    only shortens that). The error names the interval behind the larger
+    count when that interval is shorter than its default, else duration_s."""
+    dur = cfg.duration_ns
+    horizon = dur - cfg.traffic_start_ns
+    beacons = -(-dur // cfg.beacon_interval_ns)
+    frames, fastest = 0, None
+    for i, spec in enumerate(cfg.station_list()):
+        tc = spec.traffic
+        if tc.kind == "synth" and horizon > 0:
+            frames += -(-horizon // tc.frame_interval_ns)
+            if fastest is None or tc.frame_interval_ns < fastest[1].frame_interval_ns:
+                fastest = (i, tc)
+    if frames + beacons <= MAX_RUN_FRAMES:
+        return
+    if frames >= beacons:
+        i, tc = fastest
+        culprit = tc.frame_interval_ms < TrafficConfig.frame_interval_ms
+        section = f"stations[{i}].traffic" if cfg.station_specs else "traffic"
+        fieldname = f"{section}.frame_interval_ms"
+    else:
+        culprit = cfg.beacon_interval_ms < ScenarioConfig.beacon_interval_ms
+        fieldname = "beacon_interval_ms"
+    raise ConfigError(fieldname if culprit else "duration_s",
+                      f"run would generate about {frames} frames and {beacons} "
+                      f"beacons, above the limit of {MAX_RUN_FRAMES}")
 
 
 def stations_warning(cfg: ScenarioConfig) -> str | None:

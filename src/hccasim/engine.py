@@ -18,10 +18,14 @@ The run is one loop over SI boundaries, with no event queue:
   while a CAP holds the medium waits until that CAP ends.
 * A CAP that runs past the next SI boundary pushes the next CAP back to
   its end (back-to-back CAPs under overload).
-* Each station's arrivals are a precomputed schedule read through a
-  forward-only cursor. A CAP sees every frame generated up to the instant
-  it fell due, so frames generated while a CAP is under way become
-  pollable only from the next CAP.
+* Each station's arrivals are a precomputed schedule of frame sizes at a
+  fixed interval. A CAP sees every frame generated up to the instant it
+  fell due, so frames generated while a CAP is under way become pollable
+  only from the next CAP.
+* Packet logs are columns: per flow, one receive time (or None for a lost
+  frame) per sent frame. Generation times, sizes and sequence numbers come
+  from the station's schedule, and per-packet records are only built on
+  request.
 
 All bookkeeping is in integer nanoseconds; runs are bitwise reproducible
 for a fixed (scenario, seed).
@@ -31,12 +35,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from . import phy as phylib
-from .config import ScenarioConfig
+from .config import ScenarioConfig, check_run_size
 from .phy import NS_PER_S
 from .sched import AdmissionState, admit, assign_si, min_msi, reference_txop
-from .traffic import arrivals, load_trace, synth_trace
+from .traffic import load_trace, synth_sizes
 
 BEACON_FRAME_BYTES = 60       # management frame, sent at basic rate
 QS_UNIT_BYTES = 256           # queue-size field granularity (8-bit field)
@@ -111,6 +116,32 @@ class FlowTally:
         return self.generated == self.delivered + self.lost + self.queued_end
 
 
+@dataclass(frozen=True)
+class FlowLog:
+    """One flow's packet log as columns. Sent frame k was generated at
+    start_ns + k * interval_ns with sequence number seqs[k] and size
+    sizes[k]; recv_ns[k] is its receive time, None when it was lost."""
+
+    flow: int
+    start_ns: int
+    interval_ns: int
+    seqs: Sequence[int]
+    sizes: list
+    recv_ns: list
+
+    def gen_ns(self) -> range:
+        return range(self.start_ns, self.start_ns + len(self.recv_ns) * self.interval_ns,
+                     self.interval_ns)
+
+    def rows(self):
+        """(seq, gen_ns, recv_ns, size_bytes) per sent frame."""
+        return zip(self.seqs, self.gen_ns(), self.recv_ns, self.sizes)
+
+    def delays_ns(self) -> list[int]:
+        return [recv - gen for gen, recv in zip(self.gen_ns(), self.recv_ns)
+                if recv is not None]
+
+
 @dataclass
 class SimReport:
     scheduler: str
@@ -126,19 +157,29 @@ class SimReport:
     qs_exact: bool
     overhead_mode: str
     throughput_window: str
-    packets: list = field(default_factory=list)
+    logs: dict = field(default_factory=dict)       # flow -> FlowLog
     polls: list = field(default_factory=list)
     counters: Counters = field(default_factory=Counters)
-    flows: dict = field(default_factory=dict)
+    flows: dict = field(default_factory=dict)      # flow -> FlowTally
     admission_notes: list = field(default_factory=list)
+    traffic_notes: list = field(default_factory=list)
 
     PACKET_CSV_HEADER = "flow,seq,gen_ts_ns,recv_ts_ns,size_bytes,lost"
 
+    @property
+    def packets(self) -> list[PacketRecord]:
+        """Per-packet records in (flow, gen_ns) order, built from the logs
+        on every access."""
+        return [PacketRecord(log.flow, seq, gen, recv, size, recv is None)
+                for log in self.logs.values() for seq, gen, recv, size in log.rows()]
+
     def packets_csv(self) -> str:
         lines = [self.PACKET_CSV_HEADER]
-        for p in self.packets:
-            recv = "" if p.recv_ns is None else str(p.recv_ns)
-            lines.append(f"{p.flow},{p.seq},{p.gen_ns},{recv},{p.size_bytes},{int(p.lost)}")
+        for log in self.logs.values():
+            flow = log.flow
+            lines += [f"{flow},{seq},{gen},{recv},{size},0" if recv is not None
+                      else f"{flow},{seq},{gen},,{size},1"
+                      for seq, gen, recv, size in log.rows()]
         return "\n".join(lines) + "\n"
 
     def conservation_ok(self) -> bool:
@@ -153,26 +194,32 @@ class SimReport:
 class _Station:
     """One QSTA plus the AP-side mirror of its feedback state.
 
-    frames is the full arrival schedule (gen_ns, size, seq) in coding order;
-    indices split it into sent [0:next_tx), queued [next_tx:arrived) and
-    not yet seen by a CAP [arrived:). A prerecorded source knows its own
-    future, so the queue-size report always names frames[next_tx] even when
-    the queue is momentarily empty.
+    The arrival schedule is columnar, in coding order: frame k has size
+    sizes[k] and sequence number seqs[k] and is generated at
+    start + k * interval; the n frames generated before the run ends are
+    listed. next_tx splits sent frames [0:next_tx) from the rest, and a CAP
+    that fell due at t_cap sees frames [0:(t_cap - start) // interval + 1).
+    A prerecorded source knows its own future, so the queue-size report
+    always names sizes[next_tx] even when the queue is momentarily empty.
+    recv_ns logs one receive time per sent frame, None for a lost one.
 
-    The station enters the polling list at active_from (its traffic start,
-    when the stream is set up); CAPs before that skip it entirely.
+    The station enters the polling list at start (its traffic start, when
+    the stream is set up); CAPs before that skip it entirely.
     """
 
-    __slots__ = ("flow", "tspec", "frames", "active_from", "arrived", "next_tx",
-                 "ref_txop_ns", "feedback_valid", "reported_bytes")
+    __slots__ = ("flow", "tspec", "start", "interval", "n", "sizes", "seqs",
+                 "next_tx", "recv_ns", "ref_txop_ns", "feedback_valid", "reported_bytes")
 
-    def __init__(self, flow, tspec, frames, active_from):
+    def __init__(self, flow, tspec, start, interval, sizes, seqs):
         self.flow = flow
         self.tspec = tspec
-        self.frames = frames
-        self.active_from = active_from
-        self.arrived = 0
+        self.start = start
+        self.interval = interval
+        self.n = len(sizes)
+        self.sizes = sizes
+        self.seqs = seqs
         self.next_tx = 0
+        self.recv_ns = []
         self.ref_txop_ns = 0
         self.feedback_valid = False   # no data frame received yet
         self.reported_bytes = 0
@@ -186,25 +233,40 @@ def _rotate(pattern: str, steps: int) -> str:
 
 
 def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
+    check_run_size(cfg)
     stations = []
     dur = cfg.duration_ns
     for i, spec in enumerate(cfg.station_list()):
         tc = spec.traffic
         start_ns = cfg.traffic_start_ns + i * int(round(tc.stagger_ms * phylib.NS_PER_MS))
-        horizon = dur - start_ns
-        frames: list = []
+        interval = tc.frame_interval_ns
+        n = max(0, -(-(dur - start_ns) // interval))   # frames generated before dur
         if tc.kind == "trace":
-            trace = load_trace(tc.path, tc.frame_interval_ns)
-            frames = [a for a in arrivals(trace, start_ns) if a[0] < dur]
-        elif horizon > 0:
-            n = -(-horizon // tc.frame_interval_ns)
+            records = load_trace(tc.path, interval).records[:n]
+            sizes = [r.size_bytes for r in records]
+            seqs = [r.seq for r in records]
+        else:
             pattern = _rotate(tc.pattern, GOP_ROTATE_STEP * i) if tc.rotate_gop else tc.pattern
             base_seed = cfg.seed if tc.seed is None else tc.seed
-            trace = synth_trace(pattern, tc.base_sizes(), tc.jitter, n,
-                                base_seed + i, tc.frame_interval_ns)
-            frames = [a for a in arrivals(trace, start_ns) if a[0] < dur]
-        stations.append(_Station(i, spec.tspec, frames, start_ns))
+            sizes = synth_sizes(pattern, tc.base_sizes(), tc.jitter, n,
+                                base_seed + i) if n else []
+            seqs = range(n)
+        stations.append(_Station(i, spec.tspec, start_ns, interval, sizes, seqs))
     return stations
+
+
+def _oversize_notes(stations) -> list[str]:
+    """One note per station whose largest frame exceeds its TSPEC maximum
+    MSDU size: grants sized from the TSPEC may never fit such a frame, and
+    the station then sends null frames while the frame waits."""
+    notes = []
+    for st in stations:
+        biggest = max(st.sizes, default=0)
+        if biggest > st.tspec.max_msdu_bytes:
+            notes.append(f"flow {st.flow}: largest frame is {biggest} B, above "
+                         f"tspec.max_msdu_bytes {st.tspec.max_msdu_bytes} B; grants "
+                         f"sized from the TSPEC may never fit it")
+    return notes
 
 
 class Simulation:
@@ -212,6 +274,7 @@ class Simulation:
         self.cfg = cfg
         self.phy = cfg.phy
         self.stations = _build_stations(cfg)
+        self.traffic_notes = _oversize_notes(self.stations)
         self.si_ns, self.divisor = assign_si(
             cfg.beacon_interval_ns, min_msi([s.tspec for s in self.stations]))
         self.admission_notes: list[str] = []
@@ -268,9 +331,9 @@ class Simulation:
         data_rate = p.data_rate_bps
         txop_o1 = phylib.txop_overhead(1, p)
         minimal_grant = txop_o1 + null_air
-        polled = [(st, st.tspec.phys_rate_bps, [], FlowTally()) for st in self.stations]
+        polled = [(st, st.tspec.phys_rate_bps, st.sizes, st.recv_ns) for st in self.stations]
 
-        n_beacons = n_caps = n_overruns = n_data = n_null = n_lost = 0
+        n_beacons = n_caps = n_overruns = n_null = 0
         n_reference = n_adaptive = n_fallback = n_minimal = 0
         busy_until = next_beacon = j = t_cap = 0
         while t_cap < dur:
@@ -284,17 +347,16 @@ class Simulation:
             t = max(t_cap, busy_until)
             grant_sum = 0
             overran = False
-            for st, phys_rate, log, tally in polled:
+            for st, phys_rate, sizes, log in polled:
                 if t >= dur:
                     break
-                if t < st.active_from:
+                start = st.start
+                if t < start:
                     continue  # stream not set up yet; not on the polling list
-                frames = st.frames
-                n_frames = len(frames)
-                arrived = st.arrived
-                while arrived < n_frames and frames[arrived][0] <= t_cap:
-                    arrived += 1
-                st.arrived = arrived
+                n_frames = st.n
+                # Frames generated by t_cap; <= 0 while the CAP fell due
+                # before the stream started.
+                arrived = min(n_frames, (t_cap - start) // st.interval + 1)
 
                 if not adaptive:
                     grant, branch = st.ref_txop_ns, "reference"
@@ -322,20 +384,14 @@ class Simulation:
                 first = nt = st.next_tx
                 received = False
                 while nt < arrived:
-                    gen_ns, size, seq = frames[nt]
-                    data_end = tx + phy_hdr - (neg_mac_num - size * bit_ns) // data_rate
+                    data_end = tx + phy_hdr - (neg_mac_num - sizes[nt] * bit_ns) // data_rate
                     if data_end + ack_ifs > budget_end or data_end > dur:
                         break
                     nt += 1
-                    n_data += 1
                     if loss_p > 0 and draw() < loss_p:
-                        n_lost += 1
-                        tally.lost += 1
-                        log.append(PacketRecord(st.flow, seq, gen_ns, None, size, True))
+                        log.append(None)
                     else:
-                        tally.delivered += 1
-                        tally.delivered_bytes += size
-                        log.append(PacketRecord(st.flow, seq, gen_ns, data_end, size, False))
+                        log.append(data_end)
                         received, reported_at = True, nt
                     tx = data_end + ack_ifs
                 st.next_tx = nt
@@ -351,7 +407,7 @@ class Simulation:
                 if received:
                     # Each received frame reports the frame queued behind it;
                     # the last one received sets the next grant.
-                    next_size = frames[reported_at][1] if reported_at < n_frames else 0
+                    next_size = sizes[reported_at] if reported_at < n_frames else 0
                     st.reported_bytes = decode_qs(encode_qs(next_size, exact), exact)
                 if record_polls:
                     polls.append(PollRecord(st.flow, t, grant, tx - t, branch, nt - first))
@@ -365,19 +421,28 @@ class Simulation:
         if next_beacon < dur:
             n_beacons += -(-(dur - next_beacon) // beacon_ns)
 
-        # Each flow sends its frames in arrival order, so the per-flow logs
-        # concatenate into (flow, gen_ns) order.
-        packets, flows = [], {}
-        for st, _rate, log, tally in polled:
-            packets += log
-            tally.generated = len(st.frames)
-            tally.queued_end = len(st.frames) - st.next_tx
-            flows[st.flow] = tally
+        # Each flow sends its frames in arrival order, so its log lines up
+        # with the head of its schedule. The tallies count the logs; the
+        # backlog comes from the send cursor, so conservation checks one
+        # against the other.
+        logs, flows = {}, {}
+        for st in self.stations:
+            log = st.recv_ns
+            sent = len(log)
+            sizes = st.sizes[:sent]
+            lost = log.count(None)
+            logs[st.flow] = FlowLog(st.flow, st.start, st.interval, st.seqs[:sent],
+                                    sizes, log)
+            flows[st.flow] = FlowTally(
+                generated=st.n, delivered=sent - lost, lost=lost,
+                queued_end=st.n - st.next_tx,
+                delivered_bytes=sum(s for s, r in zip(sizes, log) if r is not None))
         counters = Counters(
             beacons=n_beacons, caps=n_caps, overruns=n_overruns,
             polls_reference=n_reference, polls_adaptive=n_adaptive,
             polls_fallback=n_fallback, polls_minimal=n_minimal,
-            data_frames=n_data, null_frames=n_null, lost_frames=n_lost)
+            data_frames=sum(len(log.recv_ns) for log in logs.values()),
+            null_frames=n_null, lost_frames=sum(t.lost for t in flows.values()))
         report = SimReport(
             scheduler=cfg.scheduler, stations=len(self.stations),
             quality=cfg.quality, seed=cfg.seed, si_ns=si_ns,
@@ -386,8 +451,8 @@ class Simulation:
             loss_p=loss_p, qs_exact=exact,
             overhead_mode=cfg.overhead_mode,
             throughput_window=cfg.throughput_window,
-            packets=packets, polls=polls, counters=counters, flows=flows,
-            admission_notes=self.admission_notes)
+            logs=logs, polls=polls, counters=counters, flows=flows,
+            admission_notes=self.admission_notes, traffic_notes=self.traffic_notes)
         if not report.conservation_ok():
             raise SimulationError("packet conservation violated (internal error)")
         return report

@@ -1,8 +1,11 @@
 """Evaluation metrics over per-packet logs: mean end-to-end delay,
 aggregate throughput, per-flow breakdowns and the sweep summary table.
 
-All metrics are pure functions of the packet log, so recomputing them from
-a serialized CSV reproduces the simulator's own summary exactly.
+The per-flow breakdowns and the summary table read a report's columnar
+logs (delays) and its flow tallies (counts and bytes), which are counted
+from those logs. mean_e2e_delay and aggregate_throughput take a list of
+PacketRecords instead, such as parse_packets_csv returns, so recomputing
+a summary from a serialized CSV reproduces the simulator's own exactly.
 """
 
 from __future__ import annotations
@@ -59,23 +62,19 @@ def aggregate_throughput(log, window_ns: int) -> float:
 
 
 def flow_metrics(report: SimReport) -> list[FlowMetrics]:
-    per_flow: dict[int, list[PacketRecord]] = {f: [] for f in report.flows}
-    for p in report.packets:
-        per_flow.setdefault(p.flow, []).append(p)
     out = []
-    for flow in sorted(per_flow):
-        log = per_flow[flow]
-        delays = sorted(_delays_ns(log))
-        tally = report.flows.get(flow)
+    for flow in sorted(report.flows):
+        tally = report.flows[flow]
+        delays = sorted(report.logs[flow].delays_ns())
         out.append(FlowMetrics(
             flow=flow,
-            generated=tally.generated if tally else len(log),
-            delivered=len(delays),
-            lost=sum(1 for p in log if p.lost),
+            generated=tally.generated,
+            delivered=tally.delivered,
+            lost=tally.lost,
             mean_delay_ns=(sum(delays) / len(delays)) if delays else None,
             p95_delay_ns=nearest_rank_percentile(delays, 95),
             max_delay_ns=delays[-1] if delays else None,
-            delivered_bytes=sum(p.size_bytes for p in log if not p.lost),
+            delivered_bytes=tally.delivered_bytes,
         ))
     return out
 
@@ -87,14 +86,20 @@ def _fmt_us(value_ns) -> str:
 
 
 def summary_row(report: SimReport) -> str:
-    delays = sorted(_delays_ns(report.packets))
+    delays = []
+    for log in report.logs.values():
+        delays += log.delays_ns()
+    delays.sort()
     mean_ns = (sum(delays) / len(delays)) if delays else None
     p95_ns = nearest_rank_percentile(delays, 95)
     max_ns = delays[-1] if delays else None
+    tallies = report.flows.values()
     window = report.active_window_ns()
-    thr = aggregate_throughput(report.packets, window) if window > 0 else 0.0
-    delivered = sum(t.delivered for t in report.flows.values())
-    lost = sum(t.lost for t in report.flows.values())
+    # Same arithmetic as aggregate_throughput, over the tallied bytes.
+    bits = sum(t.delivered_bytes for t in tallies) * 8
+    thr = bits * 1e9 / window if window > 0 else 0.0
+    delivered = sum(t.delivered for t in tallies)
+    lost = sum(t.lost for t in tallies)
     return (f"{report.scheduler},{report.stations},{report.quality},"
             f"{_fmt_us(mean_ns)},{_fmt_us(p95_ns)},{_fmt_us(max_ns)},"
             f"{thr:.1f},{delivered},{lost},{report.counters.overruns}")

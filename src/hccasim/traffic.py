@@ -145,10 +145,9 @@ def arrivals(trace: VideoTrace, start_ns: int) -> list[tuple[int, int, int]]:
             for k, r in enumerate(trace.records)]
 
 
-def synth_trace(gop_pattern: str, base_sizes: tuple[int, int, int], jitter: float,
-                n_frames: int, rng_seed: int,
-                frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> VideoTrace:
-    """Deterministic GoP-structured VBR generator.
+def synth_sizes(gop_pattern: str, base_sizes: tuple[int, int, int], jitter: float,
+                n_frames: int, rng_seed: int) -> list[int]:
+    """Frame sizes of a deterministic GoP-structured VBR stream.
 
     base_sizes is (I, P, B) in bytes. Frame k takes its type from the pattern
     cyclically and its size from base * (1 + u*jitter) with u uniform in
@@ -168,15 +167,24 @@ def synth_trace(gop_pattern: str, base_sizes: tuple[int, int, int], jitter: floa
     base = dict(zip(FRAME_TYPES, base_sizes))
     if any(b <= 0 for b in base.values()):
         raise ValueError("base sizes must be positive")
-    rng = random.Random(rng_seed)
-    records = []
+    bases = [base[ftype] for ftype in pattern]
+    period = len(bases)
+    # -1.0 + 2.0 * random() is exactly what random.uniform(-1.0, 1.0) returns.
+    rand = random.Random(rng_seed).random
+    return [max(1, round(bases[k % period] * (1.0 + (-1.0 + 2.0 * rand()) * jitter)))
+            for k in range(n_frames)]
+
+
+def synth_trace(gop_pattern: str, base_sizes: tuple[int, int, int], jitter: float,
+                n_frames: int, rng_seed: int,
+                frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> VideoTrace:
+    """synth_sizes as a VideoTrace: frame k is seq k, displayed at
+    k * frame interval."""
+    sizes = synth_sizes(gop_pattern, base_sizes, jitter, n_frames, rng_seed)
+    pattern = gop_pattern.upper()
     interval_ms = frame_interval_ns / NS_PER_MS
-    for k in range(n_frames):
-        ftype = pattern[k % len(pattern)]
-        u = rng.uniform(-1.0, 1.0)
-        size = max(1, round(base[ftype] * (1.0 + u * jitter)))
-        records.append(FrameRecord(k, ftype, k * interval_ms, size))
-    return VideoTrace(tuple(records), frame_interval_ns)
+    return VideoTrace(tuple(FrameRecord(k, pattern[k % len(pattern)], k * interval_ms, size)
+                            for k, size in enumerate(sizes)), frame_interval_ns)
 
 
 def stats_csv_row(name: str, stats: TraceStats) -> str:

@@ -1,10 +1,13 @@
 import os
+import time
 
 import pytest
 import yaml
 
+from hccasim import engine
 from hccasim.cli import main
-from hccasim.metrics import SUMMARY_CSV_HEADER
+from hccasim.config import load_scenario
+from hccasim.metrics import SUMMARY_CSV_HEADER, summarize
 
 
 def write_config(tmp_path, **kwargs):
@@ -190,3 +193,62 @@ def test_quiet_suppresses_status(tmp_path, capsys):
                               "--out", str(tmp_path / "o"))
     assert code == 0
     assert stdout == ""
+
+
+def test_frames_above_max_msdu_are_reported_once(tmp_path, capsys):
+    # Reference grants cover one TSPEC maximum MSDU (16 745 B); I-frames of
+    # up to 25 000 B never fit one, and the run used to say nothing.
+    cfg = write_config(tmp_path, preset="vbr-high", scheduler="reference",
+                       duration_s=30, seed=3, traffic={"i_size": 20000})
+    out = tmp_path / "o"
+    code, _, stderr = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert code == 0
+    warnings = [l for l in stderr.splitlines() if "tspec.max_msdu_bytes" in l]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("warning: flow 0: largest frame is ")
+    assert "16745 B" in warnings[0]
+    # The note changes no output.
+    report = engine.run(load_scenario(cfg))
+    assert (out / "packets.csv").read_text() == report.packets_csv()
+    assert (out / "summary.csv").read_text() == summarize([report])
+
+    code, _, stderr = run_cli(capsys, "sweep", "--config", cfg, "--stations", "1..2",
+                              "--out", str(tmp_path / "s"))
+    assert code == 0
+    warnings = [l for l in stderr.splitlines() if "tspec.max_msdu_bytes" in l]
+    assert [w.split(":")[1] for w in warnings] == [" flow 0", " flow 1"]
+
+
+def test_frames_within_max_msdu_are_not_reported(tmp_path, capsys):
+    code, _, stderr = run_cli(capsys, "simulate", "--set", "preset=vbr-high",
+                              "--set", "duration_s=22", "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert "max_msdu" not in stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "sweep"])
+def test_oversized_run_is_refused_before_it_starts(tmp_path, capsys, command):
+    # 1 ns frames: 8 stations x 600 s would be 4.6e12 frames.
+    t0 = time.perf_counter()
+    code, _, stderr = run_cli(capsys, command, "--set", "preset=vbr-high",
+                              "--set", "stations=8", "--set", "duration_s=600",
+                              "--set", "traffic.frame_interval_ms=1e-6",
+                              "--out", str(tmp_path / "o"))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "error: traffic.frame_interval_ms: run would generate" in stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_cell_above_run_size_limit_is_refused(tmp_path, capsys):
+    # One station of 1e6 frames passes validation; the 11- and 12-station
+    # cells (1.1e7 and 1.2e7 frames) are refused by the engine before it
+    # builds anything, in pool workers where there is more than one CPU.
+    cfg = write_config(tmp_path, preset="vbr-high", duration_s=30,
+                       traffic={"frame_interval_ms": 0.01})
+    t0 = time.perf_counter()
+    code, _, stderr = run_cli(capsys, "sweep", "--config", cfg, "--stations", "11..12",
+                              "--schedulers", "adaptive", "--out", str(tmp_path / "o"))
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2
+    assert "error: traffic.frame_interval_ms: run would generate" in stderr

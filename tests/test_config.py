@@ -1,8 +1,11 @@
+import pickle
+from dataclasses import replace
+
 import pytest
 
-from hccasim import engine
-from hccasim.config import (ConfigError, apply_overrides, scenario_from_dict,
-                            with_overrides)
+from hccasim import config, engine
+from hccasim.config import (ConfigError, TrafficConfig, apply_overrides,
+                            scenario_from_dict, with_overrides)
 from hccasim.sched import tspec_preset
 
 
@@ -134,3 +137,48 @@ def test_phy_and_tspec_values_name_their_key():
                      ("msi_ms", "soon")]:
         with pytest.raises(ConfigError, match=rf"^tspec\.{key}:"):
             scenario_from_dict({"tspec": dict(tspec, **{key: bad})})
+
+
+def test_run_size_limit_names_the_field():
+    big = config.MAX_RUN_FRAMES
+    # 20 s of traffic at 40 ms is 500 frames per station; beacons every 120 ms.
+    with pytest.raises(ConfigError, match=r"^traffic\.frame_interval_ms: run would"):
+        scenario_from_dict({"stations": 4, "duration_s": 40,
+                            "traffic": {"frame_interval_ms": 40 * 2000 / big}})
+    with pytest.raises(ConfigError, match=r"^stations\[1\]\.traffic\.frame_interval_ms:"):
+        scenario_from_dict({"duration_s": 40, "stations": [
+            {}, {"traffic": {"frame_interval_ms": 40 * 250 / big}}]})
+    with pytest.raises(ConfigError, match=r"^beacon_interval_ms: run would"):
+        scenario_from_dict({"duration_s": 40, "beacon_interval_ms": 0.001})
+    with pytest.raises(ConfigError, match=r"^duration_s: run would"):
+        scenario_from_dict({"stations": 12, "duration_s": big * 0.04 / 12})
+    # Trace stations are bounded by their file and not counted.
+    scenario_from_dict({"duration_s": 40, "traffic": {
+        "kind": "trace", "path": "t.txt", "frame_interval_ms": 1e-6}})
+
+
+def test_run_size_limit_boundary():
+    # One station from t=0: ceil(dur / interval) frames + ceil(dur / BI) beacons.
+    limit = config.MAX_RUN_FRAMES
+    base = {"traffic_start_s": 0, "beacon_interval_ms": 1000.0,
+            "traffic": {"frame_interval_ms": 0.001}}         # 1 us frames
+    beacons = 10
+    at_limit = (limit - beacons) / 1e6                       # seconds of 1 us frames
+    scenario_from_dict(dict(base, duration_s=at_limit))
+    with pytest.raises(ConfigError, match="duration_s|frame_interval_ms"):
+        scenario_from_dict(dict(base, duration_s=at_limit + 1e-6))
+
+
+def test_engine_checks_run_size_of_unvalidated_configs():
+    cfg = replace(scenario_from_dict({"duration_s": 600}),
+                  traffic=replace(TrafficConfig(), frame_interval_ms=1e-6))
+    with pytest.raises(ConfigError, match="traffic.frame_interval_ms"):
+        engine.Simulation(cfg)
+
+
+def test_config_error_survives_pickling():
+    # Sweep workers hand exceptions back to the parent pickled.
+    err = pickle.loads(pickle.dumps(ConfigError("traffic.i_size", "must be positive")))
+    assert isinstance(err, ConfigError)
+    assert err.field == "traffic.i_size"
+    assert str(err) == "traffic.i_size: must be positive"

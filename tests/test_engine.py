@@ -229,12 +229,13 @@ def test_timeline_matches_phy_and_sched_formulas(phy, sizes, jitter, phys_rate,
         tspec={"rho_bps": 760000.0, "nominal_bytes": 3800, "max_bytes": 16745,
                "delay_bound_ms": 80.0, "msi_ms": 40.0, "phys_rate_bps": phys_rate})
     r = engine.run(cfg)
-    frames = engine._build_stations(cfg)[0].frames
+    station = engine._build_stations(cfg)[0]
+    sizes, seqs = station.sizes, station.seqs
     poll_lead = ctrl_tx_time(phy.poll_frame_bytes, phy) + phy.sifs_ns
     ack_ifs = phy.sifs_ns + ctrl_tx_time(phy.ack_frame_bytes, phy) + phy.sifs_ns
 
     def report_for(index):
-        size = frames[index][1] if index < len(frames) else 0
+        size = sizes[index] if index < len(sizes) else 0
         return decode_qs(encode_qs(size, qs_exact), qs_exact)
 
     packets = iter(r.packets)
@@ -251,7 +252,7 @@ def test_timeline_matches_phy_and_sched_formulas(phy, sizes, jitter, phys_rate,
         tx = poll.poll_ns + poll_lead
         for _ in range(poll.frames_sent):
             rec = next(packets)
-            assert (rec.seq, rec.size_bytes) == (frames[sent][2], frames[sent][1])
+            assert (rec.seq, rec.size_bytes) == (seqs[sent], sizes[sent])
             air = data_tx_time(rec.size_bytes, phy)
             assert rec.recv_ns in (None, tx + air)
             tx += air + ack_ifs

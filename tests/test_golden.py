@@ -2,11 +2,14 @@
 summary CSV, and of its poll records, pinned across engine rewrites.
 
 The cases cover both schedulers, 1/4/12 stations, loss 0 and 0.1, both
-queue-size modes, a per-station start stagger, trace-file replay, and an
+queue-size modes, a per-station start stagger, trace-file replay (one trace
+with contiguous sequence numbers, one whose numbers start at 1000, skip
+values and are written out of order, and which outlasts the run), and an
 overloaded grid where CAPs run back-to-back and beacons fall inside CAPs.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -56,6 +59,10 @@ CASES = {
                               tspec="jurassic-high"),
                          "ae4442a8dccc4e6d8e45f3fa3b9d129c68fb96902729dee9fd597ed96f821864",
                          "a03b01a6c6f83fb382c16822bda2f35855d995edeca38c2909f0a07f5a8cb6c4"),
+    "trace-gaps-ada-2-loss": (dict(scheduler="adaptive", stations=2, seed=8, loss_p=0.1,
+                                   tspec="jurassic-high"),
+                              "a2f065119aa4975122fadfe90b7d48f44e2d1abfcebdd8b3e27845071f9d68b3",
+                              "c77e4b6a6f1ed38d282be28e7e3e89866c7bdd7698a3924157590268904f00ed"),
     "overload-ada-12": (dict(preset="vbr-high", scheduler="adaptive", stations=12,
                              seed=11, beacon_interval_ms=100.0,
                              traffic={"i_size": 30000, "p_size": 12000,
@@ -74,12 +81,25 @@ def _polls_text(polls) -> str:
                    f"{p.frames_sent}\n" for p in polls)
 
 
+def _gapped_trace_text() -> str:
+    # 150 frames (6 s, longer than the 4 s of traffic in a case) numbered
+    # 1000, 1004, 1006, 1010, ... and written in shuffled order.
+    trace = synth_trace("IBBPBBPBBPBB", (12160, 4800, 2400), 0.25, 150, 98)
+    lines = [f"{1000 + 3 * k + k % 2} {r.frame_type} {r.display_time_ms:g} {r.size_bytes}"
+             for k, r in enumerate(trace.records)]
+    random.Random(5).shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
 def _scenario(name, tmp_path):
     kwargs = dict(CASES[name][0], duration_s=24, record_polls=True)
     if name.startswith("trace-"):
-        trace = synth_trace("IBBPBBPBBPBB", (12160, 4800, 2400), 0.25, 150, 99)
         path = tmp_path / "trace.txt"
-        path.write_text(serialize_trace(trace))
+        if name.startswith("trace-gaps-"):
+            path.write_text(_gapped_trace_text())
+        else:
+            trace = synth_trace("IBBPBBPBBPBB", (12160, 4800, 2400), 0.25, 150, 99)
+            path.write_text(serialize_trace(trace))
         kwargs["traffic"] = {"kind": "trace", "path": str(path)}
     return make_scenario(**kwargs)
 
@@ -115,3 +135,17 @@ def test_overload_case_covers_back_to_back_caps_and_inner_beacons(tmp_path):
     assert any(nxt[0].poll_ns == end for nxt, end in zip(caps[1:], ends))
     assert any(c[0].poll_ns < -(-c[0].poll_ns // bi) * bi < end
                for c, end in zip(caps, ends))
+
+
+def test_gapped_trace_case_keeps_its_properties(tmp_path):
+    # The case must keep exercising what the contiguous trace cannot: seq
+    # numbers that are not frame indices, out-of-order lines, and a trace
+    # cut short by the end of the run.
+    text = _gapped_trace_text()
+    seqs = [int(line.split()[0]) for line in text.splitlines()]
+    assert seqs != sorted(seqs)
+    assert min(seqs) == 1000 and max(seqs) - min(seqs) + 1 > len(seqs)
+    report = engine.run(_scenario("trace-gaps-ada-2-loss", tmp_path))
+    sent = [p.seq for p in report.packets if p.flow == 0]
+    assert sent == sorted(seqs)[:len(sent)]
+    assert 0 < report.flows[0].generated < len(seqs)

@@ -125,3 +125,30 @@ def test_summary_row_undefined_delay_prints_empty():
     report = engine.run(make_scenario(preset="vbr-high", stations=1, duration_s=1, seed=2))
     row = metrics.summary_row(report)
     assert row.split(",")[3] == ""
+
+
+def test_column_metrics_match_the_packet_reference():
+    # summary_row and flow_metrics read the report's columns and tallies;
+    # the PacketRecord functions over the serialized log must agree.
+    cfg = make_scenario(preset="vbr-high", scheduler="adaptive", stations=3,
+                        duration_s=24, seed=8, loss_p=0.1,
+                        traffic={"stagger_ms": 30.0})
+    report = engine.run(cfg)
+    parsed = metrics.parse_packets_csv(report.packets_csv())
+    for m in metrics.flow_metrics(report):
+        log = [p for p in parsed if p.flow == m.flow]
+        delays = sorted(p.recv_ns - p.gen_ns for p in log if not p.lost)
+        assert m.delivered == len(delays) > 0
+        assert m.lost == sum(p.lost for p in log) > 0
+        assert m.delivered_bytes == sum(p.size_bytes for p in log if not p.lost)
+        assert m.generated == len(log) + report.flows[m.flow].queued_end
+        assert m.mean_delay_ns == metrics.mean_e2e_delay(log)
+        assert (m.p95_delay_ns, m.max_delay_ns) == \
+            (metrics.nearest_rank_percentile(delays, 95), delays[-1])
+    fields = metrics.summary_row(report).split(",")
+    mean_ns = metrics.mean_e2e_delay(parsed)
+    thr = metrics.aggregate_throughput(parsed, report.active_window_ns())
+    assert fields[3] == str(round(mean_ns / 1000))
+    assert fields[6] == f"{thr:.1f}"
+    assert fields[7:9] == [str(sum(not p.lost for p in parsed)),
+                           str(sum(p.lost for p in parsed))]

@@ -6,7 +6,7 @@ import pytest
 from conftest import FRAGMENT_SIZES
 from hccasim.traffic import (TraceParseError, VideoTrace, arrivals, load_trace,
                              parse_trace, serialize_trace, stats_csv_row,
-                             synth_trace, trace_stats)
+                             synth_sizes, synth_trace, trace_stats)
 
 
 def test_parse_fragment(fragment_path):
@@ -145,3 +145,18 @@ def test_stats_peak_dominates_mean_on_random_traces():
 def test_video_trace_rejects_empty():
     with pytest.raises(ValueError):
         VideoTrace(())
+
+
+def test_synth_sizes_match_uniform_reference():
+    # The list helper must draw exactly what rng.uniform(-1, 1) per frame did.
+    rng = random.Random(11)
+    for _ in range(30):
+        pattern = "".join(rng.choice("IPB") for _ in range(rng.randrange(1, 13)))
+        bases = (rng.randrange(1, 20000), rng.randrange(1, 9000), rng.randrange(1, 5000))
+        jitter, n, seed = rng.random() * 0.99, rng.randrange(1, 400), rng.randrange(10**6)
+        ref = random.Random(seed)
+        want = [max(1, round(dict(zip("IPB", bases))[pattern[k % len(pattern)]]
+                             * (1.0 + ref.uniform(-1.0, 1.0) * jitter)))
+                for k in range(n)]
+        assert synth_sizes(pattern, bases, jitter, n, seed) == want
+        assert synth_trace(pattern, bases, jitter, n, seed).sizes() == want
