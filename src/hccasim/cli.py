@@ -124,10 +124,13 @@ def _run_cells(cells):
     workers = min(len(cells), os.cpu_count() or 1)
     if workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_run_cell, cells))
+            pool = ProcessPoolExecutor(max_workers=workers)
         except OSError:
             pass  # sandboxed environments without semaphores: run serially
+        else:
+            # A cell's own error comes back from its worker and propagates.
+            with pool:
+                return list(pool.map(_run_cell, cells))
     return [_run_cell(c) for c in cells]
 
 
@@ -153,6 +156,8 @@ def cmd_sweep(args) -> int:
         reports = _run_cells(cells)
     except (engine.SimulationError, ConfigError, TraceParseError) as e:
         return _fail(str(e))
+    except FileNotFoundError as e:
+        return _fail(f"traffic.path: {e}")
     summary_path = os.path.join(args.out, "summary.csv")
     try:
         _ensure_outdir(args.out)

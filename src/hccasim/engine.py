@@ -126,7 +126,7 @@ class FlowLog:
     start_ns: int
     interval_ns: int
     seqs: Sequence[int]
-    sizes: list
+    sizes: Sequence[int]
     recv_ns: list
 
     def gen_ns(self) -> range:
@@ -242,9 +242,8 @@ def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
         interval = tc.frame_interval_ns
         n = max(0, -(-(dur - start_ns) // interval))   # frames generated before dur
         if tc.kind == "trace":
-            records = load_trace(tc.path, interval).records[:n]
-            sizes = [r.size_bytes for r in records]
-            seqs = [r.seq for r in records]
+            trace = load_trace(tc.path, interval)
+            sizes, seqs = trace.size_bytes[:n], trace.seqs[:n]
         else:
             pattern = _rotate(tc.pattern, GOP_ROTATE_STEP * i) if tc.rotate_gop else tc.pattern
             base_seed = cfg.seed if tc.seed is None else tc.seed

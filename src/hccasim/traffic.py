@@ -9,6 +9,12 @@ Trace file format (whitespace-separated, '#' comments allowed):
 The display-time column is preserved but never used for arrival timing:
 frames arrive in coding (sequence) order at a fixed interval, 40 ms by
 default. One video frame is one MSDU, whatever its size.
+
+A VideoTrace holds its frames as columns (sequence numbers, frame types,
+display times, sizes), filled by parse_trace in one pass over the lines
+and sorted by sequence number only when the file is out of order.
+VideoTrace.records is a derived view: it builds a fresh tuple of
+FrameRecord rows on every access, so read it once when iterating it often.
 """
 
 from __future__ import annotations
@@ -28,6 +34,11 @@ class TraceParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.detail = message
+
+    def __reduce__(self):
+        # Sweep workers hand exceptions back pickled.
+        return type(self), (self.line_no, self.detail)
 
 
 @dataclass(frozen=True)
@@ -48,20 +59,45 @@ class FrameRecord:
 
 @dataclass(frozen=True)
 class VideoTrace:
-    records: tuple
+    """One trace as columns in coding order: frame k has sequence number
+    seqs[k], type frame_types[k], display time display_ms[k] and size
+    size_bytes[k]. Columns are stored as tuples."""
+
+    seqs: tuple
+    frame_types: tuple
+    display_ms: tuple
+    size_bytes: tuple
     frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS
 
     def __post_init__(self):
-        if not self.records:
+        for name in ("seqs", "frame_types", "display_ms", "size_bytes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        n = len(self.seqs)
+        if not n:
             raise ValueError("trace must contain at least one frame")
+        if not n == len(self.frame_types) == len(self.display_ms) == len(self.size_bytes):
+            raise ValueError("trace columns must have equal lengths")
         if self.frame_interval_ns <= 0:
             raise ValueError("frame interval must be positive")
+        if min(self.seqs) < 0:
+            raise ValueError("seq must be >= 0")
+        if not set(self.frame_types) <= set(FRAME_TYPES):
+            raise ValueError(f"frame type must be one of {FRAME_TYPES}")
+        if min(self.size_bytes) <= 0:
+            raise ValueError("frame size must be positive")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.seqs)
+
+    @property
+    def records(self) -> tuple[FrameRecord, ...]:
+        """Per-frame rows in coding order, built from the columns on every
+        access."""
+        return tuple(map(FrameRecord, self.seqs, self.frame_types, self.display_ms,
+                         self.size_bytes))
 
     def sizes(self) -> list[int]:
-        return [r.size_bytes for r in self.records]
+        return list(self.size_bytes)
 
 
 @dataclass(frozen=True)
@@ -74,40 +110,50 @@ class TraceStats:
 
 
 def parse_trace(stream, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> VideoTrace:
-    """Parse a trace from an iterable of text lines. Records come back sorted
-    by ascending frame sequence regardless of input order."""
-    records = []
+    """Parse a trace from an iterable of text lines. Frames come back sorted
+    by ascending frame sequence regardless of input order; frames with equal
+    sequence numbers keep their input order."""
+    seqs, types, display, sizes = [], [], [], []
     for line_no, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        cols = raw.split()
+        if not cols:
             continue
-        cols = line.split()
         if len(cols) != 4:
             raise TraceParseError(line_no, f"expected 4 columns, got {len(cols)}")
+        seq_col, type_col, time_col, size_col = cols
         try:
-            seq = int(cols[0])
+            seq = int(seq_col)
         except ValueError:
-            raise TraceParseError(line_no, f"bad frame sequence {cols[0]!r}") from None
-        ftype = cols[1].upper()
+            raise TraceParseError(line_no, f"bad frame sequence {seq_col!r}") from None
+        ftype = type_col.upper()
         if ftype not in FRAME_TYPES:
-            raise TraceParseError(line_no, f"unknown frame type {cols[1]!r}")
+            raise TraceParseError(line_no, f"unknown frame type {type_col!r}")
         try:
-            display = float(cols[2])
+            time_ms = float(time_col)
         except ValueError:
-            raise TraceParseError(line_no, f"bad display time {cols[2]!r}") from None
+            raise TraceParseError(line_no, f"bad display time {time_col!r}") from None
         try:
-            size = int(cols[3])
+            size = int(size_col)
         except ValueError:
-            raise TraceParseError(line_no, f"bad frame size {cols[3]!r}") from None
+            raise TraceParseError(line_no, f"bad frame size {size_col!r}") from None
         if size <= 0:
             raise TraceParseError(line_no, f"frame size must be positive, got {size}")
         if seq < 0:
             raise TraceParseError(line_no, f"frame sequence must be >= 0, got {seq}")
-        records.append(FrameRecord(seq, ftype, display, size))
-    if not records:
+        seqs.append(seq)
+        types.append(ftype)
+        display.append(time_ms)
+        sizes.append(size)
+    if not seqs:
         raise TraceParseError(0, "trace contains no frames")
-    records.sort(key=lambda r: r.seq)
-    return VideoTrace(tuple(records), frame_interval_ns)
+    columns = (seqs, types, display, sizes)
+    if seqs != sorted(seqs):
+        # A stable index sort: frames with equal seqs keep their input order.
+        order = sorted(range(len(seqs)), key=seqs.__getitem__)
+        columns = [[col[i] for i in order] for col in columns]
+    return VideoTrace(*columns, frame_interval_ns)
 
 
 def load_trace(path, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> VideoTrace:
@@ -117,17 +163,14 @@ def load_trace(path, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> Vide
 
 def serialize_trace(trace: VideoTrace) -> str:
     """Inverse of parse_trace: parse(serialize(t)) == t."""
-    lines = []
-    for r in trace.records:
-        display = f"{r.display_time_ms:g}"
-        lines.append(f"{r.seq} {r.frame_type} {display} {r.size_bytes}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{seq} {ftype} {time_ms:g} {size}\n" for seq, ftype, time_ms, size
+                   in zip(trace.seqs, trace.frame_types, trace.display_ms, trace.size_bytes))
 
 
 def trace_stats(trace: VideoTrace) -> TraceStats:
     """Mean/peak frame size and bit rate; per-frame bit rate is the frame's
     size spread over one frame interval."""
-    sizes = trace.sizes()
+    sizes = trace.size_bytes
     mean_size = sum(sizes) / len(sizes)
     peak_size = max(sizes)
     interval_s = trace.frame_interval_ns / 1e9
@@ -141,8 +184,9 @@ def arrivals(trace: VideoTrace, start_ns: int) -> list[tuple[int, int, int]]:
     arrives at start + k * frame_interval. Display times are ignored."""
     if start_ns < 0:
         raise ValueError("start must be >= 0")
-    return [(start_ns + k * trace.frame_interval_ns, r.size_bytes, r.seq)
-            for k, r in enumerate(trace.records)]
+    interval = trace.frame_interval_ns
+    return [(start_ns + k * interval, size, seq)
+            for k, (size, seq) in enumerate(zip(trace.size_bytes, trace.seqs))]
 
 
 def synth_sizes(gop_pattern: str, base_sizes: tuple[int, int, int], jitter: float,
@@ -182,9 +226,10 @@ def synth_trace(gop_pattern: str, base_sizes: tuple[int, int, int], jitter: floa
     k * frame interval."""
     sizes = synth_sizes(gop_pattern, base_sizes, jitter, n_frames, rng_seed)
     pattern = gop_pattern.upper()
+    types = (pattern * -(-n_frames // len(pattern)))[:n_frames]
     interval_ms = frame_interval_ns / NS_PER_MS
-    return VideoTrace(tuple(FrameRecord(k, pattern[k % len(pattern)], k * interval_ms, size)
-                            for k, size in enumerate(sizes)), frame_interval_ns)
+    return VideoTrace(range(n_frames), types, [k * interval_ms for k in range(n_frames)],
+                      sizes, frame_interval_ns)
 
 
 def stats_csv_row(name: str, stats: TraceStats) -> str:

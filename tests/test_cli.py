@@ -4,7 +4,7 @@ import time
 import pytest
 import yaml
 
-from hccasim import engine
+from hccasim import cli, engine
 from hccasim.cli import main
 from hccasim.config import load_scenario
 from hccasim.metrics import SUMMARY_CSV_HEADER, summarize
@@ -252,3 +252,62 @@ def test_sweep_cell_above_run_size_limit_is_refused(tmp_path, capsys):
     assert time.perf_counter() - t0 < 5.0
     assert code == 2
     assert "error: traffic.frame_interval_ms: run would generate" in stderr
+
+
+@pytest.mark.parametrize("trace_text,message", [
+    (None, "error: traffic.path: [Errno 2] No such file or directory"),
+    ("0 I 0 900\n1 Q 40 800\n", "error: line 2: unknown frame type 'Q'"),
+])
+def test_pooled_sweep_reports_trace_errors(tmp_path, capsys, monkeypatch,
+                                           trace_text, message):
+    # Two CPUs give two pool workers; a worker's error must reach the
+    # parent as the same one-line error, not a rerun or a broken pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = tmp_path / "trace.txt"
+    if trace_text is not None:
+        path.write_text(trace_text)
+    cfg = write_config(tmp_path, duration_s=22,
+                       traffic={"kind": "trace", "path": str(path)})
+    code, _, stderr = run_cli(capsys, "sweep", "--config", cfg, "--stations", "1..2",
+                              "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert stderr.startswith(message)
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_falls_back_to_serial_only_when_the_pool_cannot_start(tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("sweep", "--set", "preset=cbr-nominal", "--set", "duration_s=20.5",
+            "--stations", "1..2", "--schedulers", "adaptive")
+
+    class NoSemaphores:
+        def __init__(self, max_workers):
+            raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoSemaphores)
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "serial"))
+    assert code == 0
+    assert len((tmp_path / "serial" / "summary.csv").read_text().splitlines()) == 3
+
+    class WorkerRaises:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            raise FileNotFoundError(2, "No such file or directory", "gone.txt")
+
+    serial = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", WorkerRaises)
+    monkeypatch.setattr(cli, "_run_cell", serial.append)
+    code, _, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert stderr.startswith("error: traffic.path: [Errno 2] No such file or directory")
+    assert serial == []

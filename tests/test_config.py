@@ -7,6 +7,7 @@ from hccasim import config, engine
 from hccasim.config import (ConfigError, TrafficConfig, apply_overrides,
                             scenario_from_dict, with_overrides)
 from hccasim.sched import tspec_preset
+from hccasim.traffic import TraceParseError
 
 
 def test_preset_expansion_with_overrides():
@@ -182,3 +183,10 @@ def test_config_error_survives_pickling():
     assert isinstance(err, ConfigError)
     assert err.field == "traffic.i_size"
     assert str(err) == "traffic.i_size: must be positive"
+
+
+def test_trace_parse_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(TraceParseError(2, "unknown frame type 'Q'")))
+    assert isinstance(err, TraceParseError)
+    assert err.line_no == 2
+    assert str(err) == "line 2: unknown frame type 'Q'"

@@ -4,9 +4,21 @@ import random
 import pytest
 
 from conftest import FRAGMENT_SIZES
-from hccasim.traffic import (TraceParseError, VideoTrace, arrivals, load_trace,
-                             parse_trace, serialize_trace, stats_csv_row,
+from hccasim.traffic import (FrameRecord, TraceParseError, VideoTrace, arrivals,
+                             load_trace, parse_trace, serialize_trace, stats_csv_row,
                              synth_sizes, synth_trace, trace_stats)
+
+
+def _row_parse(lines):
+    """The row form of a parse, as a reference: one FrameRecord per frame
+    line, stably sorted by sequence number."""
+    rows = []
+    for raw in lines:
+        cols = raw.split("#", 1)[0].split()
+        if cols:
+            rows.append(FrameRecord(int(cols[0]), cols[1].upper(), float(cols[2]),
+                                    int(cols[3])))
+    return tuple(sorted(rows, key=lambda r: r.seq))
 
 
 def test_parse_fragment(fragment_path):
@@ -18,6 +30,8 @@ def test_parse_fragment(fragment_path):
     assert (last.seq, last.frame_type, last.display_time_ms, last.size_bytes) == \
         (538, "B", 21440.0, 6223)
     assert trace.sizes() == FRAGMENT_SIZES
+    with open(fragment_path, encoding="utf-8") as fh:
+        assert trace.records == _row_parse(fh)
 
 
 def test_parse_sorts_by_sequence():
@@ -25,12 +39,30 @@ def test_parse_sorts_by_sequence():
     trace = parse_trace(io.StringIO(text))
     assert [r.seq for r in trace.records] == [1, 2, 3]
     assert [r.size_bytes for r in trace.records] == [900, 700, 500]
+    assert trace.records == _row_parse(text.splitlines())
+
+
+@pytest.mark.parametrize("text", [
+    "2 P 80 700\n1 I 40 900\n2 B 120 500\n1 B 0 300\n0 I 0 100\n",   # out of order
+    "0 I 0 100\n1 I 40 900\n1 B 0 300\n2 P 80 700\n2 B 120 500\n",   # already in order
+])
+def test_parse_keeps_input_order_of_equal_seqs(text):
+    trace = parse_trace(io.StringIO(text))
+    assert trace.seqs == (0, 1, 1, 2, 2)
+    assert trace.size_bytes == (100, 900, 300, 700, 500)
+    assert trace.frame_types == ("I", "I", "B", "P", "B")
+    assert trace.records == _row_parse(text.splitlines())
 
 
 def test_parse_skips_comments_and_blank_lines():
     text = "# header\n\n1 I 40 900  # trailing comment\n"
     trace = parse_trace(io.StringIO(text))
     assert len(trace) == 1
+    text = "# header\n \t\n3 b 120 500 #x\n  1 i 40 900\n#2 P 80 700\n2 p 80 700#\n"
+    trace = parse_trace(io.StringIO(text))
+    assert trace.seqs == (1, 2, 3)
+    assert trace.frame_types == ("I", "P", "B")
+    assert trace.records == _row_parse(text.splitlines())
 
 
 @pytest.mark.parametrize("bad,msg", [
@@ -144,7 +176,32 @@ def test_stats_peak_dominates_mean_on_random_traces():
 
 def test_video_trace_rejects_empty():
     with pytest.raises(ValueError):
-        VideoTrace(())
+        VideoTrace((), (), (), ())
+
+
+@pytest.mark.parametrize("columns", [
+    ((1, 2), ("I", "P"), (0.0, 40.0), (900,)),        # ragged columns
+    ((-1,), ("I",), (0.0,), (900,)),                   # negative seq
+    ((1,), ("X",), (0.0,), (900,)),                    # unknown type
+    ((1,), ("I",), (0.0,), (0,)),                      # empty frame
+])
+def test_video_trace_rejects_invalid_columns(columns):
+    with pytest.raises(ValueError):
+        VideoTrace(*columns)
+
+
+def test_columns_match_row_parse_on_random_traces():
+    rng = random.Random(3)
+    for _ in range(40):
+        lines = [f"{rng.randrange(30)} {rng.choice('IPBipb')} {rng.randrange(2000)} "
+                 f"{rng.randrange(1, 20000)}" + rng.choice(["", " # c", "#"])
+                 for _ in range(rng.randrange(1, 60))]
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "# note", "  "]))
+        trace = parse_trace(lines)
+        rows = _row_parse(lines)
+        assert trace.records == rows
+        assert trace.sizes() == [r.size_bytes for r in rows]
+        assert parse_trace(io.StringIO(serialize_trace(trace))) == trace
 
 
 def test_synth_sizes_match_uniform_reference():
