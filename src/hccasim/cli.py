@@ -63,7 +63,7 @@ def cmd_simulate(args) -> int:
         _warn(warn)
     try:
         report = engine.run(cfg)
-    except (engine.SimulationError, ConfigError, TraceParseError) as e:
+    except (engine.SimulationError, ConfigError) as e:
         return _fail(str(e))
     except FileNotFoundError as e:
         return _fail(f"traffic.path: {e}")
@@ -73,7 +73,7 @@ def cmd_simulate(args) -> int:
     try:
         _ensure_outdir(args.out)
         with open(packets_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.packets_csv())
+            report.write_packets_csv(fh)
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(summary)
     except OSError as e:
@@ -154,7 +154,7 @@ def cmd_sweep(args) -> int:
             break
     try:
         reports = _run_cells(cells)
-    except (engine.SimulationError, ConfigError, TraceParseError) as e:
+    except (engine.SimulationError, ConfigError) as e:
         return _fail(str(e))
     except FileNotFoundError as e:
         return _fail(f"traffic.path: {e}")

@@ -33,20 +33,23 @@ for a fixed (scenario, seed).
 
 from __future__ import annotations
 
+import io
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 from . import phy as phylib
-from .config import ScenarioConfig, check_run_size
+from .config import ConfigError, ScenarioConfig, check_run_size
 from .phy import NS_PER_S
 from .sched import AdmissionState, admit, assign_si, min_msi, reference_txop
-from .traffic import load_trace, synth_sizes
+from .traffic import TraceParseError, load_trace, synth_sizes
 
 BEACON_FRAME_BYTES = 60       # management frame, sent at basic rate
 QS_UNIT_BYTES = 256           # queue-size field granularity (8-bit field)
 QS_MAX_UNITS = 254
 GOP_ROTATE_STEP = 5           # per-station GoP phase shift, coprime with 12
+PACKET_CSV_CHUNK_ROWS = 4096  # rows formatted per write: bounds the log text held at once
 
 
 class SimulationError(RuntimeError):
@@ -173,14 +176,23 @@ class SimReport:
         return [PacketRecord(log.flow, seq, gen, recv, size, recv is None)
                 for log in self.logs.values() for seq, gen, recv, size in log.rows()]
 
-    def packets_csv(self) -> str:
-        lines = [self.PACKET_CSV_HEADER]
+    def write_packets_csv(self, fh) -> None:
+        """Write the packet log CSV to the text file fh, PACKET_CSV_CHUNK_ROWS
+        rows per write, so the whole log is never held as one string."""
+        fh.write(self.PACKET_CSV_HEADER + "\n")
         for log in self.logs.values():
-            flow = log.flow
-            lines += [f"{flow},{seq},{gen},{recv},{size},0" if recv is not None
-                      else f"{flow},{seq},{gen},,{size},1"
-                      for seq, gen, recv, size in log.rows()]
-        return "\n".join(lines) + "\n"
+            flow, rows = log.flow, log.rows()
+            for _ in range(0, len(log.recv_ns), PACKET_CSV_CHUNK_ROWS):
+                fh.write("".join([f"{flow},{seq},{gen},{recv},{size},0\n" if recv is not None
+                                  else f"{flow},{seq},{gen},,{size},1\n"
+                                  for seq, gen, recv, size
+                                  in islice(rows, PACKET_CSV_CHUNK_ROWS)]))
+
+    def packets_csv(self) -> str:
+        """The packet log CSV as one string; write_packets_csv's text."""
+        buf = io.StringIO()
+        self.write_packets_csv(buf)
+        return buf.getvalue()
 
     def conservation_ok(self) -> bool:
         return all(t.conserved() for t in self.flows.values())
@@ -242,7 +254,11 @@ def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
         interval = tc.frame_interval_ns
         n = max(0, -(-(dur - start_ns) // interval))   # frames generated before dur
         if tc.kind == "trace":
-            trace = load_trace(tc.path, interval)
+            try:
+                trace = load_trace(tc.path, interval)
+            except TraceParseError as e:
+                # Name the station's file, as validate does.
+                raise ConfigError(f"stations[{i}].traffic.path", str(e)) from e
             sizes, seqs = trace.size_bytes[:n], trace.seqs[:n]
         else:
             pattern = _rotate(tc.pattern, GOP_ROTATE_STEP * i) if tc.rotate_gop else tc.pattern
@@ -302,16 +318,10 @@ class Simulation:
                 f"admission control rejected flow {flow} ({reason}); "
                 f"set on_reject: run or admission: off to simulate anyway")
 
-    def _cap_boundary(self, j: int) -> int:
-        # j-th SI boundary; re-anchored at each beacon so a non-dividing
-        # divisor never drifts.
-        beacon_ns = self.cfg.beacon_interval_ns
-        k, r = divmod(j, self.divisor)
-        return k * beacon_ns + (r * beacon_ns) // self.divisor
-
     def run(self) -> SimReport:
         cfg, p = self.cfg, self.phy
-        dur, beacon_ns, si_ns = cfg.duration_ns, cfg.beacon_interval_ns, self.si_ns
+        dur, beacon_ns = cfg.duration_ns, cfg.beacon_interval_ns
+        si_ns, divisor = self.si_ns, self.divisor
         adaptive, exact, loss_p = cfg.scheduler == "adaptive", cfg.qs_exact, cfg.loss_p
         record_polls, polls = cfg.record_polls, []
         draw = random.Random(cfg.seed).random
@@ -416,7 +426,10 @@ class Simulation:
             # overload, grid-locked polling otherwise).
             busy_until = t
             j += 1
-            t_cap = max(self._cap_boundary(j), t)
+            # j-th SI boundary, re-anchored at each beacon so a non-dividing
+            # divisor never drifts.
+            k, r = divmod(j, divisor)
+            t_cap = max(k * beacon_ns + (r * beacon_ns) // divisor, t)
         if next_beacon < dur:
             n_beacons += -(-(dur - next_beacon) // beacon_ns)
 
@@ -445,7 +458,7 @@ class Simulation:
         report = SimReport(
             scheduler=cfg.scheduler, stations=len(self.stations),
             quality=cfg.quality, seed=cfg.seed, si_ns=si_ns,
-            divisor=self.divisor, beacon_interval_ns=beacon_ns,
+            divisor=divisor, beacon_interval_ns=beacon_ns,
             duration_ns=dur, traffic_start_ns=cfg.traffic_start_ns,
             loss_p=loss_p, qs_exact=exact,
             overhead_mode=cfg.overhead_mode,

@@ -256,7 +256,8 @@ def test_sweep_cell_above_run_size_limit_is_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize("trace_text,message", [
     (None, "error: traffic.path: [Errno 2] No such file or directory"),
-    ("0 I 0 900\n1 Q 40 800\n", "error: line 2: unknown frame type 'Q'"),
+    ("0 I 0 900\n1 Q 40 800\n",
+     "error: stations[0].traffic.path: line 2: unknown frame type 'Q'"),
 ])
 def test_pooled_sweep_reports_trace_errors(tmp_path, capsys, monkeypatch,
                                            trace_text, message):
@@ -273,6 +274,22 @@ def test_pooled_sweep_reports_trace_errors(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert stderr.startswith(message)
     assert "Traceback" not in stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_names_the_station_of_a_malformed_trace(tmp_path, capsys):
+    # Station 1 replays the bad file: simulate must say what validate says.
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("0 I 0 900\n1 P 40 800\n")
+    bad.write_text("0 I 0 900\n1 Q 40 800\n")
+    cfg = write_config(tmp_path, duration_s=22, stations=[
+        {"traffic": {"kind": "trace", "path": str(path)}} for path in (good, bad)])
+    message = "error: stations[1].traffic.path: line 2: unknown frame type 'Q'\n"
+    for command in ("validate", "simulate"):
+        code, _, stderr = run_cli(capsys, command, "--config", cfg,
+                                  "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert stderr == message
     assert not (tmp_path / "o").exists()
 
 

@@ -12,9 +12,10 @@ import hashlib
 import random
 
 import pytest
+import yaml
 
 from conftest import make_scenario
-from hccasim import engine, metrics
+from hccasim import cli, engine, metrics
 from hccasim.traffic import serialize_trace, synth_trace
 
 CASES = {
@@ -91,7 +92,7 @@ def _gapped_trace_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scenario(name, tmp_path):
+def _scenario_dict(name, tmp_path):
     kwargs = dict(CASES[name][0], duration_s=24, record_polls=True)
     if name.startswith("trace-"):
         path = tmp_path / "trace.txt"
@@ -101,7 +102,11 @@ def _scenario(name, tmp_path):
             trace = synth_trace("IBBPBBPBBPBB", (12160, 4800, 2400), 0.25, 150, 99)
             path.write_text(serialize_trace(trace))
         kwargs["traffic"] = {"kind": "trace", "path": str(path)}
-    return make_scenario(**kwargs)
+    return kwargs
+
+
+def _scenario(name, tmp_path):
+    return make_scenario(**_scenario_dict(name, tmp_path))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -111,6 +116,19 @@ def test_golden_outputs(name, tmp_path):
     _, want_packets, want_polls = CASES[name]
     assert _sha(report.packets_csv() + metrics.summarize([report])) == want_packets
     assert _sha(_polls_text(report.polls)) == want_polls
+
+
+@pytest.mark.parametrize("name", ["ada-4-loss", "ref-12"])
+def test_cli_simulate_writes_the_golden_files(name, tmp_path):
+    # The CLI streams packets.csv to disk; its files must hash as the
+    # report's packets_csv() and summary do.
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump(_scenario_dict(name, tmp_path)))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out),
+                     "--quiet"]) == 0
+    files = (out / "packets.csv").read_bytes() + (out / "summary.csv").read_bytes()
+    assert hashlib.sha256(files).hexdigest() == CASES[name][1]
 
 
 def test_record_polls_leaves_outputs_unchanged(tmp_path):

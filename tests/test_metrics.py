@@ -1,10 +1,13 @@
+import io
 import random
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from conftest import make_scenario
 from hccasim import engine, metrics
-from hccasim.engine import PacketRecord
+from hccasim.engine import PACKET_CSV_CHUNK_ROWS as CHUNK, FlowLog, PacketRecord
 
 
 def pkt(flow=0, seq=0, gen=0, recv=None, size=1000, lost=False):
@@ -152,3 +155,64 @@ def test_column_metrics_match_the_packet_reference():
     assert fields[6] == f"{thr:.1f}"
     assert fields[7:9] == [str(sum(not p.lost for p in parsed)),
                            str(sum(p.lost for p in parsed))]
+
+
+def _report_with_logs(sent_per_flow, lost_at=()):
+    """A report whose flow f sent sent_per_flow[f] frames, 40 ms apart; the
+    frames at the indices in lost_at were lost."""
+    base = engine.run(make_scenario(preset="vbr-high", duration_s=0))
+    logs = {}
+    for flow, sent in enumerate(sent_per_flow):
+        start = 20_000_000_000 + flow
+        recv = [None if k in lost_at else start + k * 40_000_000 + 3_000_000
+                for k in range(sent)]
+        logs[flow] = FlowLog(flow, start, 40_000_000, range(1000, 1000 + sent),
+                             [12160 - k % 9000 for k in range(sent)], recv)
+    return replace(base, logs=logs)
+
+
+def _row_csv(report):
+    """Reference packet log: one line per PacketRecord, joined at once."""
+    lines = [report.PACKET_CSV_HEADER]
+    lines += [f"{p.flow},{p.seq},{p.gen_ns},{'' if p.lost else p.recv_ns},"
+              f"{p.size_bytes},{int(p.lost)}" for p in report.packets]
+    return "\n".join(lines) + "\n"
+
+
+def test_packet_log_writer_matches_the_row_reference_across_chunks():
+    # Flow 0 spans two chunks and a partial one, flow 1 sent nothing and
+    # flow 2 fills exactly two chunks; the lost frames sit on either side
+    # of the first chunk boundary and at the end of the second.
+    lost_at = {CHUNK - 1, CHUNK, 2 * CHUNK - 1}
+    report = _report_with_logs([2 * CHUNK + 5, 0, 2 * CHUNK], lost_at)
+    buf = io.StringIO()
+    report.write_packets_csv(buf)
+    text = buf.getvalue()
+    assert text == report.packets_csv() == _row_csv(report)
+    rows = text.splitlines()[1:]
+    assert len(rows) == 4 * CHUNK + 5
+    assert [k for k, row in enumerate(rows) if row.endswith(",1")] == \
+        sorted(lost_at) + [2 * CHUNK + 5 + k for k in sorted(lost_at)]
+
+
+def test_packet_log_writer_holds_one_chunk_at_a_time():
+    # 100 000 rows, about 4 MB of text. Building the whole log as one
+    # string would peak above the text length; writing it a chunk at a
+    # time holds one chunk's rows and their joined text.
+    report = _report_with_logs([25_000] * 4, lost_at=range(0, 25_000, 7))
+
+    class CharCount:
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+
+    sink = CharCount()
+    tracemalloc.start()
+    try:
+        report.write_packets_csv(sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == len(report.packets_csv()) > 3_000_000
+    assert peak < sink.chars / 4
