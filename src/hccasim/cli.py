@@ -20,7 +20,7 @@ from dataclasses import replace
 from . import engine, metrics
 from .config import (ConfigError, SCHEDULERS, ScenarioConfig, apply_overrides,
                      load_scenario, scenario_from_dict, stations_warning)
-from .traffic import STATS_CSV_HEADER, TraceParseError, load_trace, stats_csv_row, trace_stats
+from .traffic import STATS_CSV_HEADER, load_trace, stats_csv_row, trace_stats
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -47,31 +47,20 @@ def _load_config(args) -> ScenarioConfig:
     return scenario_from_dict(apply_overrides({}, args.set or []))
 
 
-def _ensure_outdir(path: str):
-    os.makedirs(path, exist_ok=True)
-
-
 def cmd_simulate(args) -> int:
     try:
         cfg = _load_config(args)
-    except FileNotFoundError as e:
-        return _fail(f"config: {e}")
-    except ConfigError as e:
-        return _fail(str(e))
-    warn = stations_warning(cfg)
-    if warn:
-        _warn(warn)
-    try:
+        warn = stations_warning(cfg)
+        if warn:
+            _warn(warn)
         report = engine.run(cfg)
-    except (engine.SimulationError, ConfigError) as e:
+    except (ConfigError, engine.SimulationError) as e:
         return _fail(str(e))
-    except FileNotFoundError as e:
-        return _fail(f"traffic.path: {e}")
     packets_path = os.path.join(args.out, "packets.csv")
     summary_path = os.path.join(args.out, "summary.csv")
     summary = metrics.summarize([report])
     try:
-        _ensure_outdir(args.out)
+        os.makedirs(args.out, exist_ok=True)
         with open(packets_path, "w", encoding="utf-8", newline="\n") as fh:
             report.write_packets_csv(fh)
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -87,14 +76,25 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_station_range(text: str) -> range:
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if dots else lo
+    except ValueError:
+        raise ConfigError("--stations", f"expected N or A..B, got {text!r}") from None
     if lo < 1 or hi < lo:
-        raise ValueError(f"bad station range {text!r}")
+        raise ConfigError("--stations", f"bad station range {text!r}")
     return range(lo, hi + 1)
+
+
+def _parse_schedulers(text: str) -> list[str]:
+    schedulers = [s.strip() for s in text.split(",") if s.strip()]
+    if not schedulers:
+        raise ConfigError("--schedulers", f"no scheduler named in {text!r}")
+    for s in schedulers:
+        if s not in SCHEDULERS:
+            raise ConfigError("--schedulers", f"unknown scheduler {s!r}")
+    return schedulers
 
 
 def sweep_cells(base: ScenarioConfig, stations: range, schedulers) -> list[ScenarioConfig]:
@@ -137,30 +137,19 @@ def _run_cells(cells):
 def cmd_sweep(args) -> int:
     try:
         cfg = _load_config(args)
-        stations = _parse_station_range(args.stations)
-        schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-        for s in schedulers:
-            if s not in SCHEDULERS:
-                raise ConfigError("--schedulers", f"unknown scheduler {s!r}")
-        cells = sweep_cells(cfg, stations, schedulers)
-    except FileNotFoundError as e:
-        return _fail(f"config: {e}")
-    except (ConfigError, ValueError) as e:
-        return _fail(str(e))
-    for cell in cells:
-        warn = stations_warning(cell)
-        if warn:
-            _warn(warn)
-            break
-    try:
+        cells = sweep_cells(cfg, _parse_station_range(args.stations),
+                            _parse_schedulers(args.schedulers))
+        for cell in cells:
+            warn = stations_warning(cell)
+            if warn:
+                _warn(warn)
+                break
         reports = _run_cells(cells)
-    except (engine.SimulationError, ConfigError) as e:
+    except (ConfigError, engine.SimulationError) as e:
         return _fail(str(e))
-    except FileNotFoundError as e:
-        return _fail(f"traffic.path: {e}")
     summary_path = os.path.join(args.out, "summary.csv")
     try:
-        _ensure_outdir(args.out)
+        os.makedirs(args.out, exist_ok=True)
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(metrics.summarize(reports))
     except OSError as e:
@@ -176,9 +165,7 @@ def cmd_sweep(args) -> int:
 def cmd_trace_stats(args) -> int:
     try:
         trace = load_trace(args.trace)
-    except FileNotFoundError as e:
-        return _fail(f"trace: {e}")
-    except TraceParseError as e:
+    except (OSError, ValueError) as e:
         return _fail(f"trace: {e}")
     stats = trace_stats(trace)
     print(STATS_CSV_HEADER)
@@ -189,19 +176,12 @@ def cmd_trace_stats(args) -> int:
 def cmd_validate(args) -> int:
     try:
         cfg = _load_config(args)
-    except FileNotFoundError as e:
-        return _fail(f"config: {e}")
+        # Resolve and parse referenced trace files too.
+        for i, spec in enumerate(cfg.station_list()):
+            if spec.traffic.kind == "trace":
+                engine.load_station_trace(i, spec.traffic)
     except ConfigError as e:
         return _fail(str(e))
-    # Resolve and parse referenced trace files too.
-    for i, spec in enumerate(cfg.station_list()):
-        if spec.traffic.kind == "trace":
-            try:
-                load_trace(spec.traffic.path, spec.traffic.frame_interval_ns)
-            except FileNotFoundError as e:
-                return _fail(f"stations[{i}].traffic.path: {e}")
-            except TraceParseError as e:
-                return _fail(f"stations[{i}].traffic.path: {e}")
     warn = stations_warning(cfg)
     if warn:
         _warn(warn)

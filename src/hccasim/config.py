@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import yaml
 
@@ -199,8 +199,6 @@ def _phy_from(value, fieldname: str) -> PhyParams:
     # Human units in the file: microseconds, bits, bytes, bit/s.
     key_map = {
         "sifs_us": ("sifs_ns", NS_PER_MS // 1000),
-        "pifs_us": ("pifs_ns", NS_PER_MS // 1000),
-        "slot_us": ("slot_ns", NS_PER_MS // 1000),
         "preamble_bits": ("preamble_bits", 1),
         "plcp_header_bits": ("plcp_header_bits", 1),
         "mac_header_bytes": ("mac_header_bytes", 1),
@@ -357,6 +355,9 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         raise ConfigError("on_reject", "must be 'abort' or 'run'")
     if cfg.throughput_window not in ("active", "full"):
         raise ConfigError("throughput_window", "must be 'active' or 'full'")
+    if set(cfg.quality) & {",", "\r", "\n"}:
+        raise ConfigError("quality", "must not contain a comma or a line break "
+                                     "(it is a summary.csv field)")
     for i, spec in enumerate(cfg.station_list()):
         if spec.traffic.kind == "trace" and not spec.traffic.path:
             raise ConfigError(f"stations[{i}].traffic.path", "trace path missing")
@@ -403,8 +404,13 @@ def stations_warning(cfg: ScenarioConfig) -> str | None:
 
 
 def load_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    """Load a scenario YAML file; a file that cannot be read, is not UTF-8
+    or is not YAML is a ConfigError naming `config`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, UnicodeError, yaml.YAMLError) as e:
+        raise ConfigError("config", str(e)) from e
     if raw is None:
         raw = {}
     return scenario_from_dict(apply_overrides(raw, overrides or []))
@@ -435,9 +441,3 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             node = nxt
         node[parts[-1]] = value
     return data
-
-
-def with_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:
-    new = replace(cfg, **kwargs)
-    validate_scenario(new)
-    return new

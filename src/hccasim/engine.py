@@ -40,10 +40,10 @@ from itertools import islice
 from typing import Sequence
 
 from . import phy as phylib
-from .config import ConfigError, ScenarioConfig, check_run_size
+from .config import ConfigError, ScenarioConfig, TrafficConfig, check_run_size
 from .phy import NS_PER_S
 from .sched import AdmissionState, admit, assign_si, min_msi, reference_txop
-from .traffic import TraceParseError, load_trace, synth_sizes
+from .traffic import VideoTrace, load_trace, synth_sizes
 
 BEACON_FRAME_BYTES = 60       # management frame, sent at basic rate
 QS_UNIT_BYTES = 256           # queue-size field granularity (8-bit field)
@@ -244,6 +244,15 @@ def _rotate(pattern: str, steps: int) -> str:
     return pattern[r:] + pattern[:r]
 
 
+def load_station_trace(i: int, tc: TrafficConfig) -> VideoTrace:
+    """Station i's trace file, parsed. A file that cannot be read, is not
+    UTF-8 or is malformed is a ConfigError naming the station's path."""
+    try:
+        return load_trace(tc.path, tc.frame_interval_ns)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"stations[{i}].traffic.path", str(e)) from e
+
+
 def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
     check_run_size(cfg)
     stations = []
@@ -254,11 +263,7 @@ def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
         interval = tc.frame_interval_ns
         n = max(0, -(-(dur - start_ns) // interval))   # frames generated before dur
         if tc.kind == "trace":
-            try:
-                trace = load_trace(tc.path, interval)
-            except TraceParseError as e:
-                # Name the station's file, as validate does.
-                raise ConfigError(f"stations[{i}].traffic.path", str(e)) from e
+            trace = load_station_trace(i, tc)
             sizes, seqs = trace.size_bytes[:n], trace.seqs[:n]
         else:
             pattern = _rotate(tc.pattern, GOP_ROTATE_STEP * i) if tc.rotate_gop else tc.pattern

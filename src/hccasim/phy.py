@@ -32,13 +32,11 @@ def tx_duration_ns(bits: int, rate_bps: int) -> int:
 
 @dataclass(frozen=True)
 class PhyParams:
-    """PHY/MAC constants. Defaults: SIFS 10 us, PIFS 30 us, slot 20 us,
-    144-bit preamble, 48-bit PLCP header, 36-byte MAC header,
-    11 Mbps data / 1 Mbps basic rate, 14-byte ACK, 36-byte QoS CF-Poll."""
+    """PHY/MAC constants. Defaults: SIFS 10 us, 144-bit preamble, 48-bit
+    PLCP header, 36-byte MAC header, 11 Mbps data / 1 Mbps basic rate,
+    14-byte ACK, 36-byte QoS CF-Poll."""
 
     sifs_ns: int = 10_000
-    pifs_ns: int = 30_000
-    slot_ns: int = 20_000
     preamble_bits: int = 144
     plcp_header_bits: int = 48
     mac_header_bytes: int = 36
@@ -54,9 +52,8 @@ class PhyParams:
             raise ValueError(
                 f"basic_rate {self.basic_rate_bps} exceeds data_rate {self.data_rate_bps}"
             )
-        for name in ("sifs_ns", "pifs_ns", "slot_ns", "preamble_bits",
-                     "plcp_header_bits", "mac_header_bytes",
-                     "ack_frame_bytes", "poll_frame_bytes"):
+        for name in ("sifs_ns", "preamble_bits", "plcp_header_bits",
+                     "mac_header_bytes", "ack_frame_bytes", "poll_frame_bytes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 

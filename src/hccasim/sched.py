@@ -64,17 +64,6 @@ def tspec_preset(name: str) -> Tspec:
         ) from None
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Polling schedule: service interval as a divisor of the beacon interval
-    plus the per-flow grants in polling (FIFO admission) order."""
-
-    beacon_interval_ns: int
-    si_ns: int
-    divisor: int
-    grants: tuple = ()   # ((flow_id, txop_ns), ...)
-
-
 @dataclass
 class AdmissionState:
     """Admitted flows plus the beacon budget the ACU protects."""
@@ -83,21 +72,12 @@ class AdmissionState:
     cp_reservation_ns: int = 0
     admitted: list = field(default_factory=list)   # [(flow_id, Tspec, txop_ns)]
 
-    def utilization(self) -> float:
-        """Sum of TXOP_i/SI for the current admitted set (0.0 when empty)."""
-        if not self.admitted:
-            return 0.0
-        si, x = assign_si(self.beacon_interval_ns,
-                          min_msi([t for _, t, _ in self.admitted]))
-        return float(sum(g for _, _, g in self.admitted) * x) / self.beacon_interval_ns
-
 
 @dataclass(frozen=True)
 class AdmissionDecision:
     accepted: bool
     reason: str | None
     state: AdmissionState
-    schedule: Schedule | None
 
 
 def min_msi(tspecs) -> int:
@@ -185,11 +165,9 @@ def admit(state: AdmissionState, candidate: Tspec, p: PhyParams,
             f"{budget_ns / state.beacon_interval_ns:.4f} "
             f"(sum TXOP {total} ns over SI {si_ns} ns)"
         )
-        return AdmissionDecision(False, reason, state, None)
+        return AdmissionDecision(False, reason, state)
     flows = [(fid, t, txop)
              for (fid, t, _), txop in zip(state.admitted, txops)]
     flows.append((flow_id, candidate, txops[-1]))
     new_state = AdmissionState(state.beacon_interval_ns, state.cp_reservation_ns, flows)
-    schedule = Schedule(state.beacon_interval_ns, si_ns, x,
-                        tuple((fid, g) for fid, _, g in flows))
-    return AdmissionDecision(True, None, new_state, schedule)
+    return AdmissionDecision(True, None, new_state)

@@ -1,6 +1,6 @@
 """MPEG-4 video trace handling: parsing of 4-column trace files, summary
-statistics, arrival generation, and a seeded synthetic GoP generator for
-tests and built-in workloads.
+statistics, and a seeded synthetic GoP generator for tests and built-in
+workloads.
 
 Trace file format (whitespace-separated, '#' comments allowed):
 
@@ -96,9 +96,6 @@ class VideoTrace:
         return tuple(map(FrameRecord, self.seqs, self.frame_types, self.display_ms,
                          self.size_bytes))
 
-    def sizes(self) -> list[int]:
-        return list(self.size_bytes)
-
 
 @dataclass(frozen=True)
 class TraceStats:
@@ -177,16 +174,6 @@ def trace_stats(trace: VideoTrace) -> TraceStats:
     mean_rate = mean_size * 8 / interval_s
     peak_rate = peak_size * 8 / interval_s
     return TraceStats(mean_size, peak_size, mean_rate, peak_rate, peak_rate / mean_rate)
-
-
-def arrivals(trace: VideoTrace, start_ns: int) -> list[tuple[int, int, int]]:
-    """(timestamp_ns, size_bytes, seq) per frame: frame k in coding order
-    arrives at start + k * frame_interval. Display times are ignored."""
-    if start_ns < 0:
-        raise ValueError("start must be >= 0")
-    interval = trace.frame_interval_ns
-    return [(start_ns + k * interval, size, seq)
-            for k, (size, seq) in enumerate(zip(trace.size_bytes, trace.seqs))]
 
 
 def synth_sizes(gop_pattern: str, base_sizes: tuple[int, int, int], jitter: float,

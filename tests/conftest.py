@@ -24,9 +24,8 @@ def default_phy():
 def zero_overhead_phy():
     """Overhead-free PHY: every O() term collapses to zero so payload air
     time can be checked in isolation."""
-    return PhyParams(sifs_ns=0, pifs_ns=0, slot_ns=0, preamble_bits=0,
-                     plcp_header_bits=0, mac_header_bytes=0,
-                     ack_frame_bytes=0, poll_frame_bytes=0)
+    return PhyParams(sifs_ns=0, preamble_bits=0, plcp_header_bits=0,
+                     mac_header_bytes=0, ack_frame_bytes=0, poll_frame_bytes=0)
 
 
 @pytest.fixture(scope="session")

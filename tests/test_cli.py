@@ -6,7 +6,7 @@ import yaml
 
 from hccasim import cli, engine
 from hccasim.cli import main
-from hccasim.config import load_scenario
+from hccasim.config import ConfigError, load_scenario
 from hccasim.metrics import SUMMARY_CSV_HEADER, summarize
 
 
@@ -255,7 +255,7 @@ def test_sweep_cell_above_run_size_limit_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("trace_text,message", [
-    (None, "error: traffic.path: [Errno 2] No such file or directory"),
+    (None, "error: stations[0].traffic.path: [Errno 2] No such file or directory"),
     ("0 I 0 900\n1 Q 40 800\n",
      "error: stations[0].traffic.path: line 2: unknown frame type 'Q'"),
 ])
@@ -319,12 +319,81 @@ def test_sweep_falls_back_to_serial_only_when_the_pool_cannot_start(tmp_path, ca
             return False
 
         def map(self, fn, cells):
-            raise FileNotFoundError(2, "No such file or directory", "gone.txt")
+            raise ConfigError("stations[0].traffic.path",
+                              "[Errno 2] No such file or directory: 'gone.txt'")
 
     serial = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", WorkerRaises)
     monkeypatch.setattr(cli, "_run_cell", serial.append)
     code, _, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
     assert code == 2
-    assert stderr.startswith("error: traffic.path: [Errno 2] No such file or directory")
+    assert stderr.startswith("error: stations[0].traffic.path: [Errno 2] No such file")
     assert serial == []
+
+
+def bad_file(tmp_path, kind) -> str:
+    """A path that cannot be read as a UTF-8 text file of the wanted form."""
+    path = tmp_path / f"bad-{kind}"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"# caf\xe9 (latin-1)\n0 I 0 900\n")
+    elif kind == "malformed-yaml":
+        path.write_text("stations: [1, 2\nseed: 3\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "sweep"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "malformed-yaml"])
+def test_unreadable_config_exits_2_naming_config(tmp_path, capsys, command, kind):
+    code, stdout, stderr = run_cli(capsys, command, "--config", bad_file(tmp_path, kind),
+                                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert stderr.startswith("error: config: ")
+    assert "Traceback" not in stderr
+    assert "config ok" not in stdout
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "sweep", "trace-stats"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_trace_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, kind):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # sweep cells run in pool workers
+    path = bad_file(tmp_path, kind)
+    if command == "trace-stats":
+        argv, prefix = (path,), "error: trace: "
+    else:
+        cfg = write_config(tmp_path, duration_s=22, traffic={"kind": "trace", "path": path})
+        argv = ("--config", cfg, "--out", str(tmp_path / "o"))
+        argv += ("--stations", "1..2") if command == "sweep" else ()
+        prefix = "error: stations[0].traffic.path: "
+    code, stdout, stderr = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert stderr.startswith(prefix)
+    assert "Traceback" not in stderr
+    assert stdout == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--stations", "a..b"),
+    ("--stations", "3..1"),
+    ("--schedulers", ","),
+])
+def test_bad_sweep_flags_exit_2_naming_the_flag(tmp_path, capsys, flag, value):
+    code, _, stderr = run_cli(capsys, "sweep", "--set", "preset=cbr-nominal",
+                              "--set", "duration_s=20.5", flag, value,
+                              "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert stderr.startswith(f"error: {flag}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_quality_with_a_comma_is_refused(tmp_path, capsys):
+    # The label is a summary.csv field: a comma would add a column to the row.
+    code, _, stderr = run_cli(capsys, "simulate", "--set", "preset=cbr-nominal",
+                              "--set", "duration_s=20.5", "--set", "quality=a,b",
+                              "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert stderr.startswith("error: quality: ")
+    assert not (tmp_path / "o").exists()

@@ -4,8 +4,7 @@ from dataclasses import replace
 import pytest
 
 from hccasim import config, engine
-from hccasim.config import (ConfigError, TrafficConfig, apply_overrides,
-                            scenario_from_dict, with_overrides)
+from hccasim.config import ConfigError, TrafficConfig, apply_overrides, scenario_from_dict
 from hccasim.sched import tspec_preset
 from hccasim.traffic import TraceParseError
 
@@ -90,17 +89,12 @@ def test_admission_accepts_yaml_booleans():
     assert scenario_from_dict({"admission": "off"}).admission == "off"
 
 
-def test_with_overrides_revalidates():
-    cfg = scenario_from_dict({"preset": "cbr-nominal"})
-    with pytest.raises(ConfigError, match="loss_p"):
-        with_overrides(cfg, loss_p=2.0)
-
-
 def test_validation_field_names():
     for key, bad in [("scheduler", "rr"), ("beacon_interval_ms", 0),
                      ("duration_s", -1), ("loss_p", -0.1),
                      ("overhead_mode", "x"), ("throughput_window", "x"),
-                     ("on_reject", "x")]:
+                     ("on_reject", "x"), ("quality", "a,b"), ("quality", "a\rb"),
+                     ("quality", "a\nb")]:
         with pytest.raises(ConfigError, match=key):
             scenario_from_dict({key: bad})
 
@@ -130,8 +124,12 @@ def test_traffic_fields_validated_at_load():
 def test_phy_and_tspec_values_name_their_key():
     with pytest.raises(ConfigError, match=r"^phy\.sifs_us:"):
         scenario_from_dict({"phy": {"sifs_us": float("inf")}})
-    with pytest.raises(ConfigError, match=r"^phy\.slot_us:"):
-        scenario_from_dict({"phy": {"slot_us": "abc"}})
+    with pytest.raises(ConfigError, match=r"^phy\.preamble_bits:"):
+        scenario_from_dict({"phy": {"preamble_bits": "abc"}})
+    # The model has no PIFS or slot time, so these keys are unknown.
+    for key in ("pifs_us", "slot_us"):
+        with pytest.raises(ConfigError, match=rf"^phy\.{key}: unknown PHY parameter$"):
+            scenario_from_dict({"phy": {key: 30}})
     tspec = {"rho_bps": 1e5, "nominal_bytes": 500, "max_bytes": 900,
              "delay_bound_ms": 80, "msi_ms": 40, "phys_rate_bps": 11000000}
     for key, bad in [("rho_bps", float("inf")), ("nominal_bytes", 500.5),

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,8 +10,6 @@ from hccasim.phy import (PhyParams, ctrl_tx_time, data_tx_time, per_msdu_overhea
 def test_defaults_match_standard_parameter_table(default_phy):
     p = default_phy
     assert p.sifs_ns == 10_000
-    assert p.pifs_ns == 30_000
-    assert p.slot_ns == 20_000
     assert p.preamble_bits == 144
     assert p.plcp_header_bits == 48
     assert p.mac_header_bytes == 36
@@ -17,6 +17,10 @@ def test_defaults_match_standard_parameter_table(default_phy):
     assert p.basic_rate_bps == 1_000_000
     assert p.ack_frame_bytes == 14
     assert p.poll_frame_bytes == 36
+    # No PIFS or slot time: no timing in the model reads one.
+    assert {f.name for f in fields(p)} == {
+        "sifs_ns", "preamble_bits", "plcp_header_bits", "mac_header_bytes",
+        "data_rate_bps", "basic_rate_bps", "ack_frame_bytes", "poll_frame_bytes"}
 
 
 def test_validation():

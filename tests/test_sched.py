@@ -17,6 +17,16 @@ def make_tspec(rho=7.7e5, L=3800, M=16745, D=80 * MS, msi=40 * MS, R=MBPS11):
     return Tspec(rho, L, M, D, msi, R)
 
 
+def admitted_si(state):
+    """(si_ns, divisor) the admitted set is polled at."""
+    return assign_si(state.beacon_interval_ns, min_msi(t for _, t, _ in state.admitted))
+
+
+def admitted_grants(state):
+    """{flow_id: txop_ns} of the admitted set."""
+    return {fid: txop for fid, _, txop in state.admitted}
+
+
 def test_tspec_validation():
     with pytest.raises(ValueError):
         make_tspec(L=5000, M=4000)          # nominal above max
@@ -209,8 +219,9 @@ def test_admit_trivial_accept(default_phy):
     state = AdmissionState(120 * MS, 0)
     d = admit(state, tspec_preset("jurassic-high"), default_phy)
     assert d.accepted
-    assert d.schedule.si_ns == 40 * MS
-    assert d.schedule.divisor == 3
+    si_ns, divisor = admitted_si(d.state)
+    assert si_ns == 40 * MS
+    assert divisor == 3
     assert len(d.state.admitted) == 1
 
 
@@ -233,7 +244,7 @@ def test_admit_rejects_over_budget(default_phy):
     assert not d.accepted
     assert "exceeds" in d.reason
     assert d.state is state      # unchanged on reject
-    assert d.schedule is None
+    assert [fid for fid, _, _ in d.state.admitted] == [0, 1, 2, 3, 4]
 
 
 def test_admit_low_quality_boundary(default_phy):
@@ -308,26 +319,28 @@ def test_admit_recomputes_txops_when_si_shrinks(default_phy):
     state = AdmissionState(beacon, 0)
     d1 = admit(state, heavy, default_phy)
     assert d1.accepted
-    txop_at_40 = dict(d1.schedule.grants)[0]
+    txop_at_40 = admitted_grants(d1.state)[0]
     shortmsi = make_tspec(rho=1e5, L=500, M=500, msi=20 * MS, D=40 * MS)
     d2 = admit(d1.state, shortmsi, default_phy)
     assert d2.accepted
-    assert d2.schedule.si_ns == 20 * MS
-    txop_at_20 = dict(d2.schedule.grants)[0]
+    assert admitted_si(d2.state)[0] == 20 * MS
+    txop_at_20 = admitted_grants(d2.state)[0]
     assert txop_at_20 < txop_at_40
     assert txop_at_20 == reference_txop(heavy, 20 * MS, default_phy)
 
 
 def test_schedule_grants_fit_si(default_phy):
     state = AdmissionState(120 * MS, 0)
-    schedule = None
     for i in range(12):
         d = admit(state, tspec_preset("jurassic-low"), default_phy, flow_id=i)
         if not d.accepted:
             break
-        state, schedule = d.state, d.schedule
-    assert schedule is not None
-    assert sum(g for _, g in schedule.grants) <= schedule.si_ns
-    assert state.utilization() <= 1.0
+        state = d.state
+    assert state.admitted
+    grants = admitted_grants(state)
+    si_ns, divisor = admitted_si(state)
+    assert sum(grants.values()) <= si_ns
+    # utilization: sum of TXOP_i / SI
+    assert sum(grants.values()) * divisor / state.beacon_interval_ns <= 1.0
     # polling order preserved FIFO
-    assert [fid for fid, _ in schedule.grants] == sorted(fid for fid, _ in schedule.grants)
+    assert list(grants) == sorted(grants)

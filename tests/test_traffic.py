@@ -4,9 +4,9 @@ import random
 import pytest
 
 from conftest import FRAGMENT_SIZES
-from hccasim.traffic import (FrameRecord, TraceParseError, VideoTrace, arrivals,
-                             load_trace, parse_trace, serialize_trace, stats_csv_row,
-                             synth_sizes, synth_trace, trace_stats)
+from hccasim.traffic import (FrameRecord, TraceParseError, VideoTrace, load_trace,
+                             parse_trace, serialize_trace, stats_csv_row, synth_sizes,
+                             synth_trace, trace_stats)
 
 
 def _row_parse(lines):
@@ -29,7 +29,7 @@ def test_parse_fragment(fragment_path):
         (527, "I", 21120.0, 8124)
     assert (last.seq, last.frame_type, last.display_time_ms, last.size_bytes) == \
         (538, "B", 21440.0, 6223)
-    assert trace.sizes() == FRAGMENT_SIZES
+    assert list(trace.size_bytes) == FRAGMENT_SIZES
     with open(fragment_path, encoding="utf-8") as fh:
         assert trace.records == _row_parse(fh)
 
@@ -114,25 +114,9 @@ def test_stats_csv_row(fragment_path):
     assert row == "frag,6740.33,8124,1348066.7,1624800.0,1.2053"
 
 
-def test_arrivals_fixed_interval(fragment_path):
-    trace = load_trace(fragment_path)
-    out = arrivals(trace, 20_000_000_000)
-    assert out[0] == (20_000_000_000, 8124, 527)
-    assert out[1] == (20_040_000_000, 6442, 528)
-    gaps = {b[0] - a[0] for a, b in zip(out, out[1:])}
-    assert gaps == {40_000_000}
-    with pytest.raises(ValueError):
-        arrivals(trace, -1)
-
-
-def test_arrivals_from_zero():
-    trace = parse_trace(io.StringIO("0 I 0 10\n1 P 40 20\n2 B 80 30\n"))
-    assert [t for t, _, _ in arrivals(trace, 0)] == [0, 40_000_000, 80_000_000]
-
-
 def test_synth_zero_jitter():
     trace = synth_trace("IBB", (8000, 7000, 6000), 0.0, 3, rng_seed=1)
-    assert trace.sizes() == [8000, 6000, 6000]
+    assert list(trace.size_bytes) == [8000, 6000, 6000]
     assert [r.frame_type for r in trace.records] == ["I", "B", "B"]
 
 
@@ -146,7 +130,7 @@ def test_synth_deterministic():
 
 def test_synth_mean_converges():
     trace = synth_trace("I", (3800, 3800, 3800), 0.5, 1000, rng_seed=7)
-    mean = sum(trace.sizes()) / len(trace)
+    mean = sum(trace.size_bytes) / len(trace)
     assert abs(mean - 3800) / 3800 < 0.02
 
 
@@ -200,7 +184,7 @@ def test_columns_match_row_parse_on_random_traces():
         trace = parse_trace(lines)
         rows = _row_parse(lines)
         assert trace.records == rows
-        assert trace.sizes() == [r.size_bytes for r in rows]
+        assert list(trace.size_bytes) == [r.size_bytes for r in rows]
         assert parse_trace(io.StringIO(serialize_trace(trace))) == trace
 
 
@@ -216,4 +200,4 @@ def test_synth_sizes_match_uniform_reference():
                              * (1.0 + ref.uniform(-1.0, 1.0) * jitter)))
                 for k in range(n)]
         assert synth_sizes(pattern, bases, jitter, n, seed) == want
-        assert synth_trace(pattern, bases, jitter, n, seed).sizes() == want
+        assert list(synth_trace(pattern, bases, jitter, n, seed).size_bytes) == want
