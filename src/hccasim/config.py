@@ -6,17 +6,22 @@ workload (traffic shape + TSPEC) first; explicit keys then override it.
 `stations` is either a count (all stations share the scenario's traffic
 and TSPEC) or a list of per-station mappings with their own `traffic` /
 `tspec` sections.
+
+Files give times in human units (`beacon_interval_ms`, `duration_s`,
+`phy.sifs_us`, ...); every config object holds them as integer
+nanoseconds. Each file mapping is read by `_read` from a table of its
+keys, and `_scaled` does every unit conversion.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .phy import NS_PER_MS, NS_PER_S, PhyParams
+from .phy import NS_PER_MS, NS_PER_S, NS_PER_US, PhyParams
 from .sched import OVERHEAD_MODES, OVERHEAD_PER_MSDU, TSPEC_PRESETS, Tspec, tspec_preset
 from .traffic import FRAME_TYPES
 
@@ -53,15 +58,11 @@ class TrafficConfig:
     p_size: int = 4800
     b_size: int = 2400
     jitter: float = 0.25
-    frame_interval_ms: float = 40.0
+    frame_interval_ns: int = 40 * NS_PER_MS
     rotate_gop: bool = True                # rotate GoP phase per station
-    stagger_ms: float = 0.0                # extra start offset per station index
+    stagger_ns: int = 0                    # extra start offset per station index
     seed: int | None = None                # synth base seed; defaults to scenario seed
     path: str | None = None                # trace file for kind="trace"
-
-    @property
-    def frame_interval_ns(self) -> int:
-        return int(round(self.frame_interval_ms * NS_PER_MS))
 
     def base_sizes(self) -> tuple[int, int, int]:
         return (self.i_size, self.p_size, self.b_size)
@@ -77,9 +78,9 @@ class StationSpec:
 class ScenarioConfig:
     scheduler: str = "reference"
     stations: int = 1
-    beacon_interval_ms: float = 120.0
-    traffic_start_s: float = 20.0
-    duration_s: float = 50.0
+    beacon_interval_ns: int = 120 * NS_PER_MS
+    traffic_start_ns: int = 20 * NS_PER_S
+    duration_ns: int = 50 * NS_PER_S
     loss_p: float = 0.0
     qs_exact: bool = False
     overhead_mode: str = OVERHEAD_PER_MSDU
@@ -93,18 +94,6 @@ class ScenarioConfig:
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     tspec: Tspec = field(default_factory=lambda: tspec_preset("jurassic-high"))
     station_specs: tuple = ()              # per-station overrides; empty = uniform
-
-    @property
-    def beacon_interval_ns(self) -> int:
-        return int(round(self.beacon_interval_ms * NS_PER_MS))
-
-    @property
-    def traffic_start_ns(self) -> int:
-        return int(round(self.traffic_start_s * NS_PER_S))
-
-    @property
-    def duration_ns(self) -> int:
-        return int(round(self.duration_s * NS_PER_S))
 
     def station_list(self) -> list[StationSpec]:
         if self.station_specs:
@@ -135,112 +124,24 @@ WORKLOAD_PRESETS = {
 }
 
 
-def _tspec_from(value, fieldname: str) -> Tspec:
-    if isinstance(value, Tspec):
-        return value
-    if isinstance(value, str):
-        if value not in TSPEC_PRESETS:
-            raise ConfigError(fieldname, f"unknown TSPEC preset {value!r}")
-        return tspec_preset(value)
-    if isinstance(value, dict):
-        def get(key, caster):
-            if key not in value:
-                raise ConfigError(fieldname, f"missing TSPEC key {key!r}")
-            return _cast(caster, value[key], f"{fieldname}.{key}")
+# A caster takes a file value and its dotted key and returns the attribute
+# value. A scalar caster raises TypeError, ValueError or OverflowError, which
+# _read turns into a ConfigError naming the key; a section's reader (phy,
+# traffic, tspec) names its own keys under it.
 
-        kwargs = dict(
-            mean_data_rate_bps=get("rho_bps", _as_float),
-            nominal_msdu_bytes=get("nominal_bytes", _as_int),
-            max_msdu_bytes=get("max_bytes", _as_int),
-            delay_bound_ns=int(round(get("delay_bound_ms", _as_float) * NS_PER_MS)),
-            max_service_interval_ns=int(round(get("msi_ms", _as_float) * NS_PER_MS)),
-            phys_rate_bps=get("phys_rate_bps", _as_int),
-        )
-        try:
-            return Tspec(**kwargs)
-        except ValueError as e:
-            raise ConfigError(fieldname, str(e)) from None
-    raise ConfigError(fieldname, "must be a preset name or a mapping")
-
-
-def _traffic_from(value, fieldname: str) -> TrafficConfig:
-    if isinstance(value, TrafficConfig):
-        return value
-    if not isinstance(value, dict):
-        raise ConfigError(fieldname, "must be a mapping")
-    unknown = set(value) - set(_TRAFFIC_FIELDS)
-    if unknown:
-        raise ConfigError(fieldname, f"unknown keys {sorted(unknown)}")
-    tc = TrafficConfig(**{key: _cast(_TRAFFIC_FIELDS[key], raw, f"{fieldname}.{key}")
-                          for key, raw in value.items()})
-    if tc.kind not in ("synth", "trace"):
-        raise ConfigError(f"{fieldname}.kind", f"must be 'synth' or 'trace', got {tc.kind!r}")
-    if tc.kind == "trace" and not tc.path:
-        raise ConfigError(f"{fieldname}.path", "required when kind is 'trace'")
-    if not tc.pattern or set(tc.pattern.upper()) - set(FRAME_TYPES):
-        raise ConfigError(f"{fieldname}.pattern", "must be a non-empty string of I, P and B")
-    for name in ("i_size", "p_size", "b_size"):
-        if getattr(tc, name) <= 0:
-            raise ConfigError(f"{fieldname}.{name}", "must be positive")
-    if not 0 <= tc.jitter < 1:
-        raise ConfigError(f"{fieldname}.jitter", "must be in [0, 1)")
-    if tc.frame_interval_ns <= 0:
-        raise ConfigError(f"{fieldname}.frame_interval_ms", "must be positive")
-    if tc.stagger_ms < 0:
-        raise ConfigError(f"{fieldname}.stagger_ms", "must be >= 0")
-    return tc
-
-
-def _phy_from(value, fieldname: str) -> PhyParams:
-    if isinstance(value, PhyParams):
-        return value
-    if not isinstance(value, dict):
-        raise ConfigError(fieldname, "must be a mapping")
-    # Human units in the file: microseconds, bits, bytes, bit/s.
-    key_map = {
-        "sifs_us": ("sifs_ns", NS_PER_MS // 1000),
-        "preamble_bits": ("preamble_bits", 1),
-        "plcp_header_bits": ("plcp_header_bits", 1),
-        "mac_header_bytes": ("mac_header_bytes", 1),
-        "data_rate_bps": ("data_rate_bps", 1),
-        "basic_rate_bps": ("basic_rate_bps", 1),
-        "ack_frame_bytes": ("ack_frame_bytes", 1),
-        "poll_frame_bytes": ("poll_frame_bytes", 1),
-    }
-    kwargs = {}
-    for key, raw in value.items():
-        if key not in key_map:
-            raise ConfigError(f"{fieldname}.{key}", "unknown PHY parameter")
-        dest, scale = key_map[key]
-        kwargs[dest] = int(round(_cast(_as_float, raw, f"{fieldname}.{key}") * scale))
-    try:
-        return PhyParams(**kwargs)
-    except ValueError as e:
-        raise ConfigError(fieldname, str(e)) from None
-
-
-def _on_off(value) -> str:
-    # YAML 1.1 reads bare on/off as booleans; accept both spellings
-    if value is True:
-        return "on"
-    if value is False:
-        return "off"
-    return str(value)
-
-
-def _as_bool(value) -> bool:
+def _as_bool(value, name) -> bool:
     if not isinstance(value, bool):
         raise ValueError("expected true or false")
     return value
 
 
-def _as_int(value) -> int:
+def _as_int(value, name) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError("expected an integer")
     return value
 
 
-def _as_float(value) -> float:
+def _as_float(value, name) -> float:
     # Numeric strings stay accepted: YAML 1.1 reads 1e-3 (no dot) as a string.
     if isinstance(value, bool):
         raise ValueError("expected a number")
@@ -250,29 +151,159 @@ def _as_float(value) -> float:
     return number
 
 
+def _as_str(value, name) -> str:
+    # Other scalars keep their YAML spelling (quality: 2024 is the label "2024").
+    if isinstance(value, (list, dict)):
+        raise ValueError("expected a string")
+    return str(value)
+
+
+def _on_off(value, name) -> str:
+    # YAML 1.1 reads bare on/off as booleans; accept both spellings
+    if value is True:
+        return "on"
+    if value is False:
+        return "off"
+    return _as_str(value, name)
+
+
 def _optional(caster):
-    return lambda value: None if value is None else caster(value)
+    return lambda value, name: None if value is None else caster(value, name)
 
 
-def _cast(caster, value, fieldname: str):
+def _scaled(scale: int):
+    """Caster for a number given in a file unit: value * scale rounded to an
+    integer (half to even). Scales ms, s and us to ns; scale 1 rounds a PHY
+    bit or byte count. The only rounding of a config value."""
+    def cast(value, name) -> int:
+        return int(round(_as_float(value, name) * scale))
+    return cast
+
+
+def _read(raw, table: dict, section: str, noun: str) -> dict:
+    """Keyword arguments for a config type from the file mapping raw. table
+    maps each file key to (attribute, caster); a caster of a nested section
+    raises ConfigErrors of its own. Every error names `section.key`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(section, "must be a mapping")
+    kwargs = {}
+    for key, value in raw.items():
+        name = f"{section}.{key}" if section else str(key)
+        if key not in table:
+            raise ConfigError(name, f"unknown {noun}")
+        attr, caster = table[key]
+        try:
+            kwargs[attr] = caster(value, name)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(name, f"cannot interpret {value!r} ({e})") from None
+    return kwargs
+
+
+def _tspec_from(value, section: str) -> Tspec:
+    if isinstance(value, Tspec):
+        return value
+    if isinstance(value, str):
+        if value not in TSPEC_PRESETS:
+            raise ConfigError(section, f"unknown TSPEC preset {value!r}")
+        return tspec_preset(value)
+    if not isinstance(value, dict):
+        raise ConfigError(section, "must be a preset name or a mapping")
+    kwargs = _read(value, _TSPEC_KEYS, section, "TSPEC key")
+    missing = [key for key in _TSPEC_KEYS if key not in value]
+    if missing:
+        raise ConfigError(section, f"missing TSPEC key {missing[0]!r}")
     try:
-        return caster(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(fieldname, f"cannot interpret {value!r} ({e})") from None
+        return Tspec(**kwargs)
+    except ValueError as e:
+        raise ConfigError(section, str(e)) from None
 
 
-_SCALAR_FIELDS = {
-    "scheduler": str, "beacon_interval_ms": _as_float, "traffic_start_s": _as_float,
-    "duration_s": _as_float, "loss_p": _as_float, "qs_exact": _as_bool,
-    "overhead_mode": str, "admission": _on_off, "on_reject": str,
-    "throughput_window": str, "seed": _as_int, "record_polls": _as_bool, "quality": str,
+def _traffic_from(value, section: str) -> TrafficConfig:
+    if isinstance(value, TrafficConfig):
+        return value
+    tc = TrafficConfig(**_read(value, _TRAFFIC_KEYS, section, "traffic key"))
+    if tc.kind not in ("synth", "trace"):
+        raise ConfigError(f"{section}.kind", f"must be 'synth' or 'trace', got {tc.kind!r}")
+    if tc.kind == "trace" and not tc.path:
+        raise ConfigError(f"{section}.path", "required when kind is 'trace'")
+    if not tc.pattern or set(tc.pattern.upper()) - set(FRAME_TYPES):
+        raise ConfigError(f"{section}.pattern", "must be a non-empty string of I, P and B")
+    for name in ("i_size", "p_size", "b_size"):
+        if getattr(tc, name) <= 0:
+            raise ConfigError(f"{section}.{name}", "must be positive")
+    if not 0 <= tc.jitter < 1:
+        raise ConfigError(f"{section}.jitter", "must be in [0, 1)")
+    if tc.frame_interval_ns <= 0:
+        raise ConfigError(f"{section}.frame_interval_ms", "must be positive")
+    if tc.stagger_ns < 0:
+        raise ConfigError(f"{section}.stagger_ms", "must be >= 0")
+    return tc
+
+
+def _phy_from(value, section: str) -> PhyParams:
+    if isinstance(value, PhyParams):
+        return value
+    kwargs = _read(value, _PHY_KEYS, section, "PHY parameter")
+    try:
+        return PhyParams(**kwargs)
+    except ValueError as e:
+        raise ConfigError(section, str(e)) from None
+
+
+_TRAFFIC_KEYS = {
+    "kind": ("kind", _as_str),
+    "pattern": ("pattern", _as_str),
+    "i_size": ("i_size", _as_int),
+    "p_size": ("p_size", _as_int),
+    "b_size": ("b_size", _as_int),
+    "jitter": ("jitter", _as_float),
+    "frame_interval_ms": ("frame_interval_ns", _scaled(NS_PER_MS)),
+    "rotate_gop": ("rotate_gop", _as_bool),
+    "stagger_ms": ("stagger_ns", _scaled(NS_PER_MS)),
+    "seed": ("seed", _optional(_as_int)),
+    "path": ("path", _optional(_as_str)),
 }
 
-_TRAFFIC_FIELDS = {
-    "kind": str, "pattern": str, "i_size": _as_int, "p_size": _as_int,
-    "b_size": _as_int, "jitter": _as_float, "frame_interval_ms": _as_float,
-    "rotate_gop": _as_bool, "stagger_ms": _as_float, "seed": _optional(_as_int),
-    "path": _optional(str),
+# Human units in the file: microseconds, then bit, byte and bit/s counts.
+_PHY_KEYS = {
+    "sifs_us": ("sifs_ns", _scaled(NS_PER_US)),
+    **{key: (key, _scaled(1)) for key in (
+        "preamble_bits", "plcp_header_bits", "mac_header_bytes", "data_rate_bps",
+        "basic_rate_bps", "ack_frame_bytes", "poll_frame_bytes")},
+}
+
+_TSPEC_KEYS = {
+    "rho_bps": ("mean_data_rate_bps", _as_float),
+    "nominal_bytes": ("nominal_msdu_bytes", _as_int),
+    "max_bytes": ("max_msdu_bytes", _as_int),
+    "delay_bound_ms": ("delay_bound_ns", _scaled(NS_PER_MS)),
+    "msi_ms": ("max_service_interval_ns", _scaled(NS_PER_MS)),
+    "phys_rate_bps": ("phys_rate_bps", _as_int),
+}
+
+
+# Keys of a stations[i] entry; each defaults to the scenario's own section.
+_STATION_KEYS = {"traffic": ("traffic", _traffic_from), "tspec": ("tspec", _tspec_from)}
+
+_SCENARIO_KEYS = {
+    "scheduler": ("scheduler", _as_str),
+    "stations": ("stations", _as_int),
+    "beacon_interval_ms": ("beacon_interval_ns", _scaled(NS_PER_MS)),
+    "traffic_start_s": ("traffic_start_ns", _scaled(NS_PER_S)),
+    "duration_s": ("duration_ns", _scaled(NS_PER_S)),
+    "loss_p": ("loss_p", _as_float),
+    "qs_exact": ("qs_exact", _as_bool),
+    "overhead_mode": ("overhead_mode", _as_str),
+    "admission": ("admission", _on_off),
+    "on_reject": ("on_reject", _as_str),
+    "throughput_window": ("throughput_window", _as_str),
+    "seed": ("seed", _as_int),
+    "record_polls": ("record_polls", _as_bool),
+    "quality": ("quality", _as_str),
+    "phy": ("phy", _phy_from),
+    **_STATION_KEYS,
 }
 
 
@@ -280,11 +311,11 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a plain mapping (parsed YAML)."""
     if not isinstance(raw, dict):
         raise ConfigError("scenario", "config must be a mapping")
-    data = copy.deepcopy(raw)
+    data = dict(raw)
 
     preset_name = data.pop("preset", None)
     if preset_name is not None:
-        if preset_name not in WORKLOAD_PRESETS:
+        if not isinstance(preset_name, str) or preset_name not in WORKLOAD_PRESETS:
             raise ConfigError("preset", f"unknown preset {preset_name!r}; "
                                         f"choose from {sorted(WORKLOAD_PRESETS)}")
         merged = copy.deepcopy(WORKLOAD_PRESETS[preset_name])
@@ -295,41 +326,15 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                 merged[key] = val
         data = merged
 
-    kwargs = {key: _cast(caster, data.pop(key), key)
-              for key, caster in _SCALAR_FIELDS.items() if key in data}
-
-    if "phy" in data:
-        kwargs["phy"] = _phy_from(data.pop("phy"), "phy")
-    if "traffic" in data:
-        kwargs["traffic"] = _traffic_from(data.pop("traffic"), "traffic")
-    if "tspec" in data:
-        kwargs["tspec"] = _tspec_from(data.pop("tspec"), "tspec")
-
-    stations = data.pop("stations", 1)
-    if isinstance(stations, list):
-        specs = []
-        base_traffic = kwargs.get("traffic", TrafficConfig())
-        base_tspec = kwargs.get("tspec", tspec_preset("jurassic-high"))
-        for i, entry in enumerate(stations):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"stations[{i}]", "must be a mapping")
-            traffic = (_traffic_from(entry["traffic"], f"stations[{i}].traffic")
-                       if "traffic" in entry else base_traffic)
-            tspec = (_tspec_from(entry["tspec"], f"stations[{i}].tspec")
-                     if "tspec" in entry else base_tspec)
-            extra = set(entry) - {"traffic", "tspec"}
-            if extra:
-                raise ConfigError(f"stations[{i}]", f"unknown keys {sorted(extra)}")
-            specs.append(StationSpec(traffic, tspec))
-        kwargs["station_specs"] = tuple(specs)
-        kwargs["stations"] = len(specs)
-    else:
-        kwargs["stations"] = _cast(_as_int, stations, "stations")
-
-    if data:
-        raise ConfigError(sorted(data)[0], "unknown configuration key")
-
-    cfg = ScenarioConfig(**kwargs)
+    # A station list is read once the scenario's traffic and TSPEC are known.
+    entries = data.pop("stations") if isinstance(data.get("stations"), list) else None
+    cfg = ScenarioConfig(**_read(data, _SCENARIO_KEYS, "", "configuration key"))
+    if entries is not None:
+        base = StationSpec(cfg.traffic, cfg.tspec)
+        specs = tuple(replace(base, **_read(entry, _STATION_KEYS, f"stations[{i}]",
+                                            "station key"))
+                      for i, entry in enumerate(entries))
+        cfg = replace(cfg, stations=len(specs), station_specs=specs)
     validate_scenario(cfg)
     return cfg
 
@@ -341,9 +346,9 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         raise ConfigError("stations", f"must be >= 1, got {cfg.stations}")
     if cfg.beacon_interval_ns <= 0:
         raise ConfigError("beacon_interval_ms", "must be positive")
-    if cfg.duration_s < 0:
+    if cfg.duration_ns < 0:
         raise ConfigError("duration_s", "must be >= 0")
-    if cfg.traffic_start_s < 0:
+    if cfg.traffic_start_ns < 0:
         raise ConfigError("traffic_start_s", "must be >= 0")
     if not 0.0 <= cfg.loss_p <= 1.0:
         raise ConfigError("loss_p", f"must be in [0, 1], got {cfg.loss_p}")
@@ -384,11 +389,11 @@ def check_run_size(cfg: ScenarioConfig) -> None:
         return
     if frames >= beacons:
         i, tc = fastest
-        culprit = tc.frame_interval_ms < TrafficConfig.frame_interval_ms
+        culprit = tc.frame_interval_ns < TrafficConfig.frame_interval_ns
         section = f"stations[{i}].traffic" if cfg.station_specs else "traffic"
         fieldname = f"{section}.frame_interval_ms"
     else:
-        culprit = cfg.beacon_interval_ms < ScenarioConfig.beacon_interval_ms
+        culprit = cfg.beacon_interval_ns < ScenarioConfig.beacon_interval_ns
         fieldname = "beacon_interval_ms"
     raise ConfigError(fieldname if culprit else "duration_s",
                       f"run would generate about {frames} frames and {beacons} "

@@ -147,19 +147,9 @@ class FlowLog:
 
 @dataclass
 class SimReport:
-    scheduler: str
-    stations: int
-    quality: str
-    seed: int
+    cfg: ScenarioConfig     # the scenario the run resolved and simulated
     si_ns: int
     divisor: int
-    beacon_interval_ns: int
-    duration_ns: int
-    traffic_start_ns: int
-    loss_p: float
-    qs_exact: bool
-    overhead_mode: str
-    throughput_window: str
     logs: dict = field(default_factory=dict)       # flow -> FlowLog
     polls: list = field(default_factory=list)
     counters: Counters = field(default_factory=Counters)
@@ -198,9 +188,10 @@ class SimReport:
         return all(t.conserved() for t in self.flows.values())
 
     def active_window_ns(self) -> int:
-        if self.throughput_window == "full":
-            return self.duration_ns
-        return max(0, self.duration_ns - self.traffic_start_ns)
+        cfg = self.cfg
+        if cfg.throughput_window == "full":
+            return cfg.duration_ns
+        return max(0, cfg.duration_ns - cfg.traffic_start_ns)
 
 
 class _Station:
@@ -259,7 +250,7 @@ def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
     dur = cfg.duration_ns
     for i, spec in enumerate(cfg.station_list()):
         tc = spec.traffic
-        start_ns = cfg.traffic_start_ns + i * int(round(tc.stagger_ms * phylib.NS_PER_MS))
+        start_ns = cfg.traffic_start_ns + i * tc.stagger_ns
         interval = tc.frame_interval_ns
         n = max(0, -(-(dur - start_ns) // interval))   # frames generated before dur
         if tc.kind == "trace":
@@ -306,7 +297,7 @@ class Simulation:
     def _run_admission(self):
         if self.cfg.admission != "on":
             return
-        state = AdmissionState(self.cfg.beacon_interval_ns, 0)
+        state = AdmissionState(self.cfg.beacon_interval_ns)
         rejected = []
         for st in self.stations:
             decision = admit(state, st.tspec, self.phy,
@@ -461,14 +452,8 @@ class Simulation:
             data_frames=sum(len(log.recv_ns) for log in logs.values()),
             null_frames=n_null, lost_frames=sum(t.lost for t in flows.values()))
         report = SimReport(
-            scheduler=cfg.scheduler, stations=len(self.stations),
-            quality=cfg.quality, seed=cfg.seed, si_ns=si_ns,
-            divisor=divisor, beacon_interval_ns=beacon_ns,
-            duration_ns=dur, traffic_start_ns=cfg.traffic_start_ns,
-            loss_p=loss_p, qs_exact=exact,
-            overhead_mode=cfg.overhead_mode,
-            throughput_window=cfg.throughput_window,
-            logs=logs, polls=polls, counters=counters, flows=flows,
+            cfg=cfg, si_ns=si_ns, divisor=divisor, logs=logs, polls=polls,
+            counters=counters, flows=flows,
             admission_notes=self.admission_notes, traffic_notes=self.traffic_notes)
         if not report.conservation_ok():
             raise SimulationError("packet conservation violated (internal error)")

@@ -100,15 +100,17 @@ def summary_row(report: SimReport) -> str:
     thr = bits * 1e9 / window if window > 0 else 0.0
     delivered = sum(t.delivered for t in tallies)
     lost = sum(t.lost for t in tallies)
-    return (f"{report.scheduler},{report.stations},{report.quality},"
+    # One flow per simulated station, as many as cfg.station_list() holds.
+    cfg = report.cfg
+    return (f"{cfg.scheduler},{len(report.flows)},{cfg.quality},"
             f"{_fmt_us(mean_ns)},{_fmt_us(p95_ns)},{_fmt_us(max_ns)},"
             f"{thr:.1f},{delivered},{lost},{report.counters.overruns}")
 
 
 def _template_key(report: SimReport):
-    return (report.quality, report.beacon_interval_ns, report.duration_ns,
-            report.traffic_start_ns, report.loss_p, report.qs_exact,
-            report.overhead_mode, report.throughput_window)
+    cfg = report.cfg
+    return (cfg.quality, cfg.beacon_interval_ns, cfg.duration_ns, cfg.traffic_start_ns,
+            cfg.loss_p, cfg.qs_exact, cfg.overhead_mode, cfg.throughput_window)
 
 
 def summarize(reports) -> str:
@@ -120,7 +122,7 @@ def summarize(reports) -> str:
     keys = {_template_key(r) for r in reports}
     if len(keys) > 1:
         raise ValueError(f"reports mix {len(keys)} incompatible scenario templates")
-    rows = sorted(reports, key=lambda r: (r.scheduler, r.stations))
+    rows = sorted(reports, key=lambda r: (r.cfg.scheduler, len(r.flows)))
     return "\n".join([SUMMARY_CSV_HEADER] + [summary_row(r) for r in rows]) + "\n"
 
 

@@ -66,10 +66,9 @@ def tspec_preset(name: str) -> Tspec:
 
 @dataclass
 class AdmissionState:
-    """Admitted flows plus the beacon budget the ACU protects."""
+    """Admitted flows plus the beacon interval whose time they share."""
 
     beacon_interval_ns: int
-    cp_reservation_ns: int = 0
     admitted: list = field(default_factory=list)   # [(flow_id, Tspec, txop_ns)]
 
 
@@ -146,28 +145,26 @@ def admit(state: AdmissionState, candidate: Tspec, p: PhyParams,
           overhead_mode: str = OVERHEAD_PER_MSDU,
           flow_id: int | None = None) -> AdmissionDecision:
     """Admission control: recompute SI over admitted+candidate, recompute every
-    admitted flow's TXOP at the new SI, and accept iff the total stays within
-    the HCCA share of the beacon interval.
+    admitted flow's TXOP at the new SI, and accept iff the total fits the SI.
 
-    The acceptance test sum(TXOP_i)/SI <= (T - T_CP)/T is evaluated exactly:
-    with SI = T/x it reduces to sum(TXOP_i) * x <= T - T_CP.
+    The acceptance test sum(TXOP_i)/SI <= (T - T_CP)/T, with no contention
+    period reserved (T_CP = 0), is evaluated exactly: with SI = T/x it
+    reduces to sum(TXOP_i) * x <= T.
     """
     if flow_id is None:
         flow_id = len(state.admitted)
     tspecs = [t for _, t, _ in state.admitted] + [candidate]
     si_ns, x = assign_si(state.beacon_interval_ns, min_msi(tspecs))
     txops = [reference_txop(t, si_ns, p, overhead_mode) for t in tspecs]
-    budget_ns = state.beacon_interval_ns - state.cp_reservation_ns
     total = sum(txops)
-    if total * x > budget_ns:
+    if total * x > state.beacon_interval_ns:
         reason = (
             f"utilization {float(total * x) / state.beacon_interval_ns:.4f} exceeds "
-            f"{budget_ns / state.beacon_interval_ns:.4f} "
-            f"(sum TXOP {total} ns over SI {si_ns} ns)"
+            f"1.0000 (sum TXOP {total} ns over SI {si_ns} ns)"
         )
         return AdmissionDecision(False, reason, state)
     flows = [(fid, t, txop)
              for (fid, t, _), txop in zip(state.admitted, txops)]
     flows.append((flow_id, candidate, txops[-1]))
-    new_state = AdmissionState(state.beacon_interval_ns, state.cp_reservation_ns, flows)
+    new_state = AdmissionState(state.beacon_interval_ns, flows)
     return AdmissionDecision(True, None, new_state)

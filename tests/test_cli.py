@@ -116,10 +116,12 @@ def test_validate_ok_and_bad(tmp_path, capsys):
     ("duration_s=.inf", "duration_s"),
     ("seed=1.9", "seed"),
     ("stations=2.7", "stations"),
+    ("traffic.stagger_ms=1e303 stations=2", "traffic.stagger_ms"),
 ])
 def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, command, override, field):
+    sets = [arg for item in override.split() for arg in ("--set", item)]
     code, stdout, stderr = run_cli(capsys, command, "--set", "preset=vbr-high",
-                                   "--set", "duration_s=21", "--set", override,
+                                   "--set", "duration_s=21", *sets,
                                    "--out", str(tmp_path / "o"))
     assert code == 2
     assert f"error: {field}:" in stderr

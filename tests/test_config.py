@@ -1,4 +1,5 @@
 import pickle
+import re
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,9 @@ from hccasim import config, engine
 from hccasim.config import ConfigError, TrafficConfig, apply_overrides, scenario_from_dict
 from hccasim.sched import tspec_preset
 from hccasim.traffic import TraceParseError
+
+INLINE_TSPEC = {"rho_bps": 1e5, "nominal_bytes": 500, "max_bytes": 900,
+                "delay_bound_ms": 80, "msi_ms": 40, "phys_rate_bps": 11000000}
 
 
 def test_preset_expansion_with_overrides():
@@ -25,6 +29,8 @@ def test_unknown_keys_rejected():
         scenario_from_dict({"shceduler": "adaptive"})
     with pytest.raises(ConfigError, match="traffic"):
         scenario_from_dict({"traffic": {"sizes": 3}})
+    with pytest.raises(ConfigError, match=r"^tspec\.msi_typo: unknown TSPEC key$"):
+        scenario_from_dict({"tspec": dict(INLINE_TSPEC, msi_typo=5)})
 
 
 def test_inline_tspec_and_errors():
@@ -64,8 +70,47 @@ def test_per_station_list(tmp_path):
 def test_station_list_validation():
     with pytest.raises(ConfigError, match=r"stations\[0\]"):
         scenario_from_dict({"stations": [{"bogus": 1}]})
+    with pytest.raises(ConfigError, match=r"^stations\[1\]\.bogus: unknown station key$"):
+        scenario_from_dict({"stations": [{}, {"bogus": 1}]})
+    with pytest.raises(ConfigError, match=r"^stations\[0\]\.tspec\.msi_typo: unknown TSPEC"):
+        scenario_from_dict({"stations": [{"tspec": dict(INLINE_TSPEC, msi_typo=5)}]})
     with pytest.raises(ConfigError, match="path"):
         scenario_from_dict({"stations": [{"traffic": {"kind": "trace"}}]})
+
+
+def _file_keys():
+    """(dotted key, mapping builder) for every key a scenario file accepts."""
+    yield "preset", lambda v: {"preset": v}
+    for key in config._SCENARIO_KEYS:
+        yield key, lambda v, key=key: {key: v}
+    for section, table in [("traffic", config._TRAFFIC_KEYS), ("phy", config._PHY_KEYS)]:
+        for key in table:
+            yield f"{section}.{key}", lambda v, s=section, key=key: {s: {key: v}}
+    for key in config._TSPEC_KEYS:
+        yield f"tspec.{key}", lambda v, key=key: {"tspec": dict(INLINE_TSPEC, **{key: v})}
+    for key in config._STATION_KEYS:
+        yield f"stations[0].{key}", lambda v, key=key: {"stations": [{key: v}]}
+
+
+# A rate of 1e303 b/s is a valid basic rate on its own; it conflicts with the
+# default data rate, and the PHY section names both fields.
+CROSS_FIELD = {("phy.basic_rate_bps", "1e+303"): r"^phy: basic_rate \d+ exceeds data_rate"}
+FILE_KEYS = list(_file_keys())
+
+
+@pytest.mark.parametrize("name, build", FILE_KEYS, ids=[name for name, _ in FILE_KEYS])
+def test_every_file_key_parses_or_names_itself(name, build):
+    # 1e303 is finite, but as ns (x 1e6 or 1e9) it overflows a float.
+    for value in ([1], {"a": 1}, float("inf"), 1e303, "abc"):
+        try:
+            scenario_from_dict(build(value))
+        except ConfigError as e:
+            # The error names the key, or a key or entry inside its value.
+            named = CROSS_FIELD.get((name, repr(value)), rf"^{re.escape(name)}[.\[:]")
+            assert re.match(named, str(e)), (value, str(e))
+        else:
+            # No key takes a list of non-mappings or a mapping of unknown keys.
+            assert not isinstance(value, (list, dict)), value
 
 
 def test_apply_overrides_nested_paths():
@@ -130,12 +175,10 @@ def test_phy_and_tspec_values_name_their_key():
     for key in ("pifs_us", "slot_us"):
         with pytest.raises(ConfigError, match=rf"^phy\.{key}: unknown PHY parameter$"):
             scenario_from_dict({"phy": {key: 30}})
-    tspec = {"rho_bps": 1e5, "nominal_bytes": 500, "max_bytes": 900,
-             "delay_bound_ms": 80, "msi_ms": 40, "phys_rate_bps": 11000000}
     for key, bad in [("rho_bps", float("inf")), ("nominal_bytes", 500.5),
                      ("msi_ms", "soon")]:
         with pytest.raises(ConfigError, match=rf"^tspec\.{key}:"):
-            scenario_from_dict({"tspec": dict(tspec, **{key: bad})})
+            scenario_from_dict({"tspec": dict(INLINE_TSPEC, **{key: bad})})
 
 
 def test_run_size_limit_names_the_field():
@@ -170,7 +213,7 @@ def test_run_size_limit_boundary():
 
 def test_engine_checks_run_size_of_unvalidated_configs():
     cfg = replace(scenario_from_dict({"duration_s": 600}),
-                  traffic=replace(TrafficConfig(), frame_interval_ms=1e-6))
+                  traffic=replace(TrafficConfig(), frame_interval_ns=1))
     with pytest.raises(ConfigError, match="traffic.frame_interval_ms"):
         engine.Simulation(cfg)
 

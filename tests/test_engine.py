@@ -342,8 +342,8 @@ def test_beacon_air_time_charged():
     assert r.counters.beacons == 175          # every 120 ms over 21 s
     # frames arriving at a beacon-aligned boundary wait out the beacon
     beacon_air = ctrl_tx_time(engine.BEACON_FRAME_BYTES, cfg.phy)
-    delayed = [p for p in r.packets if p.gen_ns % r.beacon_interval_ns == 0]
-    undelayed = [p for p in r.packets if p.gen_ns % r.beacon_interval_ns != 0]
+    delayed = [p for p in r.packets if p.gen_ns % r.cfg.beacon_interval_ns == 0]
+    undelayed = [p for p in r.packets if p.gen_ns % r.cfg.beacon_interval_ns != 0]
     assert delayed and undelayed
     gap = (p := delayed[0]).recv_ns - p.gen_ns
     base = (q := undelayed[0]).recv_ns - q.gen_ns

@@ -144,7 +144,7 @@ def test_overload_case_covers_back_to_back_caps_and_inner_beacons(tmp_path):
     # a CAP that starts late because the previous one ran past its SI
     # boundary, and a beacon instant that falls strictly inside a CAP.
     report = engine.run(_scenario("overload-ada-12", tmp_path))
-    caps, bi = [], report.beacon_interval_ns
+    caps, bi = [], report.cfg.beacon_interval_ns
     for p in report.polls:
         if p.flow == 0:
             caps.append([])

@@ -102,6 +102,12 @@ def test_summarize_cardinality_and_order():
                      ("reference", "1"), ("reference", "2"), ("reference", "3")]
 
 
+def test_summary_counts_the_stations_simulated():
+    # A config built in code may give its stations in station_specs alone.
+    cfg = replace(make_scenario(stations=[{}, {}, {}], duration_s=21), stations=1)
+    assert metrics.summary_row(engine.run(cfg)).split(",")[1] == "3"
+
+
 def test_summarize_rejects_mixed_templates():
     a = engine.run(make_scenario(preset="vbr-high", stations=1, duration_s=21, seed=2))
     b = engine.run(make_scenario(preset="vbr-high", stations=1, duration_s=22, seed=2))

@@ -205,7 +205,7 @@ def _oracle_overhead(n, p):
 
 
 def run_admit_sequence(tspecs, beacon_ns, phy):
-    state = AdmissionState(beacon_ns, 0)
+    state = AdmissionState(beacon_ns)
     decisions = []
     for i, t in enumerate(tspecs):
         d = admit(state, t, phy, flow_id=i)
@@ -216,7 +216,7 @@ def run_admit_sequence(tspecs, beacon_ns, phy):
 
 
 def test_admit_trivial_accept(default_phy):
-    state = AdmissionState(120 * MS, 0)
+    state = AdmissionState(120 * MS)
     d = admit(state, tspec_preset("jurassic-high"), default_phy)
     assert d.accepted
     si_ns, divisor = admitted_si(d.state)
@@ -235,7 +235,7 @@ def test_admit_rejects_over_budget(default_phy):
     cand_txop = reference_txop(cand, si, default_phy)
     assert abs(5 * fat_txop / si - 0.95) < 0.001
     assert abs(cand_txop / si - 0.10) < 0.001
-    state = AdmissionState(beacon, 0)
+    state = AdmissionState(beacon)
     for i in range(5):
         d = admit(state, fat, default_phy, flow_id=i)
         assert d.accepted
@@ -298,7 +298,7 @@ def test_admit_monotone_in_load(default_phy):
     for _ in range(50):
         cand = random_tspec(rng)
         flows = [random_tspec(rng) for _ in range(6)]
-        state = AdmissionState(beacon, 0)
+        state = AdmissionState(beacon)
         rejected_at = None
         for i, t in enumerate(flows):
             d = admit(state, t, default_phy, flow_id=i)
@@ -316,7 +316,7 @@ def test_admit_recomputes_txops_when_si_shrinks(default_phy):
     # short-MSI candidate drags the SI down
     beacon = 120 * MS
     heavy = make_tspec(rho=2e6, L=1000, M=1000, msi=40 * MS, D=80 * MS)
-    state = AdmissionState(beacon, 0)
+    state = AdmissionState(beacon)
     d1 = admit(state, heavy, default_phy)
     assert d1.accepted
     txop_at_40 = admitted_grants(d1.state)[0]
@@ -330,7 +330,7 @@ def test_admit_recomputes_txops_when_si_shrinks(default_phy):
 
 
 def test_schedule_grants_fit_si(default_phy):
-    state = AdmissionState(120 * MS, 0)
+    state = AdmissionState(120 * MS)
     for i in range(12):
         d = admit(state, tspec_preset("jurassic-low"), default_phy, flow_id=i)
         if not d.accepted:
