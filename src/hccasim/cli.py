@@ -155,8 +155,10 @@ def cmd_sweep(args) -> int:
     except OSError as e:
         print(f"error: out: {e}", file=sys.stderr)
         return EXIT_FAILURE
-    # Station i replays the same traffic in every cell: say each note once.
-    for note in dict.fromkeys(n for r in reports for n in r.traffic_notes):
+    # Station i replays the same traffic and TSPEC in every cell: say each
+    # note once.
+    for note in dict.fromkeys(n for r in reports
+                              for n in r.admission_notes + r.traffic_notes):
         _warn(note)
     _say(args, f"wrote {summary_path} ({len(reports)} runs)")
     return EXIT_OK

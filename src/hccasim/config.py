@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .phy import NS_PER_MS, NS_PER_S, NS_PER_US, PhyParams
+from .phy import NS_PER_MS, NS_PER_S, NS_PER_US, PhyParamError, PhyParams
 from .sched import OVERHEAD_MODES, OVERHEAD_PER_MSDU, TSPEC_PRESETS, Tspec, tspec_preset
 from .traffic import FRAME_TYPES
 
@@ -248,8 +248,9 @@ def _phy_from(value, section: str) -> PhyParams:
     kwargs = _read(value, _PHY_KEYS, section, "PHY parameter")
     try:
         return PhyParams(**kwargs)
-    except ValueError as e:
-        raise ConfigError(section, str(e)) from None
+    except PhyParamError as e:
+        key = next(key for key, (attr, _) in _PHY_KEYS.items() if attr == e.field)
+        raise ConfigError(f"{section}.{key}", e.detail) from None
 
 
 _TRAFFIC_KEYS = {
@@ -401,16 +402,18 @@ def check_run_size(cfg: ScenarioConfig) -> None:
 
 
 def stations_warning(cfg: ScenarioConfig) -> str | None:
+    """A note when more stations are simulated than the presets were
+    validated for; counts cfg.station_list(), as the run does."""
     lo, hi = VALIDATED_STATION_RANGE
-    if cfg.stations > hi:
-        return (f"stations={cfg.stations} is outside the validated "
-                f"{lo}..{hi} preset range")
+    n = len(cfg.station_list())
+    if n > hi:
+        return f"stations={n} is outside the validated {lo}..{hi} preset range"
     return None
 
 
 def load_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
-    """Load a scenario YAML file; a file that cannot be read, is not UTF-8
-    or is not YAML is a ConfigError naming `config`."""
+    """Load a scenario YAML file; a file that cannot be read, is not UTF-8,
+    is not YAML or is not a mapping is a ConfigError naming `config`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -418,6 +421,10 @@ def load_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
         raise ConfigError("config", str(e)) from e
     if raw is None:
         raw = {}
+    elif not isinstance(raw, dict):
+        # Refused before --set overrides, which descend into a mapping.
+        raise ConfigError("config", f"top level must be a mapping, "
+                                    f"got {type(raw).__name__}")
     return scenario_from_dict(apply_overrides(raw, overrides or []))
 
 

@@ -107,23 +107,14 @@ class Counters:
     lost_frames: int = 0
 
 
-@dataclass
-class FlowTally:
-    generated: int = 0
-    delivered: int = 0
-    lost: int = 0
-    queued_end: int = 0
-    delivered_bytes: int = 0
-
-    def conserved(self) -> bool:
-        return self.generated == self.delivered + self.lost + self.queued_end
-
-
 @dataclass(frozen=True)
 class FlowLog:
-    """One flow's packet log as columns. Sent frame k was generated at
-    start_ns + k * interval_ns with sequence number seqs[k] and size
-    sizes[k]; recv_ns[k] is its receive time, None when it was lost."""
+    """One flow's packet log as columns, and its counts. seqs and sizes
+    list every generated frame: frame k was generated at start_ns + k *
+    interval_ns with sequence number seqs[k] and size sizes[k]. The first
+    len(recv_ns) frames were sent; recv_ns[k] is frame k's receive time,
+    None when it was lost. queued_end is the station's backlog at the end
+    of the run, taken from its send cursor rather than from the log."""
 
     flow: int
     start_ns: int
@@ -131,6 +122,26 @@ class FlowLog:
     seqs: Sequence[int]
     sizes: Sequence[int]
     recv_ns: list
+    queued_end: int
+
+    @property
+    def generated(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def lost(self) -> int:
+        return self.recv_ns.count(None)
+
+    @property
+    def delivered(self) -> int:
+        return len(self.recv_ns) - self.lost
+
+    @property
+    def delivered_bytes(self) -> int:
+        return sum(s for s, r in zip(self.sizes, self.recv_ns) if r is not None)
+
+    def conserved(self) -> bool:
+        return self.generated == self.delivered + self.lost + self.queued_end
 
     def gen_ns(self) -> range:
         return range(self.start_ns, self.start_ns + len(self.recv_ns) * self.interval_ns,
@@ -150,10 +161,9 @@ class SimReport:
     cfg: ScenarioConfig     # the scenario the run resolved and simulated
     si_ns: int
     divisor: int
-    logs: dict = field(default_factory=dict)       # flow -> FlowLog
+    flows: dict = field(default_factory=dict)      # flow -> FlowLog
     polls: list = field(default_factory=list)
     counters: Counters = field(default_factory=Counters)
-    flows: dict = field(default_factory=dict)      # flow -> FlowTally
     admission_notes: list = field(default_factory=list)
     traffic_notes: list = field(default_factory=list)
 
@@ -164,13 +174,13 @@ class SimReport:
         """Per-packet records in (flow, gen_ns) order, built from the logs
         on every access."""
         return [PacketRecord(log.flow, seq, gen, recv, size, recv is None)
-                for log in self.logs.values() for seq, gen, recv, size in log.rows()]
+                for log in self.flows.values() for seq, gen, recv, size in log.rows()]
 
     def write_packets_csv(self, fh) -> None:
         """Write the packet log CSV to the text file fh, PACKET_CSV_CHUNK_ROWS
         rows per write, so the whole log is never held as one string."""
         fh.write(self.PACKET_CSV_HEADER + "\n")
-        for log in self.logs.values():
+        for log in self.flows.values():
             flow, rows = log.flow, log.rows()
             for _ in range(0, len(log.recv_ns), PACKET_CSV_CHUNK_ROWS):
                 fh.write("".join([f"{flow},{seq},{gen},{recv},{size},0\n" if recv is not None
@@ -185,7 +195,7 @@ class SimReport:
         return buf.getvalue()
 
     def conservation_ok(self) -> bool:
-        return all(t.conserved() for t in self.flows.values())
+        return all(log.conserved() for log in self.flows.values())
 
     def active_window_ns(self) -> int:
         cfg = self.cfg
@@ -430,30 +440,21 @@ class Simulation:
             n_beacons += -(-(dur - next_beacon) // beacon_ns)
 
         # Each flow sends its frames in arrival order, so its log lines up
-        # with the head of its schedule. The tallies count the logs; the
-        # backlog comes from the send cursor, so conservation checks one
+        # with the head of its schedule. The counts come from the log and
+        # the backlog from the send cursor, so conservation checks one
         # against the other.
-        logs, flows = {}, {}
-        for st in self.stations:
-            log = st.recv_ns
-            sent = len(log)
-            sizes = st.sizes[:sent]
-            lost = log.count(None)
-            logs[st.flow] = FlowLog(st.flow, st.start, st.interval, st.seqs[:sent],
-                                    sizes, log)
-            flows[st.flow] = FlowTally(
-                generated=st.n, delivered=sent - lost, lost=lost,
-                queued_end=st.n - st.next_tx,
-                delivered_bytes=sum(s for s, r in zip(sizes, log) if r is not None))
+        flows = {st.flow: FlowLog(st.flow, st.start, st.interval, st.seqs, st.sizes,
+                                  st.recv_ns, st.n - st.next_tx)
+                 for st in self.stations}
         counters = Counters(
             beacons=n_beacons, caps=n_caps, overruns=n_overruns,
             polls_reference=n_reference, polls_adaptive=n_adaptive,
             polls_fallback=n_fallback, polls_minimal=n_minimal,
-            data_frames=sum(len(log.recv_ns) for log in logs.values()),
-            null_frames=n_null, lost_frames=sum(t.lost for t in flows.values()))
+            data_frames=sum(len(log.recv_ns) for log in flows.values()),
+            null_frames=n_null, lost_frames=sum(log.lost for log in flows.values()))
         report = SimReport(
-            cfg=cfg, si_ns=si_ns, divisor=divisor, logs=logs, polls=polls,
-            counters=counters, flows=flows,
+            cfg=cfg, si_ns=si_ns, divisor=divisor, flows=flows, polls=polls,
+            counters=counters,
             admission_notes=self.admission_notes, traffic_notes=self.traffic_notes)
         if not report.conservation_ok():
             raise SimulationError("packet conservation violated (internal error)")

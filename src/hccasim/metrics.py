@@ -1,33 +1,19 @@
 """Evaluation metrics over per-packet logs: mean end-to-end delay,
-aggregate throughput, per-flow breakdowns and the sweep summary table.
+aggregate throughput and the sweep summary table.
 
-The per-flow breakdowns and the summary table read a report's columnar
-logs (delays) and its flow tallies (counts and bytes), which are counted
-from those logs. mean_e2e_delay and aggregate_throughput take a list of
-PacketRecords instead, such as parse_packets_csv returns, so recomputing
-a summary from a serialized CSV reproduces the simulator's own exactly.
+The summary table reads a report's per-flow FlowLogs: their columns for
+delays and the counts they derive from them. mean_e2e_delay and
+aggregate_throughput take a list of PacketRecords instead, such as
+parse_packets_csv returns, so recomputing a summary from a serialized CSV
+reproduces the simulator's own exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .engine import PacketRecord, SimReport
 
 SUMMARY_CSV_HEADER = ("scheduler,stations,quality,mean_delay_us,p95_delay_us,"
                       "max_delay_us,throughput_bps,delivered,lost,overruns")
-
-
-@dataclass(frozen=True)
-class FlowMetrics:
-    flow: int
-    generated: int
-    delivered: int
-    lost: int
-    mean_delay_ns: float | None
-    p95_delay_ns: int | None
-    max_delay_ns: int | None
-    delivered_bytes: int
 
 
 def _delays_ns(log) -> list[int]:
@@ -61,24 +47,6 @@ def aggregate_throughput(log, window_ns: int) -> float:
     return bits * 1e9 / window_ns
 
 
-def flow_metrics(report: SimReport) -> list[FlowMetrics]:
-    out = []
-    for flow in sorted(report.flows):
-        tally = report.flows[flow]
-        delays = sorted(report.logs[flow].delays_ns())
-        out.append(FlowMetrics(
-            flow=flow,
-            generated=tally.generated,
-            delivered=tally.delivered,
-            lost=tally.lost,
-            mean_delay_ns=(sum(delays) / len(delays)) if delays else None,
-            p95_delay_ns=nearest_rank_percentile(delays, 95),
-            max_delay_ns=delays[-1] if delays else None,
-            delivered_bytes=tally.delivered_bytes,
-        ))
-    return out
-
-
 def _fmt_us(value_ns) -> str:
     if value_ns is None:
         return ""
@@ -87,19 +55,19 @@ def _fmt_us(value_ns) -> str:
 
 def summary_row(report: SimReport) -> str:
     delays = []
-    for log in report.logs.values():
+    for log in report.flows.values():
         delays += log.delays_ns()
     delays.sort()
     mean_ns = (sum(delays) / len(delays)) if delays else None
     p95_ns = nearest_rank_percentile(delays, 95)
     max_ns = delays[-1] if delays else None
-    tallies = report.flows.values()
+    logs = report.flows.values()
     window = report.active_window_ns()
-    # Same arithmetic as aggregate_throughput, over the tallied bytes.
-    bits = sum(t.delivered_bytes for t in tallies) * 8
+    # Same arithmetic as aggregate_throughput, over the logged bytes.
+    bits = sum(log.delivered_bytes for log in logs) * 8
     thr = bits * 1e9 / window if window > 0 else 0.0
-    delivered = sum(t.delivered for t in tallies)
-    lost = sum(t.lost for t in tallies)
+    delivered = sum(log.delivered for log in logs)
+    lost = sum(log.lost for log in logs)
     # One flow per simulated station, as many as cfg.station_list() holds.
     cfg = report.cfg
     return (f"{cfg.scheduler},{len(report.flows)},{cfg.quality},"

@@ -30,6 +30,15 @@ def tx_duration_ns(bits: int, rate_bps: int) -> int:
     return _ceil_div(bits * NS_PER_S, rate_bps)
 
 
+class PhyParamError(ValueError):
+    """A PhyParams field out of range; `field` names the attribute."""
+
+    def __init__(self, fieldname: str, message: str):
+        super().__init__(f"{fieldname} {message}")
+        self.field = fieldname
+        self.detail = message
+
+
 @dataclass(frozen=True)
 class PhyParams:
     """PHY/MAC constants. Defaults: SIFS 10 us, 144-bit preamble, 48-bit
@@ -46,16 +55,16 @@ class PhyParams:
     poll_frame_bytes: int = 36
 
     def __post_init__(self):
-        if self.data_rate_bps <= 0 or self.basic_rate_bps <= 0:
-            raise ValueError("rates must be strictly positive")
+        for name in ("data_rate_bps", "basic_rate_bps"):
+            if getattr(self, name) <= 0:
+                raise PhyParamError(name, "must be positive")
         if self.basic_rate_bps > self.data_rate_bps:
-            raise ValueError(
-                f"basic_rate {self.basic_rate_bps} exceeds data_rate {self.data_rate_bps}"
-            )
+            raise PhyParamError("basic_rate_bps", f"{self.basic_rate_bps} exceeds "
+                                f"data_rate_bps {self.data_rate_bps}")
         for name in ("sifs_ns", "preamble_bits", "plcp_header_bits",
                      "mac_header_bytes", "ack_frame_bytes", "poll_frame_bytes"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise PhyParamError(name, "must be >= 0")
 
     # Component times used by both the duration model and the TXOP overhead.
     def phy_header_ns(self) -> int:

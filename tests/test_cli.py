@@ -71,6 +71,21 @@ def test_simulate_admission_abort_is_reported(tmp_path, capsys):
     assert "rejected" in stderr
 
 
+def test_sweep_reports_admission_rejections_once(tmp_path, capsys):
+    argv = ["--set", "preset=vbr-high", "--set", "admission=on", "--set", "on_reject=run",
+            "--set", "duration_s=21"]
+    code, _, simulated = run_cli(capsys, "simulate", *argv, "--set", "stations=10",
+                                 "--out", str(tmp_path / "o"))
+    assert code == 0
+    code, _, swept = run_cli(capsys, "sweep", *argv, "--stations", "9..10",
+                             "--out", str(tmp_path / "s"))
+    assert code == 0
+    # Both schedulers and both counts reject the same flows 3..9.
+    rejected = [l for l in swept.splitlines() if " rejected: " in l]
+    assert [l.split(":")[1] for l in rejected] == [f" flow {i} rejected" for i in range(3, 10)]
+    assert rejected == [l for l in simulated.splitlines() if " rejected: " in l]
+
+
 def test_stations_above_range_warns(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "simulate", "--set", "preset=vbr-high",
                               "--set", "stations=13", "--set", "duration_s=20.5",
@@ -342,11 +357,19 @@ def bad_file(tmp_path, kind) -> str:
         path.write_bytes(b"# caf\xe9 (latin-1)\n0 I 0 900\n")
     elif kind == "malformed-yaml":
         path.write_text("stations: [1, 2\nseed: 3\n")
+    elif kind == "top-level-list":
+        path.write_text("- 1\n")
+    elif kind == "top-level-scalar":
+        path.write_text("42\n")
     return str(path)
 
 
+BAD_CONFIGS = ["missing", "directory", "not-utf8", "malformed-yaml",
+               "top-level-list", "top-level-scalar"]
+
+
 @pytest.mark.parametrize("command", ["validate", "simulate", "sweep"])
-@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "malformed-yaml"])
+@pytest.mark.parametrize("kind", BAD_CONFIGS)
 def test_unreadable_config_exits_2_naming_config(tmp_path, capsys, command, kind):
     code, stdout, stderr = run_cli(capsys, command, "--config", bad_file(tmp_path, kind),
                                    "--out", str(tmp_path / "o"))
@@ -355,6 +378,20 @@ def test_unreadable_config_exits_2_naming_config(tmp_path, capsys, command, kind
     assert "Traceback" not in stderr
     assert "config ok" not in stdout
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "sweep"])
+@pytest.mark.parametrize("kind", BAD_CONFIGS)
+def test_unreadable_config_is_refused_before_overrides(tmp_path, capsys, command, kind):
+    # A --set override must not turn the file's own error into a traceback.
+    path = bad_file(tmp_path, kind)
+    argv = [command, "--config", path, "--out", str(tmp_path / "o")]
+    plain = run_cli(capsys, *argv)
+    overridden = run_cli(capsys, *argv, "--set", "seed=2", "--set", "traffic.jitter=0.1")
+    assert overridden == plain
+    assert plain[0] == 2
+    assert plain[2].startswith("error: config: ")
+    assert plain[2].count("error:") == 1
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate", "sweep", "trace-stats"])

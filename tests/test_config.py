@@ -6,6 +6,7 @@ import pytest
 
 from hccasim import config, engine
 from hccasim.config import ConfigError, TrafficConfig, apply_overrides, scenario_from_dict
+from hccasim.phy import PhyParams
 from hccasim.sched import tspec_preset
 from hccasim.traffic import TraceParseError
 
@@ -92,9 +93,6 @@ def _file_keys():
         yield f"stations[0].{key}", lambda v, key=key: {"stations": [{key: v}]}
 
 
-# A rate of 1e303 b/s is a valid basic rate on its own; it conflicts with the
-# default data rate, and the PHY section names both fields.
-CROSS_FIELD = {("phy.basic_rate_bps", "1e+303"): r"^phy: basic_rate \d+ exceeds data_rate"}
 FILE_KEYS = list(_file_keys())
 
 
@@ -106,11 +104,22 @@ def test_every_file_key_parses_or_names_itself(name, build):
             scenario_from_dict(build(value))
         except ConfigError as e:
             # The error names the key, or a key or entry inside its value.
-            named = CROSS_FIELD.get((name, repr(value)), rf"^{re.escape(name)}[.\[:]")
-            assert re.match(named, str(e)), (value, str(e))
+            assert re.match(rf"^{re.escape(name)}[.\[:]", str(e)), (value, str(e))
         else:
             # No key takes a list of non-mappings or a mapping of unknown keys.
             assert not isinstance(value, (list, dict)), value
+
+
+def test_stations_warning_counts_the_stations_simulated():
+    cfg = scenario_from_dict({"stations": [{}] * 13, "duration_s": 21})
+    assert config.stations_warning(cfg) == \
+        "stations=13 is outside the validated 1..12 preset range"
+    # A config built in code may give its stations in station_specs alone.
+    cfg = replace(cfg, stations=1)
+    assert len(engine.Simulation(cfg).stations) == 13
+    assert config.stations_warning(cfg) == \
+        "stations=13 is outside the validated 1..12 preset range"
+    assert config.stations_warning(scenario_from_dict({"stations": 12})) is None
 
 
 def test_apply_overrides_nested_paths():
@@ -179,6 +188,22 @@ def test_phy_and_tspec_values_name_their_key():
                      ("msi_ms", "soon")]:
         with pytest.raises(ConfigError, match=rf"^tspec\.{key}:"):
             scenario_from_dict({"tspec": dict(INLINE_TSPEC, **{key: bad})})
+
+
+def test_phy_range_errors_name_the_file_key():
+    for key, bad, message in [
+            ("basic_rate_bps", 2e7, "20000000 exceeds data_rate_bps 11000000"),
+            ("data_rate_bps", 5e5, "1000000 exceeds data_rate_bps 500000"),
+            ("data_rate_bps", 0, "must be positive"),
+            ("sifs_us", -1, "must be >= 0"),
+            ("ack_frame_bytes", -14, "must be >= 0")]:
+        with pytest.raises(ConfigError) as e:
+            scenario_from_dict({"phy": {key: bad}})
+        named = "basic_rate_bps" if "exceeds" in message else key
+        assert str(e.value) == f"phy.{named}: {message}"
+    # Code-built PhyParams keep the checks, naming their own attributes.
+    with pytest.raises(ValueError, match="^sifs_ns must be >= 0$"):
+        PhyParams(sifs_ns=-1)
 
 
 def test_run_size_limit_names_the_field():

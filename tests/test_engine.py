@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +57,21 @@ def test_conservation_across_scenarios():
         r = engine.run(make_scenario(seed=5, **kw))
         assert r.conservation_ok(), kw
         assert total(r, "generated") > 0
+
+
+def test_conservation_checks_the_cursor_against_the_log():
+    r = engine.run(make_scenario(preset="vbr-high", scheduler="adaptive", stations=2,
+                                 duration_s=24, seed=5, loss_p=0.2))
+    log = r.flows[1]
+    assert log.conserved() and log.lost > 0
+    assert log.generated == len(log.recv_ns) + log.queued_end
+    # A backlog that disagrees with the log by one frame either way.
+    for skew in (-1, 1):
+        bad = replace(log, queued_end=log.queued_end + skew)
+        assert not bad.conserved()
+        assert not replace(r, flows={**r.flows, 1: bad}).conservation_ok()
+    short = replace(log, recv_ns=log.recv_ns[:-1])
+    assert not short.conserved()
 
 
 def test_clock_monotonic_per_flow():

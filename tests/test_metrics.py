@@ -69,22 +69,6 @@ def test_summary_recomputes_from_serialized_log():
         metrics.aggregate_throughput(report.packets, report.active_window_ns())
 
 
-def test_flow_metrics_counts():
-    cfg = make_scenario(preset="vbr-high", scheduler="adaptive", stations=2,
-                        duration_s=23, seed=5, loss_p=0.2)
-    report = engine.run(cfg)
-    per_flow = metrics.flow_metrics(report)
-    assert [m.flow for m in per_flow] == [0, 1]
-    for m in per_flow:
-        tally = report.flows[m.flow]
-        assert m.delivered == tally.delivered
-        assert m.lost == tally.lost
-        assert m.delivered_bytes == tally.delivered_bytes
-        if m.delivered:
-            assert m.mean_delay_ns <= m.max_delay_ns
-            assert m.p95_delay_ns <= m.max_delay_ns
-
-
 def test_summarize_cardinality_and_order():
     reports = []
     for sched in ("reference", "adaptive"):
@@ -137,23 +121,22 @@ def test_summary_row_undefined_delay_prints_empty():
 
 
 def test_column_metrics_match_the_packet_reference():
-    # summary_row and flow_metrics read the report's columns and tallies;
-    # the PacketRecord functions over the serialized log must agree.
+    # summary_row reads the report's FlowLogs, columns and counts; the
+    # PacketRecord functions over the serialized log must agree.
     cfg = make_scenario(preset="vbr-high", scheduler="adaptive", stations=3,
                         duration_s=24, seed=8, loss_p=0.1,
                         traffic={"stagger_ms": 30.0})
     report = engine.run(cfg)
     parsed = metrics.parse_packets_csv(report.packets_csv())
-    for m in metrics.flow_metrics(report):
-        log = [p for p in parsed if p.flow == m.flow]
+    assert sorted(report.flows) == [0, 1, 2]
+    for flow, fl in report.flows.items():
+        log = [p for p in parsed if p.flow == flow]
         delays = sorted(p.recv_ns - p.gen_ns for p in log if not p.lost)
-        assert m.delivered == len(delays) > 0
-        assert m.lost == sum(p.lost for p in log) > 0
-        assert m.delivered_bytes == sum(p.size_bytes for p in log if not p.lost)
-        assert m.generated == len(log) + report.flows[m.flow].queued_end
-        assert m.mean_delay_ns == metrics.mean_e2e_delay(log)
-        assert (m.p95_delay_ns, m.max_delay_ns) == \
-            (metrics.nearest_rank_percentile(delays, 95), delays[-1])
+        assert fl.delivered == len(delays) > 0
+        assert fl.lost == sum(p.lost for p in log) > 0
+        assert fl.delivered_bytes == sum(p.size_bytes for p in log if not p.lost)
+        assert fl.generated == len(log) + fl.queued_end
+        assert sorted(fl.delays_ns()) == delays
     fields = metrics.summary_row(report).split(",")
     mean_ns = metrics.mean_e2e_delay(parsed)
     thr = metrics.aggregate_throughput(parsed, report.active_window_ns())
@@ -173,8 +156,8 @@ def _report_with_logs(sent_per_flow, lost_at=()):
         recv = [None if k in lost_at else start + k * 40_000_000 + 3_000_000
                 for k in range(sent)]
         logs[flow] = FlowLog(flow, start, 40_000_000, range(1000, 1000 + sent),
-                             [12160 - k % 9000 for k in range(sent)], recv)
-    return replace(base, logs=logs)
+                             [12160 - k % 9000 for k in range(sent)], recv, 0)
+    return replace(base, flows=logs)
 
 
 def _row_csv(report):
