@@ -116,21 +116,38 @@ def sweep_cells(base: ScenarioConfig, stations: range, schedulers) -> list[Scena
     return cells
 
 
-def _run_cell(cfg: ScenarioConfig) -> engine.SimReport:
-    return engine.run(cfg)
+def _run_cell(cfg: ScenarioConfig) -> tuple:
+    """Run one sweep cell: its metrics.keyed_row and its admission and
+    traffic notes, all that summary.csv and the warnings need. A pool
+    worker pickles this back rather than the whole report."""
+    report = engine.run(cfg)
+    return metrics.keyed_row(report), report.admission_notes + report.traffic_notes
 
 
-def _run_cells(cells):
-    workers = min(len(cells), os.cpu_count() or 1)
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_cells(cells) -> list:
+    """_run_cell of every cell, in cell order."""
+    workers = min(len(cells), _usable_cpus())
     if workers > 1:
         try:
             pool = ProcessPoolExecutor(max_workers=workers)
         except OSError:
             pass  # sandboxed environments without semaphores: run serially
         else:
+            # The pool hands out cells in the order given: largest first, so
+            # no worker is left running a big cell alone at the end.
+            order = sorted(range(len(cells)), key=lambda i: -len(cells[i].station_list()))
             # A cell's own error comes back from its worker and propagates.
             with pool:
-                return list(pool.map(_run_cell, cells))
+                done = dict(zip(order, pool.map(_run_cell, [cells[i] for i in order])))
+            return [done[i] for i in range(len(cells))]
     return [_run_cell(c) for c in cells]
 
 
@@ -144,23 +161,22 @@ def cmd_sweep(args) -> int:
             if warn:
                 _warn(warn)
                 break
-        reports = _run_cells(cells)
+        results = _run_cells(cells)
     except (ConfigError, engine.SimulationError) as e:
         return _fail(str(e))
     summary_path = os.path.join(args.out, "summary.csv")
     try:
         os.makedirs(args.out, exist_ok=True)
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(metrics.summarize(reports))
+            fh.write(metrics.summary_csv(cells, [row for row, _ in results]))
     except OSError as e:
         print(f"error: out: {e}", file=sys.stderr)
         return EXIT_FAILURE
     # Station i replays the same traffic and TSPEC in every cell: say each
     # note once.
-    for note in dict.fromkeys(n for r in reports
-                              for n in r.admission_notes + r.traffic_notes):
+    for note in dict.fromkeys(n for _, notes in results for n in notes):
         _warn(note)
-    _say(args, f"wrote {summary_path} ({len(reports)} runs)")
+    _say(args, f"wrote {summary_path} ({len(results)} runs)")
     return EXIT_OK
 
 
@@ -178,10 +194,7 @@ def cmd_trace_stats(args) -> int:
 def cmd_validate(args) -> int:
     try:
         cfg = _load_config(args)
-        # Resolve and parse referenced trace files too.
-        for i, spec in enumerate(cfg.station_list()):
-            if spec.traffic.kind == "trace":
-                engine.load_station_trace(i, spec.traffic)
+        engine.load_station_traces(cfg)  # resolve and parse referenced trace files too
     except ConfigError as e:
         return _fail(str(e))
     warn = stations_warning(cfg)

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from .phy import NS_PER_MS, NS_PER_S, NS_PER_US, PhyParamError, PhyParams
-from .sched import OVERHEAD_MODES, OVERHEAD_PER_MSDU, TSPEC_PRESETS, Tspec, tspec_preset
+from .sched import (OVERHEAD_MODES, OVERHEAD_PER_MSDU, TSPEC_PRESETS, Tspec, TspecError,
+                    tspec_preset)
 from .traffic import FRAME_TYPES
 
 SCHEDULERS = ("reference", "adaptive")
@@ -216,8 +217,8 @@ def _tspec_from(value, section: str) -> Tspec:
         raise ConfigError(section, f"missing TSPEC key {missing[0]!r}")
     try:
         return Tspec(**kwargs)
-    except ValueError as e:
-        raise ConfigError(section, str(e)) from None
+    except TspecError as e:
+        raise ConfigError(f"{section}.{_file_key(_TSPEC_KEYS, e.field)}", e.detail) from None
 
 
 def _traffic_from(value, section: str) -> TrafficConfig:
@@ -249,8 +250,12 @@ def _phy_from(value, section: str) -> PhyParams:
     try:
         return PhyParams(**kwargs)
     except PhyParamError as e:
-        key = next(key for key, (attr, _) in _PHY_KEYS.items() if attr == e.field)
-        raise ConfigError(f"{section}.{key}", e.detail) from None
+        raise ConfigError(f"{section}.{_file_key(_PHY_KEYS, e.field)}", e.detail) from None
+
+
+def _file_key(table: dict, attr: str) -> str:
+    """The file key that table reads into attribute attr."""
+    return next(key for key, (name, _) in table.items() if name == attr)
 
 
 _TRAFFIC_KEYS = {

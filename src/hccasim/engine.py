@@ -36,20 +36,22 @@ from __future__ import annotations
 import io
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Sequence
 
 from . import phy as phylib
-from .config import ConfigError, ScenarioConfig, TrafficConfig, check_run_size
+from .config import ConfigError, ScenarioConfig, check_run_size
 from .phy import NS_PER_S
 from .sched import AdmissionState, admit, assign_si, min_msi, reference_txop
-from .traffic import VideoTrace, load_trace, synth_sizes
+from .traffic import load_trace, synth_sizes
 
 BEACON_FRAME_BYTES = 60       # management frame, sent at basic rate
 QS_UNIT_BYTES = 256           # queue-size field granularity (8-bit field)
 QS_MAX_UNITS = 254
 GOP_ROTATE_STEP = 5           # per-station GoP phase shift, coprime with 12
 PACKET_CSV_CHUNK_ROWS = 4096  # rows formatted per write: bounds the log text held at once
+SCHEDULE_CACHE_SIZE = 32      # synthetic schedules kept per process: a 1..32-station sweep
 
 
 class SimulationError(RuntimeError):
@@ -245,18 +247,40 @@ def _rotate(pattern: str, steps: int) -> str:
     return pattern[r:] + pattern[:r]
 
 
-def load_station_trace(i: int, tc: TrafficConfig) -> VideoTrace:
-    """Station i's trace file, parsed. A file that cannot be read, is not
-    UTF-8 or is malformed is a ConfigError naming the station's path."""
-    try:
-        return load_trace(tc.path, tc.frame_interval_ns)
-    except (OSError, ValueError) as e:
-        raise ConfigError(f"stations[{i}].traffic.path", str(e)) from e
+def load_station_traces(cfg: ScenarioConfig) -> dict:
+    """The (size_bytes, seqs) columns of each trace file the stations
+    replay, keyed by (path, frame interval); each file is parsed once. A
+    file that cannot be read, is not UTF-8 or is malformed is a
+    ConfigError naming the first station that replays it. Nothing is kept
+    across calls, so a file rewritten between two runs is read again."""
+    columns = {}
+    for i, spec in enumerate(cfg.station_list()):
+        tc = spec.traffic
+        key = (tc.path, tc.frame_interval_ns)
+        if tc.kind != "trace" or key in columns:
+            continue
+        try:
+            trace = load_trace(tc.path, tc.frame_interval_ns)
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"stations[{i}].traffic.path", str(e)) from e
+        # Keep the two columns a run reads; the rest of the trace is freed now.
+        columns[key] = trace.size_bytes, trace.seqs
+    return columns
+
+
+@lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
+def _synth_schedule(pattern: str, base_sizes: tuple[int, int, int], jitter: float,
+                    n: int, seed: int) -> tuple[int, ...]:
+    """synth_sizes as an immutable tuple, built once per process for each
+    key. Station i replays the same schedule in every cell of a sweep, so
+    the cells share it rather than rebuild it."""
+    return tuple(synth_sizes(pattern, base_sizes, jitter, n, seed))
 
 
 def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
     check_run_size(cfg)
     stations = []
+    traces = load_station_traces(cfg)
     dur = cfg.duration_ns
     for i, spec in enumerate(cfg.station_list()):
         tc = spec.traffic
@@ -264,13 +288,12 @@ def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
         interval = tc.frame_interval_ns
         n = max(0, -(-(dur - start_ns) // interval))   # frames generated before dur
         if tc.kind == "trace":
-            trace = load_station_trace(i, tc)
-            sizes, seqs = trace.size_bytes[:n], trace.seqs[:n]
+            sizes, seqs = (column[:n] for column in traces[tc.path, interval])
         else:
             pattern = _rotate(tc.pattern, GOP_ROTATE_STEP * i) if tc.rotate_gop else tc.pattern
             base_seed = cfg.seed if tc.seed is None else tc.seed
-            sizes = synth_sizes(pattern, tc.base_sizes(), tc.jitter, n,
-                                base_seed + i) if n else []
+            sizes = _synth_schedule(pattern, tc.base_sizes(), tc.jitter, n,
+                                    base_seed + i) if n else ()
             seqs = range(n)
         stations.append(_Station(i, spec.tspec, start_ns, interval, sizes, seqs))
     return stations

@@ -10,6 +10,8 @@ reproduces the simulator's own exactly.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .engine import PacketRecord, SimReport
 
 SUMMARY_CSV_HEADER = ("scheduler,stations,quality,mean_delay_us,p95_delay_us,"
@@ -75,23 +77,32 @@ def summary_row(report: SimReport) -> str:
             f"{thr:.1f},{delivered},{lost},{report.counters.overruns}")
 
 
-def _template_key(report: SimReport):
-    cfg = report.cfg
+def keyed_row(report: SimReport) -> tuple:
+    """(sort key, summary_row) of one run; the key orders summary.csv rows
+    by scheduler, then by station count."""
+    return (report.cfg.scheduler, len(report.flows)), summary_row(report)
+
+
+def _template_key(cfg):
     return (cfg.quality, cfg.beacon_interval_ns, cfg.duration_ns, cfg.traffic_start_ns,
             cfg.loss_p, cfg.qs_exact, cfg.overhead_mode, cfg.throughput_window)
+
+
+def summary_csv(cfgs, keyed_rows) -> str:
+    """Summary CSV from the keyed_row of each run of the scenarios cfgs: one
+    row per run, sorted by key. The scenarios must share one template."""
+    keys = {_template_key(cfg) for cfg in cfgs}
+    if len(keys) > 1:
+        raise ValueError(f"reports mix {len(keys)} incompatible scenario templates")
+    rows = sorted(keyed_rows, key=itemgetter(0))
+    return "\n".join([SUMMARY_CSV_HEADER] + [row for _, row in rows]) + "\n"
 
 
 def summarize(reports) -> str:
     """Summary CSV for a sweep: one row per (scheduler, station count),
     sorted. Reports must come from the same scenario template."""
     reports = list(reports)
-    if not reports:
-        return SUMMARY_CSV_HEADER + "\n"
-    keys = {_template_key(r) for r in reports}
-    if len(keys) > 1:
-        raise ValueError(f"reports mix {len(keys)} incompatible scenario templates")
-    rows = sorted(reports, key=lambda r: (r.cfg.scheduler, len(r.flows)))
-    return "\n".join([SUMMARY_CSV_HEADER] + [summary_row(r) for r in rows]) + "\n"
+    return summary_csv([r.cfg for r in reports], map(keyed_row, reports))
 
 
 def parse_packets_csv(text: str) -> list[PacketRecord]:

@@ -9,7 +9,7 @@ evaluated exactly in integers, never in floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .phy import NS_PER_S, PhyParams, data_tx_time, tx_duration_ns, txop_overhead
@@ -17,6 +17,15 @@ from .phy import NS_PER_S, PhyParams, data_tx_time, tx_duration_ns, txop_overhea
 OVERHEAD_PER_MSDU = "per_msdu"   # default: overhead scales with the MSDU count
 OVERHEAD_LUMPED = "lumped"       # single per-TXOP overhead regardless of count
 OVERHEAD_MODES = (OVERHEAD_PER_MSDU, OVERHEAD_LUMPED)
+
+
+class TspecError(ValueError):
+    """A Tspec field out of range; `field` names the attribute."""
+
+    def __init__(self, fieldname: str, message: str):
+        super().__init__(f"{fieldname} {message}")
+        self.field = fieldname
+        self.detail = message
 
 
 @dataclass(frozen=True)
@@ -31,20 +40,14 @@ class Tspec:
     phys_rate_bps: int             # R
 
     def __post_init__(self):
-        if self.mean_data_rate_bps <= 0:
-            raise ValueError("mean_data_rate must be positive")
-        if self.nominal_msdu_bytes <= 0 or self.max_msdu_bytes <= 0:
-            raise ValueError("MSDU sizes must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise TspecError(f.name, "must be positive")
         if self.nominal_msdu_bytes > self.max_msdu_bytes:
-            raise ValueError(
-                f"nominal MSDU {self.nominal_msdu_bytes} exceeds max {self.max_msdu_bytes}"
-            )
-        if self.delay_bound_ns <= 0 or self.max_service_interval_ns <= 0:
-            raise ValueError("delay bound and MSI must be positive")
+            raise TspecError("max_msdu_bytes", f"{self.max_msdu_bytes} is below the nominal "
+                             f"MSDU size {self.nominal_msdu_bytes}")
         if self.max_service_interval_ns > self.delay_bound_ns:
-            raise ValueError("MSI must not exceed the delay bound")
-        if self.phys_rate_bps <= 0:
-            raise ValueError("phys_rate must be positive")
+            raise TspecError("max_service_interval_ns", "must not exceed the delay bound")
 
 
 # Jurassic Park 1 MPEG-4 presets: (rho bit/s, L bytes, M bytes, D, MSI, R).

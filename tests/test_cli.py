@@ -16,6 +16,18 @@ def write_config(tmp_path, **kwargs):
     return str(path)
 
 
+def use_cpus(monkeypatch, n):
+    """Let the sweep see n usable CPUs, whatever this host allows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class NoPool:
+    """A ProcessPoolExecutor that cannot start, as without semaphores."""
+
+    def __init__(self, max_workers):
+        raise PermissionError(13, "Permission denied")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -280,7 +292,7 @@ def test_pooled_sweep_reports_trace_errors(tmp_path, capsys, monkeypatch,
                                            trace_text, message):
     # Two CPUs give two pool workers; a worker's error must reach the
     # parent as the same one-line error, not a rerun or a broken pool.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    use_cpus(monkeypatch, 2)
     path = tmp_path / "trace.txt"
     if trace_text is not None:
         path.write_text(trace_text)
@@ -292,6 +304,18 @@ def test_pooled_sweep_reports_trace_errors(tmp_path, capsys, monkeypatch,
     assert stderr.startswith(message)
     assert "Traceback" not in stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_validate_parses_a_shared_trace_once(tmp_path, capsys, monkeypatch, fragment_path):
+    parsed = []
+    real_load = engine.load_trace
+    monkeypatch.setattr(engine, "load_trace", lambda *args: parsed.append(args) or
+                        real_load(*args))
+    cfg = write_config(tmp_path, stations=[
+        {"traffic": {"kind": "trace", "path": str(fragment_path)}}] * 12)
+    code, stdout, _ = run_cli(capsys, "validate", "--config", cfg)
+    assert code == 0 and stdout == "config ok\n"
+    assert len(parsed) == 1
 
 
 def test_simulate_names_the_station_of_a_malformed_trace(tmp_path, capsys):
@@ -312,15 +336,11 @@ def test_simulate_names_the_station_of_a_malformed_trace(tmp_path, capsys):
 
 def test_sweep_falls_back_to_serial_only_when_the_pool_cannot_start(tmp_path, capsys,
                                                                      monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    use_cpus(monkeypatch, 2)
     argv = ("sweep", "--set", "preset=cbr-nominal", "--set", "duration_s=20.5",
             "--stations", "1..2", "--schedulers", "adaptive")
 
-    class NoSemaphores:
-        def __init__(self, max_workers):
-            raise PermissionError(13, "Permission denied")
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoSemaphores)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
     code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "serial"))
     assert code == 0
     assert len((tmp_path / "serial" / "summary.csv").read_text().splitlines()) == 3
@@ -346,6 +366,68 @@ def test_sweep_falls_back_to_serial_only_when_the_pool_cannot_start(tmp_path, ca
     assert code == 2
     assert stderr.startswith("error: stations[0].traffic.path: [Errno 2] No such file")
     assert serial == []
+
+
+def test_usable_cpus_follow_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    use_cpus(monkeypatch, 1)
+    assert cli._usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+
+@pytest.mark.parametrize("schedulers", ["reference,adaptive", "adaptive,reference"])
+@pytest.mark.parametrize("mode", ["pooled", "serial"])
+def test_sweep_matches_in_process_runs(tmp_path, capsys, monkeypatch, schedulers, mode):
+    # Four stations of oversized I-frames, the fourth rejected by admission:
+    # every cell has notes, and the largest cells go to the pool first.
+    cfg = write_config(tmp_path, preset="vbr-high", duration_s=21, seed=5,
+                       admission="on", on_reject="run", traffic={"i_size": 20000})
+    cells = cli.sweep_cells(load_scenario(cfg), range(1, 5), schedulers.split(","))
+    reports = [engine.run(c) for c in cells]
+    notes = dict.fromkeys(n for r in reports for n in r.admission_notes + r.traffic_notes)
+    assert [n.split(":")[0] for n in notes] == [
+        "flow 0", "flow 1", "flow 2", "flow 3 rejected", "flow 3"]
+    use_cpus(monkeypatch, 2)
+    if mode == "serial":
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    out = tmp_path / "o"
+    code, _, stderr = run_cli(capsys, "sweep", "--config", cfg, "--stations", "1..4",
+                              "--schedulers", schedulers, "--out", str(out))
+    assert code == 0
+    assert (out / "summary.csv").read_bytes() == summarize(reports).encode()
+    assert stderr.splitlines() == [f"warning: {n}" for n in notes]
+
+
+def test_sweep_builds_each_synthetic_schedule_once_per_process(tmp_path, capsys,
+                                                              monkeypatch):
+    # Station i replays the same schedule in all 24 cells of a 1..12 sweep.
+    built, stations = [], []
+
+    def synth_sizes(*args):
+        built.append(args)
+        return real_synth(*args)
+
+    def build_stations(cfg):
+        stations.append(real_build(cfg))
+        return stations[-1]
+
+    real_synth, real_build = engine.synth_sizes, engine._build_stations
+    monkeypatch.setattr(engine, "synth_sizes", synth_sizes)
+    monkeypatch.setattr(engine, "_build_stations", build_stations)
+    engine._synth_schedule.cache_clear()
+    use_cpus(monkeypatch, 1)
+    code, _, _ = run_cli(capsys, "sweep", "--set", "preset=vbr-high", "--set",
+                         "duration_s=21", "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert len(stations) == 24
+    assert len(built) == 12
+    for cell in stations:
+        for i, st in enumerate(cell):
+            assert isinstance(st.sizes, tuple)
+            assert st.sizes is stations[-1][i].sizes
 
 
 def bad_file(tmp_path, kind) -> str:
@@ -397,7 +479,7 @@ def test_unreadable_config_is_refused_before_overrides(tmp_path, capsys, command
 @pytest.mark.parametrize("command", ["validate", "simulate", "sweep", "trace-stats"])
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
 def test_unreadable_trace_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, kind):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # sweep cells run in pool workers
+    use_cpus(monkeypatch, 2)  # sweep cells run in pool workers
     path = bad_file(tmp_path, kind)
     if command == "trace-stats":
         argv, prefix = (path,), "error: trace: "

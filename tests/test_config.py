@@ -206,6 +206,21 @@ def test_phy_range_errors_name_the_file_key():
         PhyParams(sifs_ns=-1)
 
 
+@pytest.mark.parametrize("section", ["tspec", "stations[0].tspec"])
+@pytest.mark.parametrize("key, bad, named, message", [
+    (key, 0, key, "must be positive") for key in config._TSPEC_KEYS] + [
+    ("max_bytes", 400, "max_bytes", "400 is below the nominal MSDU size 500"),
+    ("nominal_bytes", 1000, "max_bytes", "900 is below the nominal MSDU size 1000"),
+    ("msi_ms", 100, "msi_ms", "must not exceed the delay bound"),
+    ("delay_bound_ms", 20, "msi_ms", "must not exceed the delay bound")])
+def test_tspec_range_errors_name_the_file_key(section, key, bad, named, message):
+    tspec = dict(INLINE_TSPEC, **{key: bad})
+    raw = {"tspec": tspec} if section == "tspec" else {"stations": [{"tspec": tspec}]}
+    with pytest.raises(ConfigError) as e:
+        scenario_from_dict(raw)
+    assert str(e.value) == f"{section}.{named}: {message}"
+
+
 def test_run_size_limit_names_the_field():
     big = config.MAX_RUN_FRAMES
     # 20 s of traffic at 40 ms is 500 frames per station; beacons every 120 ms.

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario
 from hccasim import engine
+from hccasim.config import ConfigError
 from hccasim.engine import SimulationError, decode_qs, encode_qs
 from hccasim.phy import NS_PER_MS, PhyParams, ctrl_tx_time, data_tx_time
 from hccasim.sched import adaptive_txop, minimal_txop, reference_txop, tspec_preset
@@ -298,6 +299,44 @@ def test_stream_end_turns_polls_minimal(tmp_path):
     assert r.counters.null_frames > 0
     branches = [p.branch for p in r.polls if p.poll_ns > 20_200_000_000]
     assert set(branches) == {"minimal"}
+
+
+def test_each_trace_file_is_parsed_once_per_run(tmp_path, monkeypatch):
+    parsed = []
+
+    def load_trace(path, frame_interval_ns):
+        parsed.append(path)
+        return real_load(path, frame_interval_ns)
+
+    real_load = engine.load_trace
+    monkeypatch.setattr(engine, "load_trace", load_trace)
+    paths = [tmp_path / f"t{i}.txt" for i in range(3)]
+    for path in paths:
+        path.write_text("0 I 0 5000\n1 P 40 4000\n")
+
+    def scenario(station_paths):
+        return make_scenario(duration_s=21, traffic_start_s=20, stations=[
+            {"traffic": {"kind": "trace", "path": str(p)}} for p in station_paths])
+
+    engine.Simulation(scenario([paths[0]] * 12))
+    assert parsed == [str(paths[0])]
+    engine.Simulation(scenario(paths))
+    assert parsed == [str(paths[0])] + [str(p) for p in paths]
+    # Not across runs: a file rewritten between runs is read again.
+    paths[0].write_text("0 I 0 700\n")
+    sim = engine.Simulation(scenario([paths[0]] * 12))
+    assert parsed[-1] == str(paths[0]) and len(parsed) == 5
+    assert all(st.sizes == (700,) for st in sim.stations)
+
+
+def test_a_bad_shared_trace_names_the_first_station(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("0 I 0 900\n1 Q 40 800\n")
+    cfg = make_scenario(duration_s=21, stations=[
+        {"traffic": {"kind": "trace", "path": str(path)}}] * 12)
+    with pytest.raises(ConfigError,
+                       match=r"^stations\[0\]\.traffic\.path: line 2: unknown frame type"):
+        engine.run(cfg)
 
 
 def test_reference_scheduler_ignores_feedback(tmp_path):

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from hccasim.phy import NS_PER_MS, data_tx_time, txop_overhead
-from hccasim.sched import (AdmissionState, Tspec, adaptive_txop, admit, assign_si,
-                           min_msi, minimal_txop, msdu_count, reference_txop,
+from hccasim.sched import (AdmissionState, Tspec, TspecError, adaptive_txop, admit,
+                           assign_si, min_msi, minimal_txop, msdu_count, reference_txop,
                            tspec_preset)
 
 MS = NS_PER_MS
@@ -28,14 +28,20 @@ def admitted_grants(state):
 
 
 def test_tspec_validation():
-    with pytest.raises(ValueError):
-        make_tspec(L=5000, M=4000)          # nominal above max
-    with pytest.raises(ValueError):
-        make_tspec(msi=100 * MS, D=80 * MS)  # MSI above delay bound
-    with pytest.raises(ValueError):
-        make_tspec(rho=0)
-    with pytest.raises(ValueError):
-        make_tspec(R=-1)
+    # One case per check; code-built TSPECs name their own attribute.
+    for kwargs, field in [
+            ({"rho": 0}, "mean_data_rate_bps"),
+            ({"L": 0}, "nominal_msdu_bytes"),
+            ({"M": -1}, "max_msdu_bytes"),
+            ({"D": 0}, "delay_bound_ns"),
+            ({"msi": 0}, "max_service_interval_ns"),
+            ({"R": -1}, "phys_rate_bps"),
+            ({"L": 5000, "M": 4000}, "max_msdu_bytes"),                # nominal above max
+            ({"msi": 100 * MS, "D": 80 * MS}, "max_service_interval_ns")]:  # MSI above D
+        with pytest.raises(TspecError, match=f"^{field} ") as e:
+            make_tspec(**kwargs)
+        assert e.value.field == field
+        assert isinstance(e.value, ValueError)
 
 
 def test_presets_match_traffic_parameter_table():
