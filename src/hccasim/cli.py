@@ -117,11 +117,11 @@ def sweep_cells(base: ScenarioConfig, stations: range, schedulers) -> list[Scena
 
 
 def _run_cell(cfg: ScenarioConfig) -> tuple:
-    """Run one sweep cell: its metrics.keyed_row and its admission and
+    """Run one sweep cell: its metrics.summary_row and its admission and
     traffic notes, all that summary.csv and the warnings need. A pool
     worker pickles this back rather than the whole report."""
     report = engine.run(cfg)
-    return metrics.keyed_row(report), report.admission_notes + report.traffic_notes
+    return metrics.summary_row(report), report.admission_notes + report.traffic_notes
 
 
 def _usable_cpus() -> int:
@@ -143,7 +143,7 @@ def _run_cells(cells) -> list:
         else:
             # The pool hands out cells in the order given: largest first, so
             # no worker is left running a big cell alone at the end.
-            order = sorted(range(len(cells)), key=lambda i: -len(cells[i].station_list()))
+            order = sorted(range(len(cells)), key=lambda i: -cells[i].stations)
             # A cell's own error comes back from its worker and propagates.
             with pool:
                 done = dict(zip(order, pool.map(_run_cell, [cells[i] for i in order])))
@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("trace-stats", help="print trace statistics CSV")
     p_stats.add_argument("trace", help="trace file path")
-    p_stats.add_argument("--quiet", action="store_true")
     p_stats.set_defaults(func=cmd_trace_stats)
 
     p_val = sub.add_parser("validate", help="check a scenario config")

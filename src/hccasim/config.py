@@ -11,19 +11,23 @@ Files give times in human units (`beacon_interval_ms`, `duration_s`,
 `phy.sifs_us`, ...); every config object holds them as integer
 nanoseconds. Each file mapping is read by `_read` from a table of its
 keys, and `_scaled` does every unit conversion.
+
+Every config object checks itself on construction, also in code and in
+`dataclasses.replace`. `PhyParams`, `Tspec` and `TrafficConfig` raise a
+`phy.FieldError` naming the attribute, which `_section` renames to its
+file key; `ScenarioConfig` raises `ConfigError` naming the file key.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import yaml
 
-from .phy import NS_PER_MS, NS_PER_S, NS_PER_US, PhyParamError, PhyParams
-from .sched import (OVERHEAD_MODES, OVERHEAD_PER_MSDU, TSPEC_PRESETS, Tspec, TspecError,
-                    tspec_preset)
+from .phy import NS_PER_MS, NS_PER_S, NS_PER_US, FieldError, PhyParams
+from .sched import OVERHEAD_MODES, OVERHEAD_PER_MSDU, TSPEC_PRESETS, Tspec
 from .traffic import FRAME_TYPES
 
 SCHEDULERS = ("reference", "adaptive")
@@ -65,6 +69,23 @@ class TrafficConfig:
     seed: int | None = None                # synth base seed; defaults to scenario seed
     path: str | None = None                # trace file for kind="trace"
 
+    def __post_init__(self):
+        if self.kind not in ("synth", "trace"):
+            raise FieldError("kind", f"must be 'synth' or 'trace', got {self.kind!r}")
+        if self.kind == "trace" and not self.path:
+            raise FieldError("path", "required when kind is 'trace'")
+        if not self.pattern or set(self.pattern.upper()) - set(FRAME_TYPES):
+            raise FieldError("pattern", "must be a non-empty string of I, P and B")
+        for name in ("i_size", "p_size", "b_size"):
+            if getattr(self, name) <= 0:
+                raise FieldError(name, "must be positive")
+        if not 0 <= self.jitter < 1:
+            raise FieldError("jitter", "must be in [0, 1)")
+        if self.frame_interval_ns <= 0:
+            raise FieldError("frame_interval_ns", "must be positive")
+        if self.stagger_ns < 0:
+            raise FieldError("stagger_ns", "must be >= 0")
+
     def base_sizes(self) -> tuple[int, int, int]:
         return (self.i_size, self.p_size, self.b_size)
 
@@ -91,10 +112,40 @@ class ScenarioConfig:
     seed: int = 1
     record_polls: bool = False
     quality: str = "custom"                # label carried into summary CSV
-    phy: PhyParams = field(default_factory=PhyParams)
-    traffic: TrafficConfig = field(default_factory=TrafficConfig)
-    tspec: Tspec = field(default_factory=lambda: tspec_preset("jurassic-high"))
-    station_specs: tuple = ()              # per-station overrides; empty = uniform
+    phy: PhyParams = PhyParams()
+    traffic: TrafficConfig = TrafficConfig()
+    tspec: Tspec = TSPEC_PRESETS["jurassic-high"]
+    station_specs: tuple = ()              # one StationSpec per station; empty = uniform
+
+    def __post_init__(self):
+        if self.scheduler not in SCHEDULERS:
+            raise ConfigError("scheduler",
+                              f"must be one of {SCHEDULERS}, got {self.scheduler!r}")
+        if self.stations < 1:
+            raise ConfigError("stations", f"must be >= 1, got {self.stations}")
+        if self.station_specs and len(self.station_specs) != self.stations:
+            raise ConfigError("stations", f"{self.stations} does not match the "
+                                          f"{len(self.station_specs)} station_specs")
+        if self.beacon_interval_ns <= 0:
+            raise ConfigError("beacon_interval_ms", "must be positive")
+        if self.duration_ns < 0:
+            raise ConfigError("duration_s", "must be >= 0")
+        if self.traffic_start_ns < 0:
+            raise ConfigError("traffic_start_s", "must be >= 0")
+        if not 0.0 <= self.loss_p <= 1.0:
+            raise ConfigError("loss_p", f"must be in [0, 1], got {self.loss_p}")
+        if self.overhead_mode not in OVERHEAD_MODES:
+            raise ConfigError("overhead_mode", f"must be one of {OVERHEAD_MODES}")
+        if self.admission not in ("on", "off"):
+            raise ConfigError("admission", "must be 'on' or 'off'")
+        if self.on_reject not in ("abort", "run"):
+            raise ConfigError("on_reject", "must be 'abort' or 'run'")
+        if self.throughput_window not in ("active", "full"):
+            raise ConfigError("throughput_window", "must be 'active' or 'full'")
+        if set(self.quality) & {",", "\r", "\n"}:
+            raise ConfigError("quality", "must not contain a comma or a line break "
+                                         "(it is a summary.csv field)")
+        check_run_size(self)
 
     def station_list(self) -> list[StationSpec]:
         if self.station_specs:
@@ -127,7 +178,7 @@ WORKLOAD_PRESETS = {
 
 # A caster takes a file value and its dotted key and returns the attribute
 # value. A scalar caster raises TypeError, ValueError or OverflowError, which
-# _read turns into a ConfigError naming the key; a section's reader (phy,
+# _read turns into a ConfigError naming the key; a section's caster (phy,
 # traffic, tspec) names its own keys under it.
 
 def _as_bool(value, name) -> bool:
@@ -202,55 +253,35 @@ def _read(raw, table: dict, section: str, noun: str) -> dict:
     return kwargs
 
 
+def _section(cls, table: dict, noun: str):
+    """Caster of a nested section into cls. An instance of cls passes
+    through. A mapping is read by _read, must give every key whose
+    attribute has no default, and a FieldError of cls names its file key."""
+    no_default = {f.name for f in fields(cls) if f.default is MISSING}
+    required = [key for key, (attr, _) in table.items() if attr in no_default]
+
+    def cast(value, section: str):
+        if isinstance(value, cls):
+            return value
+        kwargs = _read(value, table, section, noun)
+        missing = [key for key in required if key not in value]
+        if missing:
+            raise ConfigError(section, f"missing {noun} {missing[0]!r}")
+        try:
+            return cls(**kwargs)
+        except FieldError as e:
+            raise ConfigError(f"{section}.{_file_key(table, e.field)}", e.detail) from None
+    return cast
+
+
 def _tspec_from(value, section: str) -> Tspec:
-    if isinstance(value, Tspec):
-        return value
     if isinstance(value, str):
         if value not in TSPEC_PRESETS:
             raise ConfigError(section, f"unknown TSPEC preset {value!r}")
-        return tspec_preset(value)
-    if not isinstance(value, dict):
+        return TSPEC_PRESETS[value]
+    if not isinstance(value, (dict, Tspec)):
         raise ConfigError(section, "must be a preset name or a mapping")
-    kwargs = _read(value, _TSPEC_KEYS, section, "TSPEC key")
-    missing = [key for key in _TSPEC_KEYS if key not in value]
-    if missing:
-        raise ConfigError(section, f"missing TSPEC key {missing[0]!r}")
-    try:
-        return Tspec(**kwargs)
-    except TspecError as e:
-        raise ConfigError(f"{section}.{_file_key(_TSPEC_KEYS, e.field)}", e.detail) from None
-
-
-def _traffic_from(value, section: str) -> TrafficConfig:
-    if isinstance(value, TrafficConfig):
-        return value
-    tc = TrafficConfig(**_read(value, _TRAFFIC_KEYS, section, "traffic key"))
-    if tc.kind not in ("synth", "trace"):
-        raise ConfigError(f"{section}.kind", f"must be 'synth' or 'trace', got {tc.kind!r}")
-    if tc.kind == "trace" and not tc.path:
-        raise ConfigError(f"{section}.path", "required when kind is 'trace'")
-    if not tc.pattern or set(tc.pattern.upper()) - set(FRAME_TYPES):
-        raise ConfigError(f"{section}.pattern", "must be a non-empty string of I, P and B")
-    for name in ("i_size", "p_size", "b_size"):
-        if getattr(tc, name) <= 0:
-            raise ConfigError(f"{section}.{name}", "must be positive")
-    if not 0 <= tc.jitter < 1:
-        raise ConfigError(f"{section}.jitter", "must be in [0, 1)")
-    if tc.frame_interval_ns <= 0:
-        raise ConfigError(f"{section}.frame_interval_ms", "must be positive")
-    if tc.stagger_ns < 0:
-        raise ConfigError(f"{section}.stagger_ms", "must be >= 0")
-    return tc
-
-
-def _phy_from(value, section: str) -> PhyParams:
-    if isinstance(value, PhyParams):
-        return value
-    kwargs = _read(value, _PHY_KEYS, section, "PHY parameter")
-    try:
-        return PhyParams(**kwargs)
-    except PhyParamError as e:
-        raise ConfigError(f"{section}.{_file_key(_PHY_KEYS, e.field)}", e.detail) from None
+    return _tspec_section(value, section)
 
 
 def _file_key(table: dict, attr: str) -> str:
@@ -289,9 +320,11 @@ _TSPEC_KEYS = {
     "phys_rate_bps": ("phys_rate_bps", _as_int),
 }
 
+_tspec_section = _section(Tspec, _TSPEC_KEYS, "TSPEC key")
 
 # Keys of a stations[i] entry; each defaults to the scenario's own section.
-_STATION_KEYS = {"traffic": ("traffic", _traffic_from), "tspec": ("tspec", _tspec_from)}
+_STATION_KEYS = {"traffic": ("traffic", _section(TrafficConfig, _TRAFFIC_KEYS, "traffic key")),
+                 "tspec": ("tspec", _tspec_from)}
 
 _SCENARIO_KEYS = {
     "scheduler": ("scheduler", _as_str),
@@ -308,13 +341,13 @@ _SCENARIO_KEYS = {
     "seed": ("seed", _as_int),
     "record_polls": ("record_polls", _as_bool),
     "quality": ("quality", _as_str),
-    "phy": ("phy", _phy_from),
+    "phy": ("phy", _section(PhyParams, _PHY_KEYS, "PHY parameter")),
     **_STATION_KEYS,
 }
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a plain mapping (parsed YAML)."""
+    """Build a ScenarioConfig from a plain mapping (parsed YAML)."""
     if not isinstance(raw, dict):
         raise ConfigError("scenario", "config must be a mapping")
     data = dict(raw)
@@ -332,52 +365,24 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                 merged[key] = val
         data = merged
 
-    # A station list is read once the scenario's traffic and TSPEC are known.
+    # A station list is read against the scenario's own traffic and TSPEC, so
+    # the scenario is built once, with its stations resolved.
     entries = data.pop("stations") if isinstance(data.get("stations"), list) else None
-    cfg = ScenarioConfig(**_read(data, _SCENARIO_KEYS, "", "configuration key"))
+    kwargs = _read(data, _SCENARIO_KEYS, "", "configuration key")
     if entries is not None:
-        base = StationSpec(cfg.traffic, cfg.tspec)
-        specs = tuple(replace(base, **_read(entry, _STATION_KEYS, f"stations[{i}]",
-                                            "station key"))
-                      for i, entry in enumerate(entries))
-        cfg = replace(cfg, stations=len(specs), station_specs=specs)
-    validate_scenario(cfg)
-    return cfg
-
-
-def validate_scenario(cfg: ScenarioConfig) -> None:
-    if cfg.scheduler not in SCHEDULERS:
-        raise ConfigError("scheduler", f"must be one of {SCHEDULERS}, got {cfg.scheduler!r}")
-    if cfg.stations < 1:
-        raise ConfigError("stations", f"must be >= 1, got {cfg.stations}")
-    if cfg.beacon_interval_ns <= 0:
-        raise ConfigError("beacon_interval_ms", "must be positive")
-    if cfg.duration_ns < 0:
-        raise ConfigError("duration_s", "must be >= 0")
-    if cfg.traffic_start_ns < 0:
-        raise ConfigError("traffic_start_s", "must be >= 0")
-    if not 0.0 <= cfg.loss_p <= 1.0:
-        raise ConfigError("loss_p", f"must be in [0, 1], got {cfg.loss_p}")
-    if cfg.overhead_mode not in OVERHEAD_MODES:
-        raise ConfigError("overhead_mode", f"must be one of {OVERHEAD_MODES}")
-    if cfg.admission not in ("on", "off"):
-        raise ConfigError("admission", "must be 'on' or 'off'")
-    if cfg.on_reject not in ("abort", "run"):
-        raise ConfigError("on_reject", "must be 'abort' or 'run'")
-    if cfg.throughput_window not in ("active", "full"):
-        raise ConfigError("throughput_window", "must be 'active' or 'full'")
-    if set(cfg.quality) & {",", "\r", "\n"}:
-        raise ConfigError("quality", "must not contain a comma or a line break "
-                                     "(it is a summary.csv field)")
-    for i, spec in enumerate(cfg.station_list()):
-        if spec.traffic.kind == "trace" and not spec.traffic.path:
-            raise ConfigError(f"stations[{i}].traffic.path", "trace path missing")
-    check_run_size(cfg)
+        base = StationSpec(kwargs.get("traffic", ScenarioConfig.traffic),
+                           kwargs.get("tspec", ScenarioConfig.tspec))
+        kwargs["station_specs"] = tuple(
+            replace(base, **_read(entry, _STATION_KEYS, f"stations[{i}]", "station key"))
+            for i, entry in enumerate(entries))
+        kwargs["stations"] = len(entries)
+    return ScenarioConfig(**kwargs)
 
 
 def check_run_size(cfg: ScenarioConfig) -> None:
     """Refuse a run that would generate more than MAX_RUN_FRAMES synthetic
-    frames and beacons, before anything per frame is built. Each synthetic
+    frames and beacons; ScenarioConfig calls it on construction, before
+    anything per frame is built. Each synthetic
     station is counted from traffic start to the end of the run (stagger
     only shortens that). The error names the interval behind the larger
     count when that interval is shorter than its default, else duration_s."""
@@ -408,11 +413,10 @@ def check_run_size(cfg: ScenarioConfig) -> None:
 
 def stations_warning(cfg: ScenarioConfig) -> str | None:
     """A note when more stations are simulated than the presets were
-    validated for; counts cfg.station_list(), as the run does."""
+    validated for."""
     lo, hi = VALIDATED_STATION_RANGE
-    n = len(cfg.station_list())
-    if n > hi:
-        return f"stations={n} is outside the validated {lo}..{hi} preset range"
+    if cfg.stations > hi:
+        return f"stations={cfg.stations} is outside the validated {lo}..{hi} preset range"
     return None
 
 

@@ -41,7 +41,7 @@ from itertools import islice
 from typing import Sequence
 
 from . import phy as phylib
-from .config import ConfigError, ScenarioConfig, check_run_size
+from .config import ConfigError, ScenarioConfig
 from .phy import NS_PER_S
 from .sched import AdmissionState, admit, assign_si, min_msi, reference_txop
 from .traffic import load_trace, synth_sizes
@@ -241,8 +241,6 @@ class _Station:
 
 
 def _rotate(pattern: str, steps: int) -> str:
-    if not pattern:
-        return pattern
     r = steps % len(pattern)
     return pattern[r:] + pattern[:r]
 
@@ -278,7 +276,6 @@ def _synth_schedule(pattern: str, base_sizes: tuple[int, int, int], jitter: floa
 
 
 def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
-    check_run_size(cfg)
     stations = []
     traces = load_station_traces(cfg)
     dur = cfg.duration_ns
@@ -299,10 +296,12 @@ def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
     return stations
 
 
-def _oversize_notes(stations) -> list[str]:
-    """One note per station whose largest frame exceeds its TSPEC maximum
-    MSDU size: grants sized from the TSPEC may never fit such a frame, and
-    the station then sends null frames while the frame waits."""
+def _traffic_notes(stations, dur_ns: int) -> list[str]:
+    """One note per station the run starves. Its largest frame may exceed
+    its TSPEC maximum MSDU size: grants sized from the TSPEC may never fit
+    such a frame, and the station then sends null frames while it waits.
+    Or its traffic may start at or after the end of the run: it then
+    generates no frame, and its summary counts stay empty."""
     notes = []
     for st in stations:
         biggest = max(st.sizes, default=0)
@@ -310,6 +309,10 @@ def _oversize_notes(stations) -> list[str]:
             notes.append(f"flow {st.flow}: largest frame is {biggest} B, above "
                          f"tspec.max_msdu_bytes {st.tspec.max_msdu_bytes} B; grants "
                          f"sized from the TSPEC may never fit it")
+        if st.start >= dur_ns:
+            notes.append(f"flow {st.flow}: traffic starts at {st.start / NS_PER_S:g} s, "
+                         f"not before the end of the run at {dur_ns / NS_PER_S:g} s; "
+                         f"it sends nothing")
     return notes
 
 
@@ -318,7 +321,7 @@ class Simulation:
         self.cfg = cfg
         self.phy = cfg.phy
         self.stations = _build_stations(cfg)
-        self.traffic_notes = _oversize_notes(self.stations)
+        self.traffic_notes = _traffic_notes(self.stations, cfg.duration_ns)
         self.si_ns, self.divisor = assign_si(
             cfg.beacon_interval_ns, min_msi([s.tspec for s in self.stations]))
         self.admission_notes: list[str] = []

@@ -10,8 +10,6 @@ reproduces the simulator's own exactly.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .engine import PacketRecord, SimReport
 
 SUMMARY_CSV_HEADER = ("scheduler,stations,quality,mean_delay_us,p95_delay_us,"
@@ -70,17 +68,10 @@ def summary_row(report: SimReport) -> str:
     thr = bits * 1e9 / window if window > 0 else 0.0
     delivered = sum(log.delivered for log in logs)
     lost = sum(log.lost for log in logs)
-    # One flow per simulated station, as many as cfg.station_list() holds.
     cfg = report.cfg
-    return (f"{cfg.scheduler},{len(report.flows)},{cfg.quality},"
+    return (f"{cfg.scheduler},{cfg.stations},{cfg.quality},"
             f"{_fmt_us(mean_ns)},{_fmt_us(p95_ns)},{_fmt_us(max_ns)},"
             f"{thr:.1f},{delivered},{lost},{report.counters.overruns}")
-
-
-def keyed_row(report: SimReport) -> tuple:
-    """(sort key, summary_row) of one run; the key orders summary.csv rows
-    by scheduler, then by station count."""
-    return (report.cfg.scheduler, len(report.flows)), summary_row(report)
 
 
 def _template_key(cfg):
@@ -88,21 +79,23 @@ def _template_key(cfg):
             cfg.loss_p, cfg.qs_exact, cfg.overhead_mode, cfg.throughput_window)
 
 
-def summary_csv(cfgs, keyed_rows) -> str:
-    """Summary CSV from the keyed_row of each run of the scenarios cfgs: one
-    row per run, sorted by key. The scenarios must share one template."""
+def summary_csv(cfgs, rows) -> str:
+    """Summary CSV from the summary_row of each run of the scenarios cfgs,
+    sorted by scheduler, then by station count. The scenarios must share
+    one template."""
+    cfgs = list(cfgs)
     keys = {_template_key(cfg) for cfg in cfgs}
     if len(keys) > 1:
         raise ValueError(f"reports mix {len(keys)} incompatible scenario templates")
-    rows = sorted(keyed_rows, key=itemgetter(0))
-    return "\n".join([SUMMARY_CSV_HEADER] + [row for _, row in rows]) + "\n"
+    runs = sorted(zip(cfgs, rows), key=lambda run: (run[0].scheduler, run[0].stations))
+    return "\n".join([SUMMARY_CSV_HEADER] + [row for _, row in runs]) + "\n"
 
 
 def summarize(reports) -> str:
     """Summary CSV for a sweep: one row per (scheduler, station count),
     sorted. Reports must come from the same scenario template."""
     reports = list(reports)
-    return summary_csv([r.cfg for r in reports], map(keyed_row, reports))
+    return summary_csv([r.cfg for r in reports], map(summary_row, reports))
 
 
 def parse_packets_csv(text: str) -> list[PacketRecord]:

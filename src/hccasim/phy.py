@@ -30,8 +30,8 @@ def tx_duration_ns(bits: int, rate_bps: int) -> int:
     return _ceil_div(bits * NS_PER_S, rate_bps)
 
 
-class PhyParamError(ValueError):
-    """A PhyParams field out of range; `field` names the attribute."""
+class FieldError(ValueError):
+    """A config object's field out of range; `field` names the attribute."""
 
     def __init__(self, fieldname: str, message: str):
         super().__init__(f"{fieldname} {message}")
@@ -57,14 +57,14 @@ class PhyParams:
     def __post_init__(self):
         for name in ("data_rate_bps", "basic_rate_bps"):
             if getattr(self, name) <= 0:
-                raise PhyParamError(name, "must be positive")
+                raise FieldError(name, "must be positive")
         if self.basic_rate_bps > self.data_rate_bps:
-            raise PhyParamError("basic_rate_bps", f"{self.basic_rate_bps} exceeds "
-                                f"data_rate_bps {self.data_rate_bps}")
+            raise FieldError("basic_rate_bps", f"{self.basic_rate_bps} exceeds "
+                             f"data_rate_bps {self.data_rate_bps}")
         for name in ("sifs_ns", "preamble_bits", "plcp_header_bits",
                      "mac_header_bytes", "ack_frame_bytes", "poll_frame_bytes"):
             if getattr(self, name) < 0:
-                raise PhyParamError(name, "must be >= 0")
+                raise FieldError(name, "must be >= 0")
 
     # Component times used by both the duration model and the TXOP overhead.
     def phy_header_ns(self) -> int:

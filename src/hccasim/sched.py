@@ -12,20 +12,11 @@ import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .phy import NS_PER_S, PhyParams, data_tx_time, tx_duration_ns, txop_overhead
+from .phy import NS_PER_S, FieldError, PhyParams, data_tx_time, tx_duration_ns, txop_overhead
 
 OVERHEAD_PER_MSDU = "per_msdu"   # default: overhead scales with the MSDU count
 OVERHEAD_LUMPED = "lumped"       # single per-TXOP overhead regardless of count
 OVERHEAD_MODES = (OVERHEAD_PER_MSDU, OVERHEAD_LUMPED)
-
-
-class TspecError(ValueError):
-    """A Tspec field out of range; `field` names the attribute."""
-
-    def __init__(self, fieldname: str, message: str):
-        super().__init__(f"{fieldname} {message}")
-        self.field = fieldname
-        self.detail = message
 
 
 @dataclass(frozen=True)
@@ -42,12 +33,12 @@ class Tspec:
     def __post_init__(self):
         for f in fields(self):
             if getattr(self, f.name) <= 0:
-                raise TspecError(f.name, "must be positive")
+                raise FieldError(f.name, "must be positive")
         if self.nominal_msdu_bytes > self.max_msdu_bytes:
-            raise TspecError("max_msdu_bytes", f"{self.max_msdu_bytes} is below the nominal "
+            raise FieldError("max_msdu_bytes", f"{self.max_msdu_bytes} is below the nominal "
                              f"MSDU size {self.nominal_msdu_bytes}")
         if self.max_service_interval_ns > self.delay_bound_ns:
-            raise TspecError("max_service_interval_ns", "must not exceed the delay bound")
+            raise FieldError("max_service_interval_ns", "must not exceed the delay bound")
 
 
 # Jurassic Park 1 MPEG-4 presets: (rho bit/s, L bytes, M bytes, D, MSI, R).

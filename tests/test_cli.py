@@ -216,6 +216,42 @@ def test_unwritable_output_fails_nonzero(tmp_path, capsys):
     assert "out" in stderr or "blocker" in stderr
 
 
+def test_trace_stats_has_no_quiet_flag(fragment_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["trace-stats", str(fragment_path), "--quiet"])
+    assert e.value.code == 2
+    assert "--quiet" in capsys.readouterr().err
+
+
+def test_simulate_warns_about_streams_that_never_start(tmp_path, capsys):
+    # Traffic starts at 20 s: a 10 s run used to end with an empty row and
+    # no word why.
+    out = tmp_path / "o"
+    code, _, stderr = run_cli(capsys, "simulate", "--set", "duration_s=10", "--out", str(out))
+    assert code == 0
+    assert stderr == ("warning: flow 0: traffic starts at 20 s, not before the end of "
+                      "the run at 10 s; it sends nothing\n")
+    assert (out / "summary.csv").read_text().splitlines()[1] == \
+        "reference,1,custom,,,,0.0,0,0,0"
+    # Only the stations that start too late are named; the note changes no output.
+    argv = ["--set", "stations=3", "--set", "duration_s=24", "--set", "traffic.stagger_ms=3000"]
+    code, _, stderr = run_cli(capsys, "simulate", *argv, "--out", str(out))
+    assert code == 0
+    assert [l.split(":")[1] for l in stderr.splitlines()] == [" flow 2"]
+    assert "starts at 26 s" in stderr
+    report = engine.run(load_scenario(write_config(tmp_path, stations=3, duration_s=24,
+                                                   traffic={"stagger_ms": 3000})))
+    assert (out / "packets.csv").read_text() == report.packets_csv()
+    assert (out / "summary.csv").read_text() == summarize([report])
+
+
+def test_sweep_warns_once_about_streams_that_never_start(tmp_path, capsys):
+    code, _, stderr = run_cli(capsys, "sweep", "--set", "duration_s=10", "--stations", "1..2",
+                              "--out", str(tmp_path / "s"))
+    assert code == 0
+    assert [l.split(":")[1] for l in stderr.splitlines()] == [" flow 0", " flow 1"]
+
+
 def test_quiet_suppresses_status(tmp_path, capsys):
     cfg = write_config(tmp_path, preset="cbr-nominal", duration_s=20.5)
     code, stdout, _ = run_cli(capsys, "simulate", "--config", cfg, "--quiet",

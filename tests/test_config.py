@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import re
 from dataclasses import replace
@@ -5,8 +6,9 @@ from dataclasses import replace
 import pytest
 
 from hccasim import config, engine
-from hccasim.config import ConfigError, TrafficConfig, apply_overrides, scenario_from_dict
-from hccasim.phy import PhyParams
+from hccasim.config import (ConfigError, ScenarioConfig, TrafficConfig, apply_overrides,
+                            scenario_from_dict)
+from hccasim.phy import FieldError, PhyParams
 from hccasim.sched import tspec_preset
 from hccasim.traffic import TraceParseError
 
@@ -110,15 +112,54 @@ def test_every_file_key_parses_or_names_itself(name, build):
             assert not isinstance(value, (list, dict)), value
 
 
+# Twenty values that each key either takes or refuses, and inputs beyond one
+# key: station lists, run sizes, missing TSPEC keys.
+PROBE_VALUES = ([1], {"a": 1}, float("inf"), float("nan"), 1e303, -1e303, "abc", "",
+                None, True, False, 0, -1, 0.5, -0.5, 2.0, 1e-9, "a,b", "IXB", "trace")
+PROBE_SCENARIOS = [
+    [], 3, {"stations": []}, {"stations": [{}, 3]}, {"stations": [{}] * 13},
+    {"stations": [{"traffic": {"kind": "trace"}}]},
+    {"stations": [{"traffic": {"kind": "trace", "path": "t.txt"}}],
+     "traffic": {"frame_interval_ms": 1e-6}},
+    {"duration_s": 40, "traffic": {"frame_interval_ms": 1e-6}},
+    {"duration_s": 40, "beacon_interval_ms": 1e-4},
+    {"duration_s": 1e6, "stations": 12},
+    {"preset": "cbr-nominal", "traffic": {"pattern": "IPX"}},
+    {"scheduler": "rr", "stations": [{"bogus": 1}]},
+    {"phy": {"basic_rate_bps": 2e7}}, {"tspec": dict(INLINE_TSPEC, msi_ms=100)},
+    {"stations": [{"tspec": dict(INLINE_TSPEC, max_bytes=400)}]},
+] + [{"tspec": {k: v for k, v in INLINE_TSPEC.items() if k != key}} for key in INLINE_TSPEC]
+# sha256 of every probe's outcome. Messages quote CPython's own float() and
+# int() errors, so the hash is tied to their wording (Python 3.11).
+ERROR_TEXT_SHA256 = "93b7fa17347a7619d12f3584a2d0fcaead21b98a71287912f92189c417599d2b"
+
+
+def _probe_outcomes():
+    def outcome(raw):
+        try:
+            scenario_from_dict(raw)
+        except ConfigError as e:
+            return str(e)
+        return "ok"
+    for name, build in FILE_KEYS:
+        for value in PROBE_VALUES:
+            yield f"{name}\t{value!r}\t{outcome(build(value))}"
+    for raw in PROBE_SCENARIOS:
+        yield f"{raw!r}\t{outcome(raw)}"
+
+
+def test_error_text_is_pinned():
+    text = "\n".join(_probe_outcomes())
+    assert hashlib.sha256(text.encode()).hexdigest() == ERROR_TEXT_SHA256
+
+
 def test_stations_warning_counts_the_stations_simulated():
     cfg = scenario_from_dict({"stations": [{}] * 13, "duration_s": 21})
     assert config.stations_warning(cfg) == \
         "stations=13 is outside the validated 1..12 preset range"
-    # A config built in code may give its stations in station_specs alone.
-    cfg = replace(cfg, stations=1)
-    assert len(engine.Simulation(cfg).stations) == 13
-    assert config.stations_warning(cfg) == \
-        "stations=13 is outside the validated 1..12 preset range"
+    # A config built in code cannot give a count its station_specs disagree with.
+    with pytest.raises(ConfigError, match="^stations: 1 does not match the 13 station_specs$"):
+        replace(cfg, stations=1)
     assert config.stations_warning(scenario_from_dict({"stations": 12})) is None
 
 
@@ -145,12 +186,22 @@ def test_admission_accepts_yaml_booleans():
 
 def test_validation_field_names():
     for key, bad in [("scheduler", "rr"), ("beacon_interval_ms", 0),
-                     ("duration_s", -1), ("loss_p", -0.1),
+                     ("duration_s", -1), ("loss_p", -0.1), ("loss_p", 2.0),
                      ("overhead_mode", "x"), ("throughput_window", "x"),
                      ("on_reject", "x"), ("quality", "a,b"), ("quality", "a\rb"),
-                     ("quality", "a\nb")]:
+                     ("quality", "a\nb"), ("stations", 0), ("traffic_start_s", -1),
+                     ("admission", "x")]:
         with pytest.raises(ConfigError, match=key):
             scenario_from_dict({key: bad})
+        # Built in code, the same value is refused at construction.
+        attr, cast = config._SCENARIO_KEYS[key]
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            replace(ScenarioConfig(), **{attr: cast(bad, key)})
+    # A count that disagrees with the station list, in either direction.
+    specs = scenario_from_dict({"stations": [{}] * 13, "duration_s": 21}).station_specs
+    for n in (1, 12, 14):
+        with pytest.raises(ConfigError, match=f"^stations: {n} does not match the 13 "):
+            ScenarioConfig(stations=n, station_specs=specs, duration_ns=21 * 10**9)
 
 
 def test_strict_scalar_casts():
@@ -172,6 +223,19 @@ def test_traffic_fields_validated_at_load():
                      ("seed", 0.5)]:
         with pytest.raises(ConfigError, match=rf"^traffic\.{key}:"):
             scenario_from_dict({"preset": "vbr-high", "traffic": {key: bad}})
+        # Built in code, a value of the right type is refused at construction.
+        attr, cast = config._TRAFFIC_KEYS[key]
+        try:
+            value = cast(bad, key)
+        except (TypeError, ValueError):
+            continue
+        with pytest.raises(FieldError, match=f"^{attr} ") as e:
+            replace(TrafficConfig(), **{attr: value})
+        assert e.value.field == attr
+    with pytest.raises(FieldError, match="^kind must be 'synth' or 'trace', got 'bogus'$"):
+        TrafficConfig(kind="bogus")
+    with pytest.raises(FieldError, match="^path required when kind is 'trace'$"):
+        TrafficConfig(kind="trace")
     assert scenario_from_dict({"traffic": {"seed": None}}).traffic.seed is None
 
 
@@ -237,6 +301,10 @@ def test_run_size_limit_names_the_field():
     # Trace stations are bounded by their file and not counted.
     scenario_from_dict({"duration_s": 40, "traffic": {
         "kind": "trace", "path": "t.txt", "frame_interval_ms": 1e-6}})
+    # Nor is a scenario-wide synthetic traffic that every station overrides.
+    cfg = scenario_from_dict({"duration_s": 40, "traffic": {"frame_interval_ms": 1e-6},
+                              "stations": [{"traffic": {"kind": "trace", "path": "t.txt"}}] * 2})
+    assert [spec.traffic.kind for spec in cfg.station_list()] == ["trace", "trace"]
 
 
 def test_run_size_limit_boundary():
@@ -252,10 +320,9 @@ def test_run_size_limit_boundary():
 
 
 def test_engine_checks_run_size_of_unvalidated_configs():
-    cfg = replace(scenario_from_dict({"duration_s": 600}),
-                  traffic=replace(TrafficConfig(), frame_interval_ns=1))
+    cfg = scenario_from_dict({"duration_s": 600})
     with pytest.raises(ConfigError, match="traffic.frame_interval_ms"):
-        engine.Simulation(cfg)
+        replace(cfg, traffic=replace(TrafficConfig(), frame_interval_ns=1))
 
 
 def test_config_error_survives_pickling():

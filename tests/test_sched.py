@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hccasim.phy import NS_PER_MS, data_tx_time, txop_overhead
-from hccasim.sched import (AdmissionState, Tspec, TspecError, adaptive_txop, admit,
+from hccasim.phy import NS_PER_MS, FieldError, data_tx_time, txop_overhead
+from hccasim.sched import (AdmissionState, Tspec, adaptive_txop, admit,
                            assign_si, min_msi, minimal_txop, msdu_count, reference_txop,
                            tspec_preset)
 
@@ -38,7 +38,7 @@ def test_tspec_validation():
             ({"R": -1}, "phys_rate_bps"),
             ({"L": 5000, "M": 4000}, "max_msdu_bytes"),                # nominal above max
             ({"msi": 100 * MS, "D": 80 * MS}, "max_service_interval_ns")]:  # MSI above D
-        with pytest.raises(TspecError, match=f"^{field} ") as e:
+        with pytest.raises(FieldError, match=f"^{field} ") as e:
             make_tspec(**kwargs)
         assert e.value.field == field
         assert isinstance(e.value, ValueError)
