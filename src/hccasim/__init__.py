@@ -1,4 +1,4 @@
-"""hccasim: discrete-event simulator of IEEE 802.11e HCCA polling with a
+"""hccasim: deterministic simulator of IEEE 802.11e HCCA polling with a
 mean-based reference TXOP scheduler and a next-frame-size adaptive one."""
 
 from .config import ScenarioConfig, TrafficConfig, load_scenario, scenario_from_dict

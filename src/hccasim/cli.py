@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import engine, metrics
@@ -132,6 +131,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """A process pool of max_workers. concurrent.futures is imported here,
+    when a sweep starts a pool, so that no other command pays for it."""
+    from concurrent.futures import ProcessPoolExecutor as Pool
+
+    return Pool(max_workers=max_workers)
+
+
 def _run_cells(cells) -> list:
     """_run_cell of every cell, in cell order."""
     workers = min(len(cells), _usable_cpus())
@@ -194,12 +201,14 @@ def cmd_trace_stats(args) -> int:
 def cmd_validate(args) -> int:
     try:
         cfg = _load_config(args)
-        engine.load_station_traces(cfg)  # resolve and parse referenced trace files too
+        notes = engine.traffic_notes(cfg)  # parses referenced trace files too
     except ConfigError as e:
         return _fail(str(e))
     warn = stations_warning(cfg)
     if warn:
         _warn(warn)
+    for note in notes:
+        _warn(note)
     _say(args, "config ok")
     return EXIT_OK
 

@@ -13,7 +13,8 @@ nanoseconds. Each file mapping is read by `_read` from a table of its
 keys, and `_scaled` does every unit conversion.
 
 Every config object checks itself on construction, also in code and in
-`dataclasses.replace`. `PhyParams`, `Tspec` and `TrafficConfig` raise a
+`dataclasses.replace`: each field's type first (`phy.check_types`), then
+its range. `PhyParams`, `Tspec` and `TrafficConfig` raise a
 `phy.FieldError` naming the attribute, which `_section` renames to its
 file key; `ScenarioConfig` raises `ConfigError` naming the file key.
 """
@@ -26,7 +27,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import yaml
 
-from .phy import NS_PER_MS, NS_PER_S, NS_PER_US, FieldError, PhyParams
+from .phy import NS_PER_MS, NS_PER_S, NS_PER_US, FieldError, PhyParams, check_types
 from .sched import OVERHEAD_MODES, OVERHEAD_PER_MSDU, TSPEC_PRESETS, Tspec
 from .traffic import FRAME_TYPES
 
@@ -70,6 +71,7 @@ class TrafficConfig:
     path: str | None = None                # trace file for kind="trace"
 
     def __post_init__(self):
+        check_types(self)
         if self.kind not in ("synth", "trace"):
             raise FieldError("kind", f"must be 'synth' or 'trace', got {self.kind!r}")
         if self.kind == "trace" and not self.path:
@@ -95,6 +97,9 @@ class StationSpec:
     traffic: TrafficConfig
     tspec: Tspec
 
+    def __post_init__(self):
+        check_types(self)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -118,6 +123,12 @@ class ScenarioConfig:
     station_specs: tuple = ()              # one StationSpec per station; empty = uniform
 
     def __post_init__(self):
+        try:
+            check_types(self)
+        except FieldError as e:
+            raise ConfigError(_file_key(_SCENARIO_KEYS, e.field), e.detail) from None
+        if not all(isinstance(spec, StationSpec) for spec in self.station_specs):
+            raise ConfigError("station_specs", "must hold StationSpec entries only")
         if self.scheduler not in SCHEDULERS:
             raise ConfigError("scheduler",
                               f"must be one of {SCHEDULERS}, got {self.scheduler!r}")
@@ -285,8 +296,9 @@ def _tspec_from(value, section: str) -> Tspec:
 
 
 def _file_key(table: dict, attr: str) -> str:
-    """The file key that table reads into attribute attr."""
-    return next(key for key, (name, _) in table.items() if name == attr)
+    """The file key that table reads into attribute attr; attr itself for
+    an attribute no file key sets (ScenarioConfig.station_specs)."""
+    return next((key for key, (name, _) in table.items() if name == attr), attr)
 
 
 _TRAFFIC_KEYS = {

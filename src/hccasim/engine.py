@@ -1,4 +1,4 @@
-"""Deterministic discrete-event simulation of the HCCA polling loop.
+"""Deterministic simulation of the HCCA polling loop.
 
 One Controlled Access Phase (CAP) runs at every service-interval (SI)
 boundary. The HC polls the active stations in admission (FIFO) order; a
@@ -37,7 +37,8 @@ import io
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice, repeat
+from operator import is_not
 from typing import Sequence
 
 from . import phy as phylib
@@ -140,7 +141,8 @@ class FlowLog:
 
     @property
     def delivered_bytes(self) -> int:
-        return sum(s for s, r in zip(self.sizes, self.recv_ns) if r is not None)
+        # The mask and the sum run in C: the received frames' sizes.
+        return sum(compress(self.sizes, map(is_not, self.recv_ns, repeat(None))))
 
     def conserved(self) -> bool:
         return self.generated == self.delivered + self.lost + self.queued_end
@@ -154,6 +156,8 @@ class FlowLog:
         return zip(self.seqs, self.gen_ns(), self.recv_ns, self.sizes)
 
     def delays_ns(self) -> list[int]:
+        # A comprehension, not map(operator.sub) over a compressed mask: the
+        # interpreter's specialised int subtraction makes it the faster one.
         return [recv - gen for gen, recv in zip(self.gen_ns(), self.recv_ns)
                 if recv is not None]
 
@@ -316,6 +320,13 @@ def _traffic_notes(stations, dur_ns: int) -> list[str]:
     return notes
 
 
+def traffic_notes(cfg: ScenarioConfig) -> list[str]:
+    """The traffic notes a run of cfg gives, without running it. It builds
+    every station's schedule, so an unreadable trace file is a ConfigError
+    here as in a run."""
+    return _traffic_notes(_build_stations(cfg), cfg.duration_ns)
+
+
 class Simulation:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -358,10 +369,11 @@ class Simulation:
         record_polls, polls = cfg.record_polls, []
         draw = random.Random(cfg.seed).random
 
-        # PHY and grant constants, once per run. Frame air times and the
-        # adaptive and minimal grants below expand phylib.data_tx_time and
-        # sched.adaptive_txop / minimal_txop with them, writing
-        # ceil(bits * 1e9 / rate) as -(-bits * 1e9 // rate).
+        # PHY and grant constants, once per run. Frame air times, the
+        # adaptive and minimal grants and the queue-size report below expand
+        # phylib.data_tx_time, sched.adaptive_txop / minimal_txop and
+        # decode_qs(encode_qs(size)) with them, writing ceil(bits * 1e9 /
+        # rate) as -(-bits * 1e9 // rate).
         poll_lead = phylib.ctrl_tx_time(p.poll_frame_bytes, p) + p.sifs_ns
         ack_ifs = p.sifs_ns + phylib.ctrl_tx_time(p.ack_frame_bytes, p) + p.sifs_ns
         beacon_air = phylib.ctrl_tx_time(BEACON_FRAME_BYTES, p)
@@ -372,7 +384,9 @@ class Simulation:
         data_rate = p.data_rate_bps
         txop_o1 = phylib.txop_overhead(1, p)
         minimal_grant = txop_o1 + null_air
-        polled = [(st, st.tspec.phys_rate_bps, st.sizes, st.recv_ns) for st in self.stations]
+        qs_unit, qs_cap = QS_UNIT_BYTES, QS_MAX_UNITS * QS_UNIT_BYTES
+        polled = [(st, st.tspec.phys_rate_bps, st.sizes, st.recv_ns, st.start, st.interval,
+                   st.n, st.ref_txop_ns) for st in self.stations]
 
         n_beacons = n_caps = n_overruns = n_null = 0
         n_reference = n_adaptive = n_fallback = n_minimal = 0
@@ -388,22 +402,22 @@ class Simulation:
             t = max(t_cap, busy_until)
             grant_sum = 0
             overran = False
-            for st, phys_rate, sizes, log in polled:
+            for st, phys_rate, sizes, log, start, interval, n_frames, ref_txop in polled:
                 if t >= dur:
                     break
-                start = st.start
                 if t < start:
                     continue  # stream not set up yet; not on the polling list
-                n_frames = st.n
                 # Frames generated by t_cap; <= 0 while the CAP fell due
                 # before the stream started.
-                arrived = min(n_frames, (t_cap - start) // st.interval + 1)
+                arrived = (t_cap - start) // interval + 1
+                if arrived > n_frames:
+                    arrived = n_frames
 
                 if not adaptive:
-                    grant, branch = st.ref_txop_ns, "reference"
+                    grant, branch = ref_txop, "reference"
                     n_reference += 1
                 elif not st.feedback_valid:
-                    grant, branch = st.ref_txop_ns, "fallback"
+                    grant, branch = ref_txop, "fallback"
                     n_fallback += 1
                 elif st.reported_bytes:
                     grant = txop_o1 - (-st.reported_bytes * bit_ns) // phys_rate
@@ -447,9 +461,15 @@ class Simulation:
                 st.feedback_valid = received
                 if received:
                     # Each received frame reports the frame queued behind it;
-                    # the last one received sets the next grant.
-                    next_size = sizes[reported_at] if reported_at < n_frames else 0
-                    st.reported_bytes = decode_qs(encode_qs(next_size, exact), exact)
+                    # the last one received sets the next grant. Nothing is
+                    # reported past the last frame.
+                    if reported_at >= n_frames:
+                        st.reported_bytes = 0
+                    elif exact:
+                        st.reported_bytes = sizes[reported_at]
+                    else:
+                        reported = -(-sizes[reported_at] // qs_unit) * qs_unit
+                        st.reported_bytes = reported if reported < qs_cap else qs_cap
                 if record_polls:
                     polls.append(PollRecord(st.flow, t, grant, tx - t, branch, nt - first))
                 t += grant

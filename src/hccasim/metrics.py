@@ -66,8 +66,8 @@ def summary_row(report: SimReport) -> str:
     # Same arithmetic as aggregate_throughput, over the logged bytes.
     bits = sum(log.delivered_bytes for log in logs) * 8
     thr = bits * 1e9 / window if window > 0 else 0.0
-    delivered = sum(log.delivered for log in logs)
     lost = sum(log.lost for log in logs)
+    delivered = sum(len(log.recv_ns) for log in logs) - lost
     cfg = report.cfg
     return (f"{cfg.scheduler},{cfg.stations},{cfg.quality},"
             f"{_fmt_us(mean_ns)},{_fmt_us(p95_ns)},{_fmt_us(max_ns)},"

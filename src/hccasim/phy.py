@@ -10,7 +10,10 @@ rate.
 
 from __future__ import annotations
 
+import types
+import typing
 from dataclasses import dataclass
+from functools import cache
 
 NS_PER_S = 1_000_000_000
 NS_PER_MS = 1_000_000
@@ -39,6 +42,28 @@ class FieldError(ValueError):
         self.detail = message
 
 
+@cache
+def _field_types(cls) -> dict:
+    """Attribute -> the types its annotation accepts; a float field takes
+    an int too."""
+    accepted = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        accepted[name] = kinds + (int,) if float in kinds else kinds
+    return accepted
+
+
+def check_types(obj) -> None:
+    """Raise a FieldError naming the first field of the dataclass obj whose
+    value is not of its annotated type, before any range check compares it.
+    A bool passes only for a bool field, as in a file."""
+    for name, kinds in _field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            names = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
+            raise FieldError(name, f"must be {names}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhyParams:
     """PHY/MAC constants. Defaults: SIFS 10 us, 144-bit preamble, 48-bit
@@ -55,6 +80,7 @@ class PhyParams:
     poll_frame_bytes: int = 36
 
     def __post_init__(self):
+        check_types(self)
         for name in ("data_rate_bps", "basic_rate_bps"):
             if getattr(self, name) <= 0:
                 raise FieldError(name, "must be positive")

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .phy import NS_PER_S, FieldError, PhyParams, data_tx_time, tx_duration_ns, txop_overhead
+from .phy import (NS_PER_S, FieldError, PhyParams, check_types, data_tx_time,
+                  tx_duration_ns, txop_overhead)
 
 OVERHEAD_PER_MSDU = "per_msdu"   # default: overhead scales with the MSDU count
 OVERHEAD_LUMPED = "lumped"       # single per-TXOP overhead regardless of count
@@ -31,6 +32,7 @@ class Tspec:
     phys_rate_bps: int             # R
 
     def __post_init__(self):
+        check_types(self)
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise FieldError(f.name, "must be positive")

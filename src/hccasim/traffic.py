@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import cycle, islice
 
 from .phy import NS_PER_MS
 
@@ -199,11 +200,11 @@ def synth_sizes(gop_pattern: str, base_sizes: tuple[int, int, int], jitter: floa
     if any(b <= 0 for b in base.values()):
         raise ValueError("base sizes must be positive")
     bases = [base[ftype] for ftype in pattern]
-    period = len(bases)
     # -1.0 + 2.0 * random() is exactly what random.uniform(-1.0, 1.0) returns.
+    # The product is > 0 (base >= 1, jitter < 1), so `or 1` is the floor at 1.
     rand = random.Random(rng_seed).random
-    return [max(1, round(bases[k % period] * (1.0 + (-1.0 + 2.0 * rand()) * jitter)))
-            for k in range(n_frames)]
+    return [round(b * (1.0 + (-1.0 + 2.0 * rand()) * jitter)) or 1
+            for b in islice(cycle(bases), n_frames)]
 
 
 def synth_trace(gop_pattern: str, base_sizes: tuple[int, int, int], jitter: float,

@@ -245,6 +245,21 @@ def test_simulate_warns_about_streams_that_never_start(tmp_path, capsys):
     assert (out / "summary.csv").read_text() == summarize([report])
 
 
+def test_validate_warns_about_streams_that_never_start(tmp_path, capsys):
+    # validate says what simulate would warn about, and still passes the config.
+    code, stdout, stderr = run_cli(capsys, "validate", "--set", "duration_s=10")
+    assert code == 0
+    assert stdout == "config ok\n"
+    assert stderr == ("warning: flow 0: traffic starts at 20 s, not before the end of "
+                      "the run at 10 s; it sends nothing\n")
+    code, _, stderr = run_cli(capsys, "validate", "--set", "preset=vbr-high",
+                              "--set", "traffic.i_size=20000", "--set", "duration_s=30")
+    assert code == 0
+    assert stderr.startswith("warning: flow 0: largest frame is ")
+    code, _, stderr = run_cli(capsys, "validate", "--set", "duration_s=22")
+    assert code == 0 and stderr == ""
+
+
 def test_sweep_warns_once_about_streams_that_never_start(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "sweep", "--set", "duration_s=10", "--stations", "1..2",
                               "--out", str(tmp_path / "s"))

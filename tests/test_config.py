@@ -202,6 +202,17 @@ def test_validation_field_names():
     for n in (1, 12, 14):
         with pytest.raises(ConfigError, match=f"^stations: {n} does not match the 13 "):
             ScenarioConfig(stations=n, station_specs=specs, duration_ns=21 * 10**9)
+    # Built in code, a value of the wrong type is refused before any range
+    # check compares it, naming the field.
+    for attr, bad in [("quality", 5), ("stations", "3"), ("stations", True),
+                      ("loss_p", "0.1"), ("qs_exact", 1), ("traffic", {}),
+                      ("station_specs", [])]:
+        with pytest.raises(ConfigError, match=f"^{attr}: must be "):
+            ScenarioConfig(**{attr: bad})
+    with pytest.raises(ConfigError, match="^duration_s: must be int, got 1.5$"):
+        ScenarioConfig(duration_ns=1.5)
+    with pytest.raises(ConfigError, match="^station_specs: must hold StationSpec entries"):
+        ScenarioConfig(stations=1, station_specs=({},))
 
 
 def test_strict_scalar_casts():
@@ -236,6 +247,12 @@ def test_traffic_fields_validated_at_load():
         TrafficConfig(kind="bogus")
     with pytest.raises(FieldError, match="^path required when kind is 'trace'$"):
         TrafficConfig(kind="trace")
+    # Built in code, a value of the wrong type is refused with its name.
+    for attr, bad in [("pattern", 5), ("i_size", "12160"), ("jitter", "0.2"),
+                      ("jitter", True), ("seed", 1.5), ("path", 3)]:
+        with pytest.raises(FieldError, match=f"^{attr} must be ") as e:
+            TrafficConfig(**{attr: bad})
+        assert e.value.field == attr
     assert scenario_from_dict({"traffic": {"seed": None}}).traffic.seed is None
 
 

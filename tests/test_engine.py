@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_scenario
 from hccasim import engine
@@ -234,6 +234,10 @@ def test_grant_always_covers_actual_use():
        phys_rate=st.integers(1_000_000, 54_000_000),
        qs_exact=st.booleans(),
        loss_p=st.sampled_from([0.0, 0.3]))
+# Frames above 65 024 B (254 queue-size units) in quantized mode: their
+# report is capped, and a 2 Mbps TSPEC rate gives grants that still fit them.
+@example(phy=PhyParams(), sizes=(70_000, 20_000, 66_000), jitter=0.0,
+         phys_rate=2_000_000, qs_exact=False, loss_p=0.0)
 def test_timeline_matches_phy_and_sched_formulas(phy, sizes, jitter, phys_rate,
                                                  qs_exact, loss_p):
     # Rebuild one station's whole poll/TXOP timeline from phy.* and sched.*:

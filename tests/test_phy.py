@@ -3,8 +3,8 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, strategies as st
 
-from hccasim.phy import (PhyParams, ctrl_tx_time, data_tx_time, per_msdu_overhead,
-                         tx_duration_ns, txop_overhead)
+from hccasim.phy import (FieldError, PhyParams, ctrl_tx_time, data_tx_time,
+                         per_msdu_overhead, tx_duration_ns, txop_overhead)
 
 
 def test_defaults_match_standard_parameter_table(default_phy):
@@ -30,6 +30,11 @@ def test_validation():
         PhyParams(basic_rate_bps=2_000_000, data_rate_bps=1_000_000)
     with pytest.raises(ValueError):
         PhyParams(sifs_ns=-1)
+    # A value of the wrong type is refused with its name, before the range checks.
+    with pytest.raises(FieldError, match="^sifs_ns must be int, got '10'$"):
+        PhyParams(sifs_ns="10")
+    with pytest.raises(FieldError, match="^data_rate_bps must be int, got 11000000.0$"):
+        PhyParams(data_rate_bps=11e6)
 
 
 # Hand-evaluated from the duration rule: preamble+PLCP at basic rate,

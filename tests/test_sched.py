@@ -37,7 +37,9 @@ def test_tspec_validation():
             ({"msi": 0}, "max_service_interval_ns"),
             ({"R": -1}, "phys_rate_bps"),
             ({"L": 5000, "M": 4000}, "max_msdu_bytes"),                # nominal above max
-            ({"msi": 100 * MS, "D": 80 * MS}, "max_service_interval_ns")]:  # MSI above D
+            ({"msi": 100 * MS, "D": 80 * MS}, "max_service_interval_ns"),  # MSI above D
+            ({"rho": "fast"}, "mean_data_rate_bps"),                    # wrong types
+            ({"L": 3800.0}, "nominal_msdu_bytes")]:
         with pytest.raises(FieldError, match=f"^{field} ") as e:
             make_tspec(**kwargs)
         assert e.value.field == field
