@@ -159,11 +159,14 @@ def test_admission_on_feasible_never_overruns():
 def test_admission_abort_and_run_modes():
     base = dict(preset="vbr-high", scheduler="reference", stations=4,
                 duration_s=22, admission="on")
+    reason = ("utilization 1.3210 exceeds 1.0000 "
+              "(sum TXOP 52841456 ns over SI 40000000 ns)")
     with pytest.raises(SimulationError) as e:
         engine.run(make_scenario(**base))
-    assert "rejected" in str(e.value)
+    assert str(e.value) == (f"admission control rejected flow 3 ({reason}); "
+                            f"set on_reject: run or admission: off to simulate anyway")
     r = engine.run(make_scenario(on_reject="run", **base))
-    assert len(r.admission_notes) == 1       # only the 4th flow fails Eq. (5)
+    assert r.admission_notes == [f"flow 3 rejected: {reason}"]  # only the 4th fails Eq. (5)
     assert total(r, "delivered") > 0
 
 
