@@ -44,7 +44,7 @@ from typing import Sequence
 from . import phy as phylib
 from .config import ConfigError, ScenarioConfig
 from .phy import NS_PER_S
-from .sched import AdmissionState, admit, assign_si, min_msi, reference_txop
+from .sched import admit, assign_si, min_msi, reference_txop
 from .traffic import load_trace, synth_sizes
 
 BEACON_FRAME_BYTES = 60       # management frame, sent at basic rate
@@ -328,37 +328,32 @@ def traffic_notes(cfg: ScenarioConfig) -> list[str]:
 
 
 class Simulation:
+    """A run's set-up: the stations with their traffic schedules, the SI
+    and divisor, each station's reference grant, and the traffic and
+    admission notes; run() then simulates it. It stays a class, not a
+    function, because perfbench/child.py's set-up probe builds
+    engine.Simulation(cfg) and traces __init__ and run apart."""
+
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.phy = cfg.phy
         self.stations = _build_stations(cfg)
         self.traffic_notes = _traffic_notes(self.stations, cfg.duration_ns)
-        self.si_ns, self.divisor = assign_si(
-            cfg.beacon_interval_ns, min_msi([s.tspec for s in self.stations]))
-        self.admission_notes: list[str] = []
+        tspecs = [s.tspec for s in self.stations]
+        self.si_ns, self.divisor = assign_si(cfg.beacon_interval_ns, min_msi(tspecs))
         for st in self.stations:
             st.ref_txop_ns = reference_txop(st.tspec, self.si_ns, self.phy,
                                             cfg.overhead_mode)
-        self._run_admission()
-
-    def _run_admission(self):
-        if self.cfg.admission != "on":
-            return
-        state = AdmissionState(self.cfg.beacon_interval_ns)
         rejected = []
-        for st in self.stations:
-            decision = admit(state, st.tspec, self.phy,
-                             self.cfg.overhead_mode, flow_id=st.flow)
-            if decision.accepted:
-                state = decision.state
-            else:
-                rejected.append((st.flow, decision.reason))
-        for flow, reason in rejected:
-            self.admission_notes.append(f"flow {flow} rejected: {reason}")
-        if rejected and self.cfg.on_reject == "abort":
-            flow, reason = rejected[0]
+        if cfg.admission == "on":
+            verdicts = admit(tspecs, cfg.beacon_interval_ns, self.phy, cfg.overhead_mode)
+            rejected = [(st.flow, why) for st, why in zip(self.stations, verdicts)
+                        if why is not None]
+        self.admission_notes = [f"flow {flow} rejected: {why}" for flow, why in rejected]
+        if rejected and cfg.on_reject == "abort":
+            flow, why = rejected[0]
             raise SimulationError(
-                f"admission control rejected flow {flow} ({reason}); "
+                f"admission control rejected flow {flow} ({why}); "
                 f"set on_reject: run or admission: off to simulate anyway")
 
     def run(self) -> SimReport:

@@ -1,6 +1,6 @@
 """TXOP scheduling math: TSPEC model, service-interval assignment,
 per-stream TXOP computation for the reference (mean-based) and adaptive
-(next-frame-size) schedulers, and the admission control unit.
+(next-frame-size) schedulers, and admission control.
 
 Times are integer nanoseconds throughout; the admission inequality is
 evaluated exactly in integers, never in floats.
@@ -8,9 +8,7 @@ evaluated exactly in integers, never in floats.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
-from fractions import Fraction
+from dataclasses import dataclass, fields
 
 from .phy import (NS_PER_S, FieldError, PhyParams, check_types, data_tx_time,
                   tx_duration_ns, txop_overhead)
@@ -60,21 +58,6 @@ def tspec_preset(name: str) -> Tspec:
         ) from None
 
 
-@dataclass
-class AdmissionState:
-    """Admitted flows plus the beacon interval whose time they share."""
-
-    beacon_interval_ns: int
-    admitted: list = field(default_factory=list)   # [(flow_id, Tspec, txop_ns)]
-
-
-@dataclass(frozen=True)
-class AdmissionDecision:
-    accepted: bool
-    reason: str | None
-    state: AdmissionState
-
-
 def min_msi(tspecs) -> int:
     """Smallest maximum service interval over the given streams."""
     tspecs = list(tspecs)
@@ -98,12 +81,12 @@ def assign_si(beacon_ns: int, msi_min_ns: int) -> tuple[int, int]:
 
 def msdu_count(si_ns: int, t: Tspec) -> int:
     """Expected MSDU arrivals per SI at the mean rate: ceil(SI*rho / (L*8)),
-    floored at 1 so every grant carries at least one MSDU's worth of time."""
+    floored at 1 so every grant carries at least one MSDU's worth of time.
+    Exact in integers: rho is the ratio num/den of its float value."""
     if si_ns <= 0:
         raise ValueError("si must be positive")
-    bits_per_si = Fraction(si_ns) * Fraction(t.mean_data_rate_bps) / NS_PER_S
-    n = math.ceil(bits_per_si / (t.nominal_msdu_bytes * 8))
-    return max(1, n)
+    num, den = t.mean_data_rate_bps.as_integer_ratio()
+    return max(1, -(-si_ns * num // (den * NS_PER_S * t.nominal_msdu_bytes * 8)))
 
 
 def reference_txop(t: Tspec, si_ns: int, p: PhyParams,
@@ -137,30 +120,27 @@ def minimal_txop(t: Tspec, p: PhyParams) -> int:
     return txop_overhead(1, p) + data_tx_time(0, p)
 
 
-def admit(state: AdmissionState, candidate: Tspec, p: PhyParams,
-          overhead_mode: str = OVERHEAD_PER_MSDU,
-          flow_id: int | None = None) -> AdmissionDecision:
-    """Admission control: recompute SI over admitted+candidate, recompute every
-    admitted flow's TXOP at the new SI, and accept iff the total fits the SI.
+def admit(tspecs, beacon_ns: int, p: PhyParams,
+          overhead_mode: str = OVERHEAD_PER_MSDU) -> list[str | None]:
+    """Admission control over streams in request order: None for each
+    admitted stream, else the reason it was rejected.
 
-    The acceptance test sum(TXOP_i)/SI <= (T - T_CP)/T, with no contention
-    period reserved (T_CP = 0), is evaluated exactly: with SI = T/x it
-    reduces to sum(TXOP_i) * x <= T.
+    Each candidate is tested against the streams admitted before it: the SI
+    is recomputed over them plus the candidate, every TXOP is recomputed at
+    that SI, and the candidate is admitted iff the total fits the SI. The
+    acceptance test sum(TXOP_i)/SI <= (T - T_CP)/T, with no contention period
+    reserved (T_CP = 0), is evaluated exactly: with SI = T/x it reduces to
+    sum(TXOP_i) * x <= T.
     """
-    if flow_id is None:
-        flow_id = len(state.admitted)
-    tspecs = [t for _, t, _ in state.admitted] + [candidate]
-    si_ns, x = assign_si(state.beacon_interval_ns, min_msi(tspecs))
-    txops = [reference_txop(t, si_ns, p, overhead_mode) for t in tspecs]
-    total = sum(txops)
-    if total * x > state.beacon_interval_ns:
-        reason = (
-            f"utilization {float(total * x) / state.beacon_interval_ns:.4f} exceeds "
-            f"1.0000 (sum TXOP {total} ns over SI {si_ns} ns)"
-        )
-        return AdmissionDecision(False, reason, state)
-    flows = [(fid, t, txop)
-             for (fid, t, _), txop in zip(state.admitted, txops)]
-    flows.append((flow_id, candidate, txops[-1]))
-    new_state = AdmissionState(state.beacon_interval_ns, flows)
-    return AdmissionDecision(True, None, new_state)
+    admitted, verdicts = [], []
+    for cand in tspecs:
+        group = admitted + [cand]
+        si_ns, x = assign_si(beacon_ns, min_msi(group))
+        total = sum(reference_txop(t, si_ns, p, overhead_mode) for t in group)
+        if total * x > beacon_ns:
+            verdicts.append(f"utilization {float(total * x) / beacon_ns:.4f} exceeds "
+                            f"1.0000 (sum TXOP {total} ns over SI {si_ns} ns)")
+        else:
+            admitted.append(cand)
+            verdicts.append(None)
+    return verdicts

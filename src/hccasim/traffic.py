@@ -30,10 +30,11 @@ DEFAULT_FRAME_INTERVAL_NS = 40 * NS_PER_MS
 
 
 class TraceParseError(ValueError):
-    """Raised for malformed trace input; carries the 1-based line number."""
+    """Raised for malformed trace input; carries the 1-based line number, or
+    None for a fault of the whole file."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
         self.detail = message
 
@@ -145,7 +146,7 @@ def parse_trace(stream, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> V
         display.append(time_ms)
         sizes.append(size)
     if not seqs:
-        raise TraceParseError(0, "trace contains no frames")
+        raise TraceParseError(None, "trace contains no frames")
     columns = (seqs, types, display, sizes)
     if seqs != sorted(seqs):
         # A stable index sort: frames with equal seqs keep their input order.

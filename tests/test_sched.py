@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from hccasim.phy import NS_PER_MS, FieldError, data_tx_time, txop_overhead
-from hccasim.sched import (AdmissionState, Tspec, adaptive_txop, admit,
-                           assign_si, min_msi, minimal_txop, msdu_count, reference_txop,
-                           tspec_preset)
+from hccasim.sched import (Tspec, adaptive_txop, admit, assign_si, min_msi, minimal_txop,
+                           msdu_count, reference_txop, tspec_preset)
 
 MS = NS_PER_MS
 MBPS11 = 11_000_000
@@ -15,16 +14,6 @@ MBPS11 = 11_000_000
 
 def make_tspec(rho=7.7e5, L=3800, M=16745, D=80 * MS, msi=40 * MS, R=MBPS11):
     return Tspec(rho, L, M, D, msi, R)
-
-
-def admitted_si(state):
-    """(si_ns, divisor) the admitted set is polled at."""
-    return assign_si(state.beacon_interval_ns, min_msi(t for _, t, _ in state.admitted))
-
-
-def admitted_grants(state):
-    """{flow_id: txop_ns} of the admitted set."""
-    return {fid: txop for fid, _, txop in state.admitted}
 
 
 def test_tspec_validation():
@@ -213,24 +202,15 @@ def _oracle_overhead(n, p):
 
 
 def run_admit_sequence(tspecs, beacon_ns, phy):
-    state = AdmissionState(beacon_ns)
-    decisions = []
-    for i, t in enumerate(tspecs):
-        d = admit(state, t, phy, flow_id=i)
-        decisions.append(d.accepted)
-        if d.accepted:
-            state = d.state
-    return decisions, state
+    """(accept decisions, rejection reasons) of admit over the sequence."""
+    reasons = admit(tspecs, beacon_ns, phy)
+    return [r is None for r in reasons], reasons
 
 
 def test_admit_trivial_accept(default_phy):
-    state = AdmissionState(120 * MS)
-    d = admit(state, tspec_preset("jurassic-high"), default_phy)
-    assert d.accepted
-    si_ns, divisor = admitted_si(d.state)
-    assert si_ns == 40 * MS
-    assert divisor == 3
-    assert len(d.state.admitted) == 1
+    high = tspec_preset("jurassic-high")
+    assert admit([high], 120 * MS, default_phy) == [None]
+    assert assign_si(120 * MS, min_msi([high])) == (40 * MS, 3)
 
 
 def test_admit_rejects_over_budget(default_phy):
@@ -239,20 +219,20 @@ def test_admit_rejects_over_budget(default_phy):
     beacon = si = 100 * MS
     fat = make_tspec(rho=1e5, L=1000, M=24705, msi=si, D=si)
     cand = make_tspec(rho=1e5, L=1000, M=12330, msi=si, D=si)
+    tiny = make_tspec(rho=1e4, L=200, M=200, msi=si, D=si)
     fat_txop = reference_txop(fat, si, default_phy)
     cand_txop = reference_txop(cand, si, default_phy)
+    tiny_txop = reference_txop(tiny, si, default_phy)
     assert abs(5 * fat_txop / si - 0.95) < 0.001
     assert abs(cand_txop / si - 0.10) < 0.001
-    state = AdmissionState(beacon)
-    for i in range(5):
-        d = admit(state, fat, default_phy, flow_id=i)
-        assert d.accepted
-        state = d.state
-    d = admit(state, cand, default_phy)
-    assert not d.accepted
-    assert "exceeds" in d.reason
-    assert d.state is state      # unchanged on reject
-    assert [fid for fid, _, _ in d.state.admitted] == [0, 1, 2, 3, 4]
+    assert 5 * fat_txop + tiny_txop <= si
+    total = 5 * fat_txop + cand_txop
+    reason = (f"utilization {total / si:.4f} exceeds 1.0000 "
+              f"(sum TXOP {total} ns over SI {si} ns)")
+    # The admitted set is unchanged on reject: the second candidate meets
+    # the same five flows, and the tiny stream still fits after both.
+    assert admit([fat] * 5 + [cand, cand, tiny], beacon, default_phy) == \
+        [None] * 5 + [reason, reason, None]
 
 
 def test_admit_low_quality_boundary(default_phy):
@@ -260,9 +240,8 @@ def test_admit_low_quality_boundary(default_phy):
     # flows fit a 120 ms beacon; the sixth must be rejected
     low = tspec_preset("jurassic-low")
     assert reference_txop(low, 40 * MS, default_phy) == 6_962_364
-    decisions, state = run_admit_sequence([low] * 12, 120 * MS, default_phy)
+    decisions, _ = run_admit_sequence([low] * 12, 120 * MS, default_phy)
     assert decisions == [True] * 5 + [False] * 7
-    assert len(state.admitted) == 5
 
 
 def test_admit_matches_oracle_on_presets(default_phy):
@@ -300,55 +279,45 @@ def test_admit_matches_oracle_randomized(default_phy):
 
 
 def test_admit_monotone_in_load(default_phy):
-    # if a state rejects a candidate, a strictly more loaded state does too
+    # if an admitted set rejects a candidate, a strictly more loaded set does too
     rng = random.Random(99)
     beacon = 120 * MS
     for _ in range(50):
         cand = random_tspec(rng)
         flows = [random_tspec(rng) for _ in range(6)]
-        state = AdmissionState(beacon)
         rejected_at = None
-        for i, t in enumerate(flows):
-            d = admit(state, t, default_phy, flow_id=i)
-            if d.accepted:
-                state = d.state
-            probe = admit(state, cand, default_phy, flow_id=99)
+        for i in range(len(flows)):
+            probe = admit(flows[:i + 1] + [cand], beacon, default_phy)[-1]
             if rejected_at is not None:
-                assert not probe.accepted
-            elif not probe.accepted:
+                assert probe is not None
+            elif probe is not None:
                 rejected_at = i
 
 
 def test_admit_recomputes_txops_when_si_shrinks(default_phy):
     # admitted flow whose N*L arm dominates: its TXOP must shrink when a
-    # short-MSI candidate drags the SI down
+    # short-MSI candidate drags the SI down, and only the shrunk TXOP lets
+    # the candidate in
     beacon = 120 * MS
-    heavy = make_tspec(rho=2e6, L=1000, M=1000, msi=40 * MS, D=80 * MS)
-    state = AdmissionState(beacon)
-    d1 = admit(state, heavy, default_phy)
-    assert d1.accepted
-    txop_at_40 = admitted_grants(d1.state)[0]
+    heavy = make_tspec(rho=3e6, L=1000, M=1000, msi=40 * MS, D=80 * MS)
     shortmsi = make_tspec(rho=1e5, L=500, M=500, msi=20 * MS, D=40 * MS)
-    d2 = admit(d1.state, shortmsi, default_phy)
-    assert d2.accepted
-    assert admitted_si(d2.state)[0] == 20 * MS
-    txop_at_20 = admitted_grants(d2.state)[0]
+    assert assign_si(beacon, min_msi([heavy, shortmsi])) == (20 * MS, 6)
+    txop_at_40 = reference_txop(heavy, 40 * MS, default_phy)
+    txop_at_20 = reference_txop(heavy, 20 * MS, default_phy)
+    short_txop = reference_txop(shortmsi, 20 * MS, default_phy)
     assert txop_at_20 < txop_at_40
-    assert txop_at_20 == reference_txop(heavy, 20 * MS, default_phy)
+    assert (txop_at_20 + short_txop) * 6 <= beacon < (txop_at_40 + short_txop) * 6
+    assert admit([heavy], beacon, default_phy) == [None]
+    assert admit([heavy, shortmsi], beacon, default_phy) == [None, None]
 
 
 def test_schedule_grants_fit_si(default_phy):
-    state = AdmissionState(120 * MS)
-    for i in range(12):
-        d = admit(state, tspec_preset("jurassic-low"), default_phy, flow_id=i)
-        if not d.accepted:
-            break
-        state = d.state
-    assert state.admitted
-    grants = admitted_grants(state)
-    si_ns, divisor = admitted_si(state)
-    assert sum(grants.values()) <= si_ns
+    beacon = 120 * MS
+    tspecs = [tspec_preset("jurassic-low")] * 12
+    admitted = [t for t, r in zip(tspecs, admit(tspecs, beacon, default_phy)) if r is None]
+    assert admitted
+    si_ns, divisor = assign_si(beacon, min_msi(admitted))
+    grants = [reference_txop(t, si_ns, default_phy) for t in admitted]
+    assert sum(grants) <= si_ns
     # utilization: sum of TXOP_i / SI
-    assert sum(grants.values()) * divisor / state.beacon_interval_ns <= 1.0
-    # polling order preserved FIFO
-    assert list(grants) == sorted(grants)
+    assert sum(grants) * divisor / beacon <= 1.0

@@ -80,9 +80,12 @@ def test_parse_errors_carry_line_numbers(bad, msg):
     assert e.value.line_no == 2
 
 
-def test_parse_empty_is_an_error():
-    with pytest.raises(TraceParseError):
-        parse_trace(io.StringIO("# nothing here\n"))
+@pytest.mark.parametrize("text", ["", "# nothing here\n", "\n  \n"])
+def test_parse_empty_is_an_error(text):
+    with pytest.raises(TraceParseError) as e:
+        parse_trace(io.StringIO(text))
+    assert str(e.value) == "trace contains no frames"
+    assert e.value.line_no is None
 
 
 def test_round_trip(fragment_path):
