@@ -29,7 +29,7 @@ import yaml
 
 from .phy import NS_PER_MS, NS_PER_S, NS_PER_US, FieldError, PhyParams, check_types
 from .sched import OVERHEAD_MODES, OVERHEAD_PER_MSDU, TSPEC_PRESETS, Tspec
-from .traffic import FRAME_TYPES
+from .traffic import COLUMN_LIMIT, FRAME_TYPES
 
 SCHEDULERS = ("reference", "adaptive")
 VALIDATED_STATION_RANGE = (1, 12)
@@ -81,6 +81,10 @@ class TrafficConfig:
         for name in ("i_size", "p_size", "b_size"):
             if getattr(self, name) <= 0:
                 raise FieldError(name, "must be positive")
+            # A jittered size is below twice its base, so it then fits a
+            # 64-bit frame-size column.
+            if getattr(self, name) >= COLUMN_LIMIT // 2:
+                raise FieldError(name, "must be below 2**62")
         if not 0 <= self.jitter < 1:
             raise FieldError("jitter", "must be in [0, 1)")
         if self.frame_interval_ns <= 0:
@@ -141,6 +145,9 @@ class ScenarioConfig:
             raise ConfigError("beacon_interval_ms", "must be positive")
         if self.duration_ns < 0:
             raise ConfigError("duration_s", "must be >= 0")
+        if self.duration_ns >= COLUMN_LIMIT:
+            # Receive times, at most the duration, are held in a 64-bit column.
+            raise ConfigError("duration_s", "must be below 2**63 ns (about 292 years)")
         if self.traffic_start_ns < 0:
             raise ConfigError("traffic_start_s", "must be >= 0")
         if not 0.0 <= self.loss_p <= 1.0:

@@ -22,10 +22,12 @@ The run is one loop over SI boundaries, with no event queue:
   fixed interval. A CAP sees every frame generated up to the instant it
   fell due, so frames generated while a CAP is under way become pollable
   only from the next CAP.
-* Packet logs are columns: per flow, one receive time (or None for a lost
+* Packet logs are columns: per flow, one receive time (LOST for a lost
   frame) per sent frame. Generation times, sizes and sequence numbers come
   from the station's schedule, and per-packet records are only built on
-  request.
+  request. Every per-frame column is an array('q') (a synthetic
+  schedule's sequence numbers are a range), 8 bytes per value and no int
+  object per frame.
 
 All bookkeeping is in integer nanoseconds; runs are bitwise reproducible
 for a fixed (scenario, seed).
@@ -35,10 +37,11 @@ from __future__ import annotations
 
 import io
 import random
+from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, islice, repeat
-from operator import is_not
+from operator import ne
 from typing import Sequence
 
 from . import phy as phylib
@@ -53,6 +56,8 @@ QS_MAX_UNITS = 254
 GOP_ROTATE_STEP = 5           # per-station GoP phase shift, coprime with 12
 PACKET_CSV_CHUNK_ROWS = 4096  # rows formatted per write: bounds the log text held at once
 SCHEDULE_CACHE_SIZE = 32      # synthetic schedules kept per process: a 1..32-station sweep
+COLUMN_CHUNK = 4096           # values boxed at once when a derived column is filled
+LOST = -1                     # receive time logged for a lost frame; real ones are >= 0
 
 
 class SimulationError(RuntimeError):
@@ -115,25 +120,28 @@ class FlowLog:
     """One flow's packet log as columns, and its counts. seqs and sizes
     list every generated frame: frame k was generated at start_ns + k *
     interval_ns with sequence number seqs[k] and size sizes[k]. The first
-    len(recv_ns) frames were sent; recv_ns[k] is frame k's receive time,
-    None when it was lost. queued_end is the station's backlog at the end
-    of the run, taken from its send cursor rather than from the log."""
+    len(recv_ns) frames were sent; recv_ns is an array('q') whose entry k
+    is frame k's receive time, LOST when it was lost. queued_end is the
+    station's backlog at the end of the run, taken from its send cursor
+    rather than from the log."""
 
     flow: int
     start_ns: int
     interval_ns: int
     seqs: Sequence[int]
     sizes: Sequence[int]
-    recv_ns: list
+    recv_ns: array
     queued_end: int
 
     @property
     def generated(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def lost(self) -> int:
-        return self.recv_ns.count(None)
+        # Counted once: array.count boxes every element, and a run reads
+        # lost for its counters, its conservation check and its summary.
+        return self.recv_ns.count(LOST)
 
     @property
     def delivered(self) -> int:
@@ -142,7 +150,9 @@ class FlowLog:
     @property
     def delivered_bytes(self) -> int:
         # The mask and the sum run in C: the received frames' sizes.
-        return sum(compress(self.sizes, map(is_not, self.recv_ns, repeat(None))))
+        if not self.lost:
+            return sum(islice(self.sizes, len(self.recv_ns)))
+        return sum(compress(self.sizes, map(ne, self.recv_ns, repeat(LOST))))
 
     def conserved(self) -> bool:
         return self.generated == self.delivered + self.lost + self.queued_end
@@ -152,14 +162,20 @@ class FlowLog:
                      self.interval_ns)
 
     def rows(self):
-        """(seq, gen_ns, recv_ns, size_bytes) per sent frame."""
+        """(seq, gen_ns, recv_ns, size_bytes) per sent frame; recv_ns is
+        LOST for a lost frame."""
         return zip(self.seqs, self.gen_ns(), self.recv_ns, self.sizes)
 
-    def delays_ns(self) -> list[int]:
-        # A comprehension, not map(operator.sub) over a compressed mask: the
-        # interpreter's specialised int subtraction makes it the faster one.
-        return [recv - gen for gen, recv in zip(self.gen_ns(), self.recv_ns)
-                if recv is not None]
+    def delays_ns(self) -> array:
+        """recv - gen of each received frame, in send order, as an array('q').
+        It is filled COLUMN_CHUNK values at a time, so no list of every
+        delay is held; a comprehension per chunk is faster than filling the
+        array from a map."""
+        delays, pairs = array("q"), zip(self.gen_ns(), self.recv_ns)
+        for _ in range(0, len(self.recv_ns), COLUMN_CHUNK):
+            delays.fromlist([recv - gen for gen, recv in islice(pairs, COLUMN_CHUNK)
+                             if recv != LOST])
+        return delays
 
 
 @dataclass
@@ -179,7 +195,8 @@ class SimReport:
     def packets(self) -> list[PacketRecord]:
         """Per-packet records in (flow, gen_ns) order, built from the logs
         on every access."""
-        return [PacketRecord(log.flow, seq, gen, recv, size, recv is None)
+        return [PacketRecord(log.flow, seq, gen, None, size, True) if recv == LOST
+                else PacketRecord(log.flow, seq, gen, recv, size, False)
                 for log in self.flows.values() for seq, gen, recv, size in log.rows()]
 
     def write_packets_csv(self, fh) -> None:
@@ -189,7 +206,7 @@ class SimReport:
         for log in self.flows.values():
             flow, rows = log.flow, log.rows()
             for _ in range(0, len(log.recv_ns), PACKET_CSV_CHUNK_ROWS):
-                fh.write("".join([f"{flow},{seq},{gen},{recv},{size},0\n" if recv is not None
+                fh.write("".join([f"{flow},{seq},{gen},{recv},{size},0\n" if recv != LOST
                                   else f"{flow},{seq},{gen},,{size},1\n"
                                   for seq, gen, recv, size
                                   in islice(rows, PACKET_CSV_CHUNK_ROWS)]))
@@ -220,7 +237,10 @@ class _Station:
     that fell due at t_cap sees frames [0:(t_cap - start) // interval + 1).
     A prerecorded source knows its own future, so the queue-size report
     always names sizes[next_tx] even when the queue is momentarily empty.
-    recv_ns logs one receive time per sent frame, None for a lost one.
+    sizes and seqs are array('q') columns (seqs a range for a synthetic
+    schedule), shared with every station and sweep cell that replays the
+    same schedule; nothing writes to them. recv_ns is an array('q') with
+    one receive time per sent frame, LOST for a lost one.
 
     The station enters the polling list at start (its traffic start, when
     the stream is set up); CAPs before that skip it entirely.
@@ -238,7 +258,7 @@ class _Station:
         self.sizes = sizes
         self.seqs = seqs
         self.next_tx = 0
-        self.recv_ns = []
+        self.recv_ns = array("q")
         self.ref_txop_ns = 0
         self.feedback_valid = False   # no data frame received yet
         self.reported_bytes = 0
@@ -250,11 +270,11 @@ def _rotate(pattern: str, steps: int) -> str:
 
 
 def load_station_traces(cfg: ScenarioConfig) -> dict:
-    """The (size_bytes, seqs) columns of each trace file the stations
-    replay, keyed by (path, frame interval); each file is parsed once. A
-    file that cannot be read, is not UTF-8 or is malformed is a
-    ConfigError naming the first station that replays it. Nothing is kept
-    across calls, so a file rewritten between two runs is read again."""
+    """The (size_bytes, seqs) columns, as array('q'), of each trace file
+    the stations replay, keyed by (path, frame interval); each file is
+    parsed once. A file that cannot be read, is not UTF-8 or is malformed
+    is a ConfigError naming the first station that replays it. Nothing is
+    kept across calls, so a file rewritten between two runs is read again."""
     columns = {}
     for i, spec in enumerate(cfg.station_list()):
         tc = spec.traffic
@@ -266,17 +286,18 @@ def load_station_traces(cfg: ScenarioConfig) -> dict:
         except (OSError, ValueError) as e:
             raise ConfigError(f"stations[{i}].traffic.path", str(e)) from e
         # Keep the two columns a run reads; the rest of the trace is freed now.
-        columns[key] = trace.size_bytes, trace.seqs
+        columns[key] = array("q", trace.size_bytes), array("q", trace.seqs)
     return columns
 
 
 @lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
 def _synth_schedule(pattern: str, base_sizes: tuple[int, int, int], jitter: float,
-                    n: int, seed: int) -> tuple[int, ...]:
-    """synth_sizes as an immutable tuple, built once per process for each
-    key. Station i replays the same schedule in every cell of a sweep, so
-    the cells share it rather than rebuild it."""
-    return tuple(synth_sizes(pattern, base_sizes, jitter, n, seed))
+                    n: int, seed: int) -> array:
+    """synth_sizes as an array('q'), built once per process for each key.
+    Station i replays the same schedule in every cell of a sweep, so the
+    cells share this one object rather than rebuild it; nothing writes
+    to it."""
+    return array("q", synth_sizes(pattern, base_sizes, jitter, n, seed))
 
 
 def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
@@ -289,12 +310,15 @@ def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
         interval = tc.frame_interval_ns
         n = max(0, -(-(dur - start_ns) // interval))   # frames generated before dur
         if tc.kind == "trace":
-            sizes, seqs = (column[:n] for column in traces[tc.path, interval])
+            # An array slice always copies: stations that replay the whole
+            # file share its columns, and only a shorter run slices them.
+            sizes, seqs = (column if n >= len(column) else column[:n]
+                           for column in traces[tc.path, interval])
         else:
             pattern = _rotate(tc.pattern, GOP_ROTATE_STEP * i) if tc.rotate_gop else tc.pattern
             base_seed = cfg.seed if tc.seed is None else tc.seed
             sizes = _synth_schedule(pattern, tc.base_sizes(), tc.jitter, n,
-                                    base_seed + i) if n else ()
+                                    base_seed + i) if n else array("q")
             seqs = range(n)
         stations.append(_Station(i, spec.tspec, start_ns, interval, sizes, seqs))
     return stations
@@ -439,7 +463,7 @@ class Simulation:
                         break
                     nt += 1
                     if loss_p > 0 and draw() < loss_p:
-                        log.append(None)
+                        log.append(LOST)
                     else:
                         log.append(data_end)
                         received, reported_at = True, nt

@@ -10,10 +10,16 @@ reproduces the simulator's own exactly.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain, repeat
+from operator import rshift
+
 from .engine import PacketRecord, SimReport
 
 SUMMARY_CSV_HEADER = ("scheduler,stations,quality,mean_delay_us,p95_delay_us,"
                       "max_delay_us,throughput_bps,delivered,lost,overruns")
+BUCKET_SHIFT = 16   # bucketed_percentile counts values per value >> 16 (65.5 us of delay)
+SORT_LIMIT = 1 << 14  # summary_row sorts up to this many delays as one list (640 KiB)
 
 
 def _delays_ns(log) -> list[int]:
@@ -39,6 +45,32 @@ def nearest_rank_percentile(sorted_values, q: float):
     return sorted_values[int(rank) - 1]
 
 
+def bucketed_percentile(columns, q: float):
+    """nearest_rank_percentile of the values of all columns taken together,
+    without sorting them all. Values are counted per value >> BUCKET_SHIFT
+    bucket, and only the bucket that holds the rank is sorted, so no list
+    of every value is built."""
+    n = sum(map(len, columns))
+    if not n:
+        return None
+    if not 0 < q <= 100:
+        raise ValueError("percentile must be in (0, 100]")
+    rank = int(-(-n * q // 100))  # ceil(n*q/100), 1-based
+    counts = Counter()
+    for column in columns:
+        counts.update(map(rshift, column, repeat(BUCKET_SHIFT)))
+    # A high percentile sits near the top: walk the buckets down from the
+    # largest, counting the values at or above the rank.
+    from_top = n - rank + 1
+    for bucket in sorted(counts, reverse=True):
+        if from_top <= counts[bucket]:
+            break
+        from_top -= counts[bucket]
+    members = sorted(v for column in columns for v in column
+                     if v >> BUCKET_SHIFT == bucket)
+    return members[-from_top]
+
+
 def aggregate_throughput(log, window_ns: int) -> float:
     """Delivered payload bits divided by the measurement window, in bit/s."""
     if window_ns <= 0:
@@ -54,14 +86,20 @@ def _fmt_us(value_ns) -> str:
 
 
 def summary_row(report: SimReport) -> str:
-    delays = []
-    for log in report.flows.values():
-        delays += log.delays_ns()
-    delays.sort()
-    mean_ns = (sum(delays) / len(delays)) if delays else None
-    p95_ns = nearest_rank_percentile(delays, 95)
-    max_ns = delays[-1] if delays else None
+    # Each flow's delays are an array('q'). Up to SORT_LIMIT of them are
+    # sorted as one list, the faster way; a longer run's are summed per
+    # flow and bucketed, so no list of every delay is built.
     logs = report.flows.values()
+    delays = [log.delays_ns() for log in logs]
+    n = sum(map(len, delays))
+    if n <= SORT_LIMIT:
+        ordered = sorted(chain.from_iterable(delays))
+        total, p95_ns = sum(ordered), nearest_rank_percentile(ordered, 95)
+        max_ns = ordered[-1] if n else None
+    else:
+        total, p95_ns = sum(map(sum, delays)), bucketed_percentile(delays, 95)
+        max_ns = max(map(max, filter(None, delays)))   # a flow may have no delay
+    mean_ns = total / n if n else None
     window = report.active_window_ns()
     # Same arithmetic as aggregate_throughput, over the logged bytes.
     bits = sum(log.delivered_bytes for log in logs) * 8

@@ -27,6 +27,9 @@ from .phy import NS_PER_MS
 
 FRAME_TYPES = ("I", "P", "B")
 DEFAULT_FRAME_INTERVAL_NS = 40 * NS_PER_MS
+# A run holds frame sizes and sequence numbers in 64-bit signed columns
+# (array('q')); every value must be below this.
+COLUMN_LIMIT = 2**63
 
 
 class TraceParseError(ValueError):
@@ -141,6 +144,10 @@ def parse_trace(stream, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> V
             raise TraceParseError(line_no, f"frame size must be positive, got {size}")
         if seq < 0:
             raise TraceParseError(line_no, f"frame sequence must be >= 0, got {seq}")
+        if size >= COLUMN_LIMIT:
+            raise TraceParseError(line_no, f"frame size must be below 2**63, got {size}")
+        if seq >= COLUMN_LIMIT:
+            raise TraceParseError(line_no, f"frame sequence must be below 2**63, got {seq}")
         seqs.append(seq)
         types.append(ftype)
         display.append(time_ms)

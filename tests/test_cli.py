@@ -1,5 +1,6 @@
 import os
 import time
+from array import array
 
 import pytest
 import yaml
@@ -154,6 +155,44 @@ def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, command, override,
     assert f"error: {field}:" in stderr
     assert "config ok" not in stdout
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("station, error", [
+    ({"traffic": {"i_size": 100000000000000000000}},
+     "stations[1].traffic.i_size: must be below 2**62"),
+    ({"traffic": {"b_size": 2**62}}, "stations[1].traffic.b_size: must be below 2**62"),
+    ({"traffic": {"kind": "trace", "path": "big-size.txt"}},
+     f"stations[1].traffic.path: line 2: frame size must be below 2**63, got {2**63}"),
+    ({"traffic": {"kind": "trace", "path": "big-seq.txt"}},
+     f"stations[1].traffic.path: line 2: frame sequence must be below 2**63, got {2**63}"),
+], ids=["i_size", "b_size", "trace-size", "trace-seq"])
+def test_values_a_64_bit_column_cannot_hold_exit_2(tmp_path, capsys, command, station,
+                                                   error):
+    (tmp_path / "big-size.txt").write_text(f"0 I 0 900\n1 P 40 {2**63}\n")
+    (tmp_path / "big-seq.txt").write_text(f"0 I 0 900\n{2**63} P 40 800\n")
+    if "path" in station["traffic"]:
+        station = {"traffic": dict(station["traffic"],
+                                   path=str(tmp_path / station["traffic"]["path"]))}
+    cfg = write_config(tmp_path, duration_s=21, stations=[{}, station])
+    code, stdout, stderr = run_cli(capsys, command, "--config", cfg,
+                                   "--out", str(tmp_path / "o"))
+    assert (code, stderr) == (2, f"error: {error}\n")
+    assert "config ok" not in stdout
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_top_level_values_a_64_bit_column_cannot_hold_exit_2(tmp_path, capsys, command):
+    for override, error in [("traffic.i_size=100000000000000000000",
+                             "traffic.i_size: must be below 2**62"),
+                            ("duration_s=1e13",
+                             "duration_s: must be below 2**63 ns (about 292 years)")]:
+        code, stdout, stderr = run_cli(capsys, command, "--set", "duration_s=21",
+                                       "--set", override, "--out", str(tmp_path / "o"))
+        assert (code, stderr) == (2, f"error: {error}\n")
+        assert "config ok" not in stdout
+        assert not (tmp_path / "o").exists()
 
 
 def test_quoted_boolean_in_config_file_is_rejected(tmp_path, capsys):
@@ -477,7 +516,7 @@ def test_sweep_builds_each_synthetic_schedule_once_per_process(tmp_path, capsys,
     assert len(built) == 12
     for cell in stations:
         for i, st in enumerate(cell):
-            assert isinstance(st.sizes, tuple)
+            assert isinstance(st.sizes, array) and st.sizes.typecode == "q"
             assert st.sizes is stations[-1][i].sizes
 
 

@@ -256,6 +256,26 @@ def test_traffic_fields_validated_at_load():
     assert scenario_from_dict({"traffic": {"seed": None}}).traffic.seed is None
 
 
+def test_values_above_a_64_bit_column_are_refused():
+    # Base frame sizes stay below 2**62, so a jittered size (below twice its
+    # base) fits a 64-bit column; receive times (at most the duration) too.
+    for key in ("i_size", "p_size", "b_size"):
+        with pytest.raises(FieldError, match=f"^{key} must be below 2\\*\\*62$"):
+            TrafficConfig(**{key: 2**62})
+        for raw, named in [({"traffic": {key: 2**62}}, f"traffic.{key}"),
+                           ({"stations": [{}, {"traffic": {key: 10**20}}]},
+                            f"stations[1].traffic.{key}")]:
+            with pytest.raises(ConfigError) as e:
+                scenario_from_dict(raw)
+            assert (e.value.field, e.value.detail) == (named, "must be below 2**62")
+    with pytest.raises(ConfigError, match=r"^duration_s: must be below 2\*\*63 ns"):
+        scenario_from_dict({"duration_s": 1e13})
+    # The largest base size and jitter still build a schedule.
+    cfg = scenario_from_dict({"duration_s": 21, "traffic": {
+        "i_size": 2**62 - 1, "p_size": 2**62 - 1, "b_size": 2**62 - 1, "jitter": 0.999}})
+    assert max(engine._build_stations(cfg)[0].sizes) < 2**63
+
+
 def test_phy_and_tspec_values_name_their_key():
     with pytest.raises(ConfigError, match=r"^phy\.sifs_us:"):
         scenario_from_dict({"phy": {"sifs_us": float("inf")}})

@@ -1,3 +1,4 @@
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -325,15 +326,23 @@ def test_each_trace_file_is_parsed_once_per_run(tmp_path, monkeypatch):
         return make_scenario(duration_s=21, traffic_start_s=20, stations=[
             {"traffic": {"kind": "trace", "path": str(p)}} for p in station_paths])
 
-    engine.Simulation(scenario([paths[0]] * 12))
+    sim = engine.Simulation(scenario([paths[0]] * 12))
     assert parsed == [str(paths[0])]
+    # The run uses the whole file, so the 12 stations share its columns.
+    first = sim.stations[0]
+    assert first.sizes == array("q", [5000, 4000]) and first.seqs == array("q", [0, 1])
+    assert all(st.sizes is first.sizes and st.seqs is first.seqs for st in sim.stations)
     engine.Simulation(scenario(paths))
     assert parsed == [str(paths[0])] + [str(p) for p in paths]
     # Not across runs: a file rewritten between runs is read again.
     paths[0].write_text("0 I 0 700\n")
     sim = engine.Simulation(scenario([paths[0]] * 12))
     assert parsed[-1] == str(paths[0]) and len(parsed) == 5
-    assert all(st.sizes == (700,) for st in sim.stations)
+    assert all(st.sizes == array("q", [700]) for st in sim.stations)
+    # A run shorter than the file slices each station's own copy of its head.
+    paths[0].write_text("".join(f"{k} I {40 * k} {900 + k}\n" for k in range(40)))
+    sim = engine.Simulation(scenario([paths[0]] * 2))
+    assert [list(st.sizes) for st in sim.stations] == [list(range(900, 925))] * 2
 
 
 def test_a_bad_shared_trace_names_the_first_station(tmp_path):

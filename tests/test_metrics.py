@@ -1,13 +1,14 @@
 import io
 import random
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import pytest
 
 from conftest import make_scenario
 from hccasim import engine, metrics
-from hccasim.engine import PACKET_CSV_CHUNK_ROWS as CHUNK, FlowLog, PacketRecord
+from hccasim.engine import LOST, PACKET_CSV_CHUNK_ROWS as CHUNK, FlowLog, PacketRecord
 
 
 def pkt(flow=0, seq=0, gen=0, recv=None, size=1000, lost=False):
@@ -55,6 +56,101 @@ def test_nearest_rank_percentile():
     assert metrics.nearest_rank_percentile(vals, 100) == 100
     assert metrics.nearest_rank_percentile([7], 95) == 7
     assert metrics.nearest_rank_percentile([], 95) is None
+
+
+def _columns(rng, values):
+    """values split at random points into array('q') columns, some empty."""
+    cuts = sorted(rng.randrange(len(values) + 1) for _ in range(rng.randrange(4)))
+    bounds = [0] + cuts + [len(values)]
+    return [array("q", values[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_bucketed_percentile_matches_the_sorted_nearest_rank(seed):
+    rng = random.Random(seed)
+    n = rng.choice([1, 2, 3, 20, 500, 5000])
+    shape = seed % 3
+    if shape == 0:      # duplicates: a handful of distinct values
+        pool = [rng.randrange(10**9) for _ in range(rng.randrange(1, 6))]
+        values = [rng.choice(pool) for _ in range(n)]
+    elif shape == 1:    # every value in one bucket
+        base = rng.randrange(10**5) << metrics.BUCKET_SHIFT
+        values = [base + rng.randrange(1 << metrics.BUCKET_SHIFT) for _ in range(n)]
+    else:               # many buckets, from 0 up to tens of seconds in ns
+        values = [rng.randrange(rng.choice([1 << 17, 10**10, 2**63])) for _ in range(n)]
+    columns = _columns(rng, values)
+    for q in (0.001, 1, 50, 95, 99.9, 100):
+        assert metrics.bucketed_percentile(columns, q) == \
+            metrics.nearest_rank_percentile(sorted(values), q), (q, n)
+
+
+def test_bucketed_percentile_edges():
+    assert metrics.bucketed_percentile([], 95) is None
+    assert metrics.bucketed_percentile([array("q"), array("q")], 95) is None
+    assert metrics.bucketed_percentile([array("q", [7])], 95) == 7
+    assert metrics.bucketed_percentile([array("q", [7])], 100) == 7
+    shift = metrics.BUCKET_SHIFT
+    col = array("q", [3 << shift, 1, 5 << shift, 1 << shift])
+    assert metrics.bucketed_percentile([col], 100) == 5 << shift
+    assert metrics.bucketed_percentile([col], 25) == 1
+    assert metrics.bucketed_percentile([col], 50) == 1 << shift
+    with pytest.raises(ValueError):
+        metrics.bucketed_percentile([col], 0)
+
+
+def _reference_summary_row(report):
+    """summary_row's fields from the PacketRecords, with every delay sorted."""
+    packets = report.packets
+    delays = sorted(p.recv_ns - p.gen_ns for p in packets if not p.lost)
+    window = report.active_window_ns()
+    thr = metrics.aggregate_throughput(packets, window) if window > 0 else 0.0
+    fmt, cfg = metrics._fmt_us, report.cfg
+    return (f"{cfg.scheduler},{cfg.stations},{cfg.quality},"
+            f"{fmt(metrics.mean_e2e_delay(packets))},"
+            f"{fmt(metrics.nearest_rank_percentile(delays, 95))},"
+            f"{fmt(delays[-1] if delays else None)},{thr:.1f},{len(delays)},"
+            f"{sum(p.lost for p in packets)},{report.counters.overruns}")
+
+
+@pytest.mark.parametrize("bucketed", [False, True], ids=["sorted", "bucketed"])
+@pytest.mark.parametrize("seed", range(12))
+def test_summary_row_matches_the_sorted_reference(seed, bucketed, monkeypatch):
+    # These runs are short, so summary_row sorts their delays; with
+    # SORT_LIMIT at 0 it takes the bucketed path of a long run.
+    if bucketed:
+        monkeypatch.setattr(metrics, "SORT_LIMIT", 0)
+    rng = random.Random(seed)
+    # A stagger of 1 s starts the last stations after the end of the run:
+    # their flows have no delay.
+    cfg = make_scenario(preset="vbr-high", scheduler=rng.choice(["reference", "adaptive"]),
+                        stations=rng.randrange(1, 13), duration_s=rng.uniform(20.5, 26),
+                        seed=rng.randrange(10**6), qs_exact=rng.random() < 0.5,
+                        loss_p=rng.choice([0.0, 0.02, 0.1, 0.5, 1.0]),
+                        traffic={"stagger_ms": rng.choice([0.0, 7.0, 300.0, 1000.0])},
+                        throughput_window=rng.choice(["active", "full"]))
+    report = engine.run(cfg)
+    assert metrics.summary_row(report) == _reference_summary_row(report)
+
+
+def test_run_and_summary_hold_few_bytes_per_frame():
+    # Every per-frame column is an array('q'): the schedule's sizes, the
+    # receive log and the summary's delays take 8 bytes a value each, and
+    # nothing builds an int object or a list entry per frame for the whole
+    # run. A list of boxed ints costs about 40 bytes per value.
+    engine._synth_schedule.cache_clear()
+    cfg = make_scenario(preset="vbr-high", scheduler="adaptive", stations=8,
+                        duration_s=140, seed=3)
+    tracemalloc.start()
+    try:
+        report = engine.run(cfg)
+        metrics.summary_row(report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        engine._synth_schedule.cache_clear()
+    frames = sum(log.generated for log in report.flows.values())
+    assert frames > 20_000
+    assert peak / frames <= 40, peak / frames
 
 
 def test_summary_recomputes_from_serialized_log():
@@ -152,8 +248,8 @@ def _report_with_logs(sent_per_flow, lost_at=()):
     logs = {}
     for flow, sent in enumerate(sent_per_flow):
         start = 20_000_000_000 + flow
-        recv = [None if k in lost_at else start + k * 40_000_000 + 3_000_000
-                for k in range(sent)]
+        recv = array("q", [LOST if k in lost_at else start + k * 40_000_000 + 3_000_000
+                           for k in range(sent)])
         logs[flow] = FlowLog(flow, start, 40_000_000, range(1000, 1000 + sent),
                              [12160 - k % 9000 for k in range(sent)], recv, 0)
     return replace(base, flows=logs)

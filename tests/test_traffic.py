@@ -72,12 +72,20 @@ def test_parse_skips_comments_and_blank_lines():
     ("1 I y 900\n", "bad display time"),
     ("1 I 40 zap\n", "bad frame size"),
     ("1 I 40 0\n", "must be positive"),
+    # A run holds sizes and sequence numbers as 64-bit integers.
+    (f"1 I 40 {2**63}\n", f"frame size must be below 2**63, got {2**63}"),
+    (f"{2**63} I 40 900\n", f"frame sequence must be below 2**63, got {2**63}"),
 ])
 def test_parse_errors_carry_line_numbers(bad, msg):
     with pytest.raises(TraceParseError) as e:
         parse_trace(io.StringIO("5 I 40 900\n" + bad))
     assert msg in str(e.value)
     assert e.value.line_no == 2
+
+
+def test_parse_takes_the_largest_64_bit_values():
+    trace = parse_trace(io.StringIO(f"{2**63 - 1} I 40 {2**63 - 1}\n"))
+    assert trace.seqs == trace.size_bytes == (2**63 - 1,)
 
 
 @pytest.mark.parametrize("text", ["", "# nothing here\n", "\n  \n"])
