@@ -48,15 +48,14 @@ from . import phy as phylib
 from .config import ConfigError, ScenarioConfig
 from .phy import NS_PER_S
 from .sched import admit, assign_si, min_msi, reference_txop
-from .traffic import load_trace, synth_sizes
+from .traffic import COLUMN_TYPECODE, load_trace, synth_sizes
 
 BEACON_FRAME_BYTES = 60       # management frame, sent at basic rate
 QS_UNIT_BYTES = 256           # queue-size field granularity (8-bit field)
 QS_MAX_UNITS = 254
 GOP_ROTATE_STEP = 5           # per-station GoP phase shift, coprime with 12
-PACKET_CSV_CHUNK_ROWS = 4096  # rows formatted per write: bounds the log text held at once
+PACKET_CSV_CHUNK_ROWS = 4096  # rows boxed at once when a flow's columns are walked
 SCHEDULE_CACHE_SIZE = 32      # synthetic schedules kept per process: a 1..32-station sweep
-COLUMN_CHUNK = 4096           # values boxed at once when a derived column is filled
 LOST = -1                     # receive time logged for a lost frame; real ones are >= 0
 
 
@@ -150,8 +149,6 @@ class FlowLog:
     @property
     def delivered_bytes(self) -> int:
         # The mask and the sum run in C: the received frames' sizes.
-        if not self.lost:
-            return sum(islice(self.sizes, len(self.recv_ns)))
         return sum(compress(self.sizes, map(ne, self.recv_ns, repeat(LOST))))
 
     def conserved(self) -> bool:
@@ -168,12 +165,12 @@ class FlowLog:
 
     def delays_ns(self) -> array:
         """recv - gen of each received frame, in send order, as an array('q').
-        It is filled COLUMN_CHUNK values at a time, so no list of every
+        It is filled PACKET_CSV_CHUNK_ROWS values at a time, so no list of every
         delay is held; a comprehension per chunk is faster than filling the
         array from a map."""
-        delays, pairs = array("q"), zip(self.gen_ns(), self.recv_ns)
-        for _ in range(0, len(self.recv_ns), COLUMN_CHUNK):
-            delays.fromlist([recv - gen for gen, recv in islice(pairs, COLUMN_CHUNK)
+        delays, pairs = array(COLUMN_TYPECODE), zip(self.gen_ns(), self.recv_ns)
+        for _ in range(0, len(self.recv_ns), PACKET_CSV_CHUNK_ROWS):
+            delays.fromlist([recv - gen for gen, recv in islice(pairs, PACKET_CSV_CHUNK_ROWS)
                              if recv != LOST])
         return delays
 
@@ -258,7 +255,7 @@ class _Station:
         self.sizes = sizes
         self.seqs = seqs
         self.next_tx = 0
-        self.recv_ns = array("q")
+        self.recv_ns = array(COLUMN_TYPECODE)
         self.ref_txop_ns = 0
         self.feedback_valid = False   # no data frame received yet
         self.reported_bytes = 0
@@ -286,7 +283,7 @@ def load_station_traces(cfg: ScenarioConfig) -> dict:
         except (OSError, ValueError) as e:
             raise ConfigError(f"stations[{i}].traffic.path", str(e)) from e
         # Keep the two columns a run reads; the rest of the trace is freed now.
-        columns[key] = array("q", trace.size_bytes), array("q", trace.seqs)
+        columns[key] = array(COLUMN_TYPECODE, trace.size_bytes), array(COLUMN_TYPECODE, trace.seqs)
     return columns
 
 
@@ -297,7 +294,7 @@ def _synth_schedule(pattern: str, base_sizes: tuple[int, int, int], jitter: floa
     Station i replays the same schedule in every cell of a sweep, so the
     cells share this one object rather than rebuild it; nothing writes
     to it."""
-    return array("q", synth_sizes(pattern, base_sizes, jitter, n, seed))
+    return array(COLUMN_TYPECODE, synth_sizes(pattern, base_sizes, jitter, n, seed))
 
 
 def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
@@ -318,7 +315,7 @@ def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
             pattern = _rotate(tc.pattern, GOP_ROTATE_STEP * i) if tc.rotate_gop else tc.pattern
             base_seed = cfg.seed if tc.seed is None else tc.seed
             sizes = _synth_schedule(pattern, tc.base_sizes(), tc.jitter, n,
-                                    base_seed + i) if n else array("q")
+                                    base_seed + i) if n else array(COLUMN_TYPECODE)
             seqs = range(n)
         stations.append(_Station(i, spec.tspec, start_ns, interval, sizes, seqs))
     return stations

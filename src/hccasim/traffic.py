@@ -27,8 +27,9 @@ from .phy import NS_PER_MS
 
 FRAME_TYPES = ("I", "P", "B")
 DEFAULT_FRAME_INTERVAL_NS = 40 * NS_PER_MS
-# A run holds frame sizes and sequence numbers in 64-bit signed columns
-# (array('q')); every value must be below this.
+# A run holds frame sizes, sequence numbers and times in 64-bit signed
+# columns, array(COLUMN_TYPECODE); every value must be below COLUMN_LIMIT.
+COLUMN_TYPECODE = "q"
 COLUMN_LIMIT = 2**63
 
 
