@@ -90,9 +90,11 @@ def _parse_schedulers(text: str) -> list[str]:
     schedulers = [s.strip() for s in text.split(",") if s.strip()]
     if not schedulers:
         raise ConfigError("--schedulers", f"no scheduler named in {text!r}")
-    for s in schedulers:
+    for i, s in enumerate(schedulers):
         if s not in SCHEDULERS:
             raise ConfigError("--schedulers", f"unknown scheduler {s!r}")
+        if s in schedulers[:i]:
+            raise ConfigError("--schedulers", f"scheduler {s!r} named twice")
     return schedulers
 
 

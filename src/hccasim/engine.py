@@ -22,12 +22,22 @@ The run is one loop over SI boundaries, with no event queue:
   fixed interval. A CAP sees every frame generated up to the instant it
   fell due, so frames generated while a CAP is under way become pollable
   only from the next CAP.
+* The AP keeps one feedback value per station, set at each poll: None
+  when no frame from it was received (the next grant falls back to the
+  TSPEC-based one), 0 when the last frame received reported nothing
+  pending (the minimal grant), else the next-frame size that frame
+  reported, in bytes (the adaptive grant for that size).
 * Packet logs are columns: per flow, one receive time (LOST for a lost
   frame) per sent frame. Generation times, sizes and sequence numbers come
   from the station's schedule, and per-packet records are only built on
   request. Every per-frame column is an array('q') (a synthetic
   schedule's sequence numbers are a range), 8 bytes per value and no int
   object per frame.
+
+Set-up (Simulation.stations and the schedule arrays that stations and
+sweep cells share) is read-only. Simulation.run() builds the state it
+changes, the send cursors, receive logs and feedback values, so it may be
+called again and gives the same report.
 
 All bookkeeping is in integer nanoseconds; runs are bitwise reproducible
 for a fixed (scenario, seed).
@@ -42,12 +52,12 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import compress, islice, repeat
 from operator import ne
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import phy as phylib
 from .config import ConfigError, ScenarioConfig
 from .phy import NS_PER_S
-from .sched import admit, assign_si, min_msi, reference_txop
+from .sched import Tspec, admit, assign_si, min_msi, reference_txop
 from .traffic import COLUMN_TYPECODE, load_trace, synth_sizes
 
 BEACON_FRAME_BYTES = 60       # management frame, sent at basic rate
@@ -224,41 +234,21 @@ class SimReport:
         return max(0, cfg.duration_ns - cfg.traffic_start_ns)
 
 
-class _Station:
-    """One QSTA plus the AP-side mirror of its feedback state.
-
-    The arrival schedule is columnar, in coding order: frame k has size
-    sizes[k] and sequence number seqs[k] and is generated at
-    start + k * interval; the n frames generated before the run ends are
-    listed. next_tx splits sent frames [0:next_tx) from the rest, and a CAP
-    that fell due at t_cap sees frames [0:(t_cap - start) // interval + 1).
-    A prerecorded source knows its own future, so the queue-size report
-    always names sizes[next_tx] even when the queue is momentarily empty.
+class StationSchedule(NamedTuple):
+    """One QSTA's arrival schedule, in coding order; read-only. Frame k has
+    size sizes[k] and sequence number seqs[k] and is generated at start +
+    k * interval; the frames generated before the run ends are listed.
     sizes and seqs are array('q') columns (seqs a range for a synthetic
-    schedule), shared with every station and sweep cell that replays the
-    same schedule; nothing writes to them. recv_ns is an array('q') with
-    one receive time per sent frame, LOST for a lost one.
+    schedule) shared with every station and sweep cell that replays the
+    same schedule. The station joins the polling list at start, when its
+    stream is set up; CAPs before that skip it."""
 
-    The station enters the polling list at start (its traffic start, when
-    the stream is set up); CAPs before that skip it entirely.
-    """
-
-    __slots__ = ("flow", "tspec", "start", "interval", "n", "sizes", "seqs",
-                 "next_tx", "recv_ns", "ref_txop_ns", "feedback_valid", "reported_bytes")
-
-    def __init__(self, flow, tspec, start, interval, sizes, seqs):
-        self.flow = flow
-        self.tspec = tspec
-        self.start = start
-        self.interval = interval
-        self.n = len(sizes)
-        self.sizes = sizes
-        self.seqs = seqs
-        self.next_tx = 0
-        self.recv_ns = array(COLUMN_TYPECODE)
-        self.ref_txop_ns = 0
-        self.feedback_valid = False   # no data frame received yet
-        self.reported_bytes = 0
+    flow: int
+    tspec: Tspec
+    start: int
+    interval: int
+    sizes: Sequence[int]
+    seqs: Sequence[int]
 
 
 def _rotate(pattern: str, steps: int) -> str:
@@ -297,7 +287,7 @@ def _synth_schedule(pattern: str, base_sizes: tuple[int, int, int], jitter: floa
     return array(COLUMN_TYPECODE, synth_sizes(pattern, base_sizes, jitter, n, seed))
 
 
-def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
+def _build_stations(cfg: ScenarioConfig) -> list[StationSchedule]:
     stations = []
     traces = load_station_traces(cfg)
     dur = cfg.duration_ns
@@ -317,7 +307,7 @@ def _build_stations(cfg: ScenarioConfig) -> list[_Station]:
             sizes = _synth_schedule(pattern, tc.base_sizes(), tc.jitter, n,
                                     base_seed + i) if n else array(COLUMN_TYPECODE)
             seqs = range(n)
-        stations.append(_Station(i, spec.tspec, start_ns, interval, sizes, seqs))
+        stations.append(StationSchedule(i, spec.tspec, start_ns, interval, sizes, seqs))
     return stations
 
 
@@ -349,25 +339,21 @@ def traffic_notes(cfg: ScenarioConfig) -> list[str]:
 
 
 class Simulation:
-    """A run's set-up: the stations with their traffic schedules, the SI
-    and divisor, each station's reference grant, and the traffic and
-    admission notes; run() then simulates it. It stays a class, not a
-    function, because perfbench/child.py's set-up probe builds
-    engine.Simulation(cfg) and traces __init__ and run apart."""
+    """A run's read-only set-up: the station schedules, the SI and divisor,
+    and the traffic and admission notes; each run() call simulates it
+    afresh. It stays a class, not a function, because perfbench/child.py's
+    set-up probe builds engine.Simulation(cfg) and traces __init__ and run
+    apart."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.phy = cfg.phy
         self.stations = _build_stations(cfg)
         self.traffic_notes = _traffic_notes(self.stations, cfg.duration_ns)
         tspecs = [s.tspec for s in self.stations]
         self.si_ns, self.divisor = assign_si(cfg.beacon_interval_ns, min_msi(tspecs))
-        for st in self.stations:
-            st.ref_txop_ns = reference_txop(st.tspec, self.si_ns, self.phy,
-                                            cfg.overhead_mode)
         rejected = []
         if cfg.admission == "on":
-            verdicts = admit(tspecs, cfg.beacon_interval_ns, self.phy, cfg.overhead_mode)
+            verdicts = admit(tspecs, cfg.beacon_interval_ns, cfg.phy, cfg.overhead_mode)
             rejected = [(st.flow, why) for st, why in zip(self.stations, verdicts)
                         if why is not None]
         self.admission_notes = [f"flow {flow} rejected: {why}" for flow, why in rejected]
@@ -378,7 +364,7 @@ class Simulation:
                 f"set on_reject: run or admission: off to simulate anyway")
 
     def run(self) -> SimReport:
-        cfg, p = self.cfg, self.phy
+        cfg, p, stations = self.cfg, self.cfg.phy, self.stations
         dur, beacon_ns = cfg.duration_ns, cfg.beacon_interval_ns
         si_ns, divisor = self.si_ns, self.divisor
         adaptive, exact, loss_p = cfg.scheduler == "adaptive", cfg.qs_exact, cfg.loss_p
@@ -401,8 +387,17 @@ class Simulation:
         txop_o1 = phylib.txop_overhead(1, p)
         minimal_grant = txop_o1 + null_air
         qs_unit, qs_cap = QS_UNIT_BYTES, QS_MAX_UNITS * QS_UNIT_BYTES
-        polled = [(st, st.tspec.phys_rate_bps, st.sizes, st.recv_ns, st.start, st.interval,
-                   st.n, st.ref_txop_ns) for st in self.stations]
+
+        # The run's own state, per flow: the send cursor (frames [0:next_tx)
+        # are sent), the receive log and the AP's feedback value, None
+        # before the first poll.
+        next_tx = [0] * len(stations)
+        feedback = [None] * len(stations)
+        logs = [array(COLUMN_TYPECODE) for _ in stations]
+        polled = [(st.flow, st.tspec.phys_rate_bps, st.sizes, logs[st.flow], st.start,
+                   st.interval, len(st.sizes),
+                   reference_txop(st.tspec, si_ns, p, cfg.overhead_mode))
+                  for st in stations]
 
         n_beacons = n_caps = n_overruns = n_null = 0
         n_reference = n_adaptive = n_fallback = n_minimal = 0
@@ -417,8 +412,7 @@ class Simulation:
             n_caps += 1
             t = max(t_cap, busy_until)
             grant_sum = 0
-            overran = False
-            for st, phys_rate, sizes, log, start, interval, n_frames, ref_txop in polled:
+            for flow, phys_rate, sizes, log, start, interval, n_frames, ref_txop in polled:
                 if t >= dur:
                     break
                 if t < start:
@@ -432,28 +426,25 @@ class Simulation:
                 if not adaptive:
                     grant, branch = ref_txop, "reference"
                     n_reference += 1
-                elif not st.feedback_valid:
+                elif (reported := feedback[flow]) is None:
                     grant, branch = ref_txop, "fallback"
                     n_fallback += 1
-                elif st.reported_bytes:
-                    grant = txop_o1 - (-st.reported_bytes * bit_ns) // phys_rate
+                elif reported:
+                    grant = txop_o1 - (-reported * bit_ns) // phys_rate
                     branch = "adaptive"
                     n_adaptive += 1
                 else:
                     grant, branch = minimal_grant, "minimal"
                     n_minimal += 1
                 grant_sum += grant
-                if grant_sum > si_ns and not overran:
-                    overran = True
-                    n_overruns += 1
 
                 # Poll + TXOP: frames go out while the whole exchange fits
                 # the grant; the AP decodes the piggybacked next-frame size
                 # from every frame it receives.
                 budget_end = t + grant
                 tx = t + poll_lead
-                first = nt = st.next_tx
-                received = False
+                first = nt = next_tx[flow]
+                reported_at = None
                 while nt < arrived:
                     data_end = tx + phy_hdr - (neg_mac_num - sizes[nt] * bit_ns) // data_rate
                     if data_end + ack_ifs > budget_end or data_end > dur:
@@ -463,32 +454,36 @@ class Simulation:
                         log.append(LOST)
                     else:
                         log.append(data_end)
-                        received, reported_at = True, nt
+                        reported_at = nt
                     tx = data_end + ack_ifs
-                st.next_tx = nt
+                next_tx[flow] = nt
                 null_end = tx + null_air
                 if nt == first and null_end + ack_ifs <= budget_end and null_end <= dur:
                     # Nothing sent (empty queue, or head frame larger than the
                     # grant): one null data frame keeps the feedback loop alive.
                     n_null += 1
                     if not (loss_p > 0 and draw() < loss_p):
-                        received, reported_at = True, nt
+                        reported_at = nt
                     tx = null_end + ack_ifs
-                st.feedback_valid = received
-                if received:
-                    # Each received frame reports the frame queued behind it;
-                    # the last one received sets the next grant. Nothing is
-                    # reported past the last frame.
-                    if reported_at >= n_frames:
-                        st.reported_bytes = 0
-                    elif exact:
-                        st.reported_bytes = sizes[reported_at]
-                    else:
-                        reported = -(-sizes[reported_at] // qs_unit) * qs_unit
-                        st.reported_bytes = reported if reported < qs_cap else qs_cap
+                # Each received frame reports the frame queued behind it; the
+                # last one received sets the next grant. A prerecorded source
+                # knows its own future, so the report names that frame even
+                # before it arrives. Nothing is reported past the last frame.
+                if reported_at is None:
+                    feedback[flow] = None
+                elif reported_at >= n_frames:
+                    feedback[flow] = 0
+                elif exact:
+                    feedback[flow] = sizes[reported_at]
+                else:
+                    reported = -(-sizes[reported_at] // qs_unit) * qs_unit
+                    feedback[flow] = reported if reported < qs_cap else qs_cap
                 if record_polls:
-                    polls.append(PollRecord(st.flow, t, grant, tx - t, branch, nt - first))
+                    polls.append(PollRecord(flow, t, grant, tx - t, branch, nt - first))
                 t += grant
+            # No grant is negative, so the CAP ran past its SI if its final sum does.
+            if grant_sum > si_ns:
+                n_overruns += 1
             # CAPs serialize on the medium: a late-running CAP pushes the next
             # one past its nominal SI boundary (back-to-back rounds under
             # overload, grid-locked polling otherwise).
@@ -506,8 +501,8 @@ class Simulation:
         # the backlog from the send cursor, so conservation checks one
         # against the other.
         flows = {st.flow: FlowLog(st.flow, st.start, st.interval, st.seqs, st.sizes,
-                                  st.recv_ns, st.n - st.next_tx)
-                 for st in self.stations}
+                                  logs[st.flow], len(st.sizes) - next_tx[st.flow])
+                 for st in stations}
         counters = Counters(
             beacons=n_beacons, caps=n_caps, overruns=n_overruns,
             polls_reference=n_reference, polls_adaptive=n_adaptive,
@@ -517,7 +512,8 @@ class Simulation:
         report = SimReport(
             cfg=cfg, si_ns=si_ns, divisor=divisor, flows=flows, polls=polls,
             counters=counters,
-            admission_notes=self.admission_notes, traffic_notes=self.traffic_notes)
+            admission_notes=list(self.admission_notes),
+            traffic_notes=list(self.traffic_notes))
         if not report.conservation_ok():
             raise SimulationError("packet conservation violated (internal error)")
         return report

@@ -590,6 +590,7 @@ def test_unreadable_trace_exits_2_naming_it(tmp_path, capsys, monkeypatch, comma
     ("--stations", "a..b"),
     ("--stations", "3..1"),
     ("--schedulers", ","),
+    ("--schedulers", "adaptive,reference, adaptive"),
 ])
 def test_bad_sweep_flags_exit_2_naming_the_flag(tmp_path, capsys, flag, value):
     code, _, stderr = run_cli(capsys, "sweep", "--set", "preset=cbr-nominal",

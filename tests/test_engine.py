@@ -8,6 +8,7 @@ from conftest import make_scenario
 from hccasim import engine
 from hccasim.config import ConfigError
 from hccasim.engine import SimulationError, decode_qs, encode_qs
+from hccasim.metrics import summary_row
 from hccasim.phy import NS_PER_MS, PhyParams, ctrl_tx_time, data_tx_time
 from hccasim.sched import adaptive_txop, minimal_txop, reference_txop, tspec_preset
 
@@ -46,6 +47,28 @@ def test_determinism_byte_identical():
     c = engine.run(make_scenario(preset="vbr-high", scheduler="adaptive",
                                  stations=3, duration_s=25, seed=12)).packets_csv()
     assert a != c
+
+
+def test_a_simulation_runs_again_with_the_same_report():
+    # Lossy adaptive run with frames left queued, so every piece of run
+    # state (send cursors, receive logs, last reports, loss draws) counts.
+    cfg = make_scenario(preset="vbr-high", scheduler="adaptive", stations=10,
+                        duration_s=25, seed=3, loss_p=0.1, record_polls=True)
+    sim = engine.Simulation(cfg)
+    first = sim.run()
+    assert total(first, "queued_end") > 0 and total(first, "lost") > 0
+    columns = {flow: (log.recv_ns.tolist(), log.queued_end)
+               for flow, log in first.flows.items()}
+    csv, row = first.packets_csv(), summary_row(first)
+    second = sim.run()
+    assert second.packets_csv() == csv
+    assert summary_row(second) == row
+    assert second.counters == first.counters
+    assert second.polls == first.polls and first.polls
+    assert {flow: (log.recv_ns.tolist(), log.queued_end)
+            for flow, log in first.flows.items()} == columns
+    assert first.conservation_ok() and second.conservation_ok()
+    assert first.packets_csv() == csv
 
 
 def test_conservation_across_scenarios():

@@ -102,6 +102,12 @@ def test_round_trip(fragment_path):
     assert again == trace
 
 
+def test_a_leading_byte_order_mark_is_not_data(fragment_path, tmp_path):
+    bommed = tmp_path / "bom.txt"
+    bommed.write_bytes(b"\xef\xbb\xbf" + fragment_path.read_bytes())
+    assert load_trace(bommed) == load_trace(fragment_path)
+
+
 def test_trace_stats_fragment(fragment_path):
     stats = trace_stats(load_trace(fragment_path))
     assert stats.mean_size_bytes == pytest.approx(80884 / 12)
