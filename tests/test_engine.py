@@ -68,7 +68,6 @@ def test_a_simulation_runs_again_with_the_same_report():
     assert {flow: (log.recv_ns.tolist(), log.queued_end)
             for flow, log in first.flows.items()} == columns
     assert first.conservation_ok() and second.conservation_ok()
-    assert first.packets_csv() == csv
 
 
 def test_conservation_across_scenarios():
