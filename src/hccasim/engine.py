@@ -46,6 +46,7 @@ for a fixed (scenario, seed).
 from __future__ import annotations
 
 import io
+import os
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -257,23 +258,28 @@ def _rotate(pattern: str, steps: int) -> str:
 
 
 def load_station_traces(cfg: ScenarioConfig) -> dict:
-    """The (size_bytes, seqs) columns, as array('q'), of each trace file
-    the stations replay, keyed by (path, frame interval); each file is
-    parsed once. A file that cannot be read, is not UTF-8 or is malformed
-    is a ConfigError naming the first station that replays it. Nothing is
-    kept across calls, so a file rewritten between two runs is read again."""
-    columns = {}
+    """The (size_bytes, seqs) columns of each trace file the stations
+    replay, keyed by (path as written, frame interval). Each file is parsed
+    once, however its path is spelled, and every spelling shares the
+    parsed VideoTrace's array('q') columns. A file that cannot be read, is
+    not UTF-8 or is malformed is a ConfigError naming the first station
+    that replays it. Nothing is kept across calls, so a file rewritten
+    between two runs is read again."""
+    columns, parsed = {}, {}
     for i, spec in enumerate(cfg.station_list()):
         tc = spec.traffic
         key = (tc.path, tc.frame_interval_ns)
         if tc.kind != "trace" or key in columns:
             continue
         try:
-            trace = load_trace(tc.path, tc.frame_interval_ns)
+            file_key = (os.path.realpath(tc.path), tc.frame_interval_ns)
+            if file_key not in parsed:
+                trace = load_trace(tc.path, tc.frame_interval_ns)
+                # Keep the two columns a run reads; the rest of the trace is freed now.
+                parsed[file_key] = trace.size_bytes, trace.seqs
         except (OSError, ValueError) as e:
             raise ConfigError(f"stations[{i}].traffic.path", str(e)) from e
-        # Keep the two columns a run reads; the rest of the trace is freed now.
-        columns[key] = array(COLUMN_TYPECODE, trace.size_bytes), array(COLUMN_TYPECODE, trace.seqs)
+        columns[key] = parsed[file_key]
     return columns
 
 

@@ -11,15 +11,19 @@ frames arrive in coding (sequence) order at a fixed interval, 40 ms by
 default. One video frame is one MSDU, whatever its size.
 
 A VideoTrace holds its frames as columns (sequence numbers, frame types,
-display times, sizes), filled by parse_trace in one pass over the lines
-and sorted by sequence number only when the file is out of order.
-VideoTrace.records is a derived view: it builds a fresh tuple of
-FrameRecord rows on every access, so read it once when iterating it often.
+display times, sizes), sorted by sequence number only when the file is out
+of order. parse_trace reads TRACE_CHUNK_LINES lines at a time and fills the
+columns a column at a time (split, int, float and str.upper mapped over
+each chunk's fields); a chunk with a bad line is read again line by line,
+only to report the first bad line. VideoTrace.records is a derived view:
+it builds a fresh tuple of FrameRecord rows on every access, so read it
+once when iterating it often.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import cycle, islice
 
@@ -31,6 +35,12 @@ DEFAULT_FRAME_INTERVAL_NS = 40 * NS_PER_MS
 # columns, array(COLUMN_TYPECODE); every value must be below COLUMN_LIMIT.
 COLUMN_TYPECODE = "q"
 COLUMN_LIMIT = 2**63
+# parse_trace reads a trace this many lines at a time.
+TRACE_CHUNK_LINES = 4096
+# parse_trace joins a chunk's lines with this; once comments are cut off,
+# every '#' field of the joined text is a separator.
+_LINE_SEP = " # "
+_FRAME_TYPE_SET = frozenset(FRAME_TYPES)
 
 
 class TraceParseError(ValueError):
@@ -67,16 +77,28 @@ class FrameRecord:
 class VideoTrace:
     """One trace as columns in coding order: frame k has sequence number
     seqs[k], type frame_types[k], display time display_ms[k] and size
-    size_bytes[k]. Columns are stored as tuples."""
+    size_bytes[k]. seqs and size_bytes are array('q') columns, taken as
+    they are when given as such (a run shares them), else copied;
+    frame_types and display_ms are tuples. A VideoTrace is not hashable,
+    because arrays are not."""
 
-    seqs: tuple
+    seqs: array
     frame_types: tuple
     display_ms: tuple
-    size_bytes: tuple
+    size_bytes: array
     frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS
 
+    __hash__ = None
+
     def __post_init__(self):
-        for name in ("seqs", "frame_types", "display_ms", "size_bytes"):
+        for name in ("seqs", "size_bytes"):
+            column = getattr(self, name)
+            if not (isinstance(column, array) and column.typecode == COLUMN_TYPECODE):
+                try:
+                    object.__setattr__(self, name, array(COLUMN_TYPECODE, column))
+                except OverflowError:
+                    raise ValueError(f"{name} must be 64-bit integers") from None
+        for name in ("frame_types", "display_ms"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.seqs)
         if not n:
@@ -87,7 +109,7 @@ class VideoTrace:
             raise ValueError("frame interval must be positive")
         if min(self.seqs) < 0:
             raise ValueError("seq must be >= 0")
-        if not set(self.frame_types) <= set(FRAME_TYPES):
+        if not _FRAME_TYPE_SET.issuperset(self.frame_types):
             raise ValueError(f"frame type must be one of {FRAME_TYPES}")
         if min(self.size_bytes) <= 0:
             raise ValueError("frame size must be positive")
@@ -116,8 +138,75 @@ def parse_trace(stream, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> V
     """Parse a trace from an iterable of text lines. Frames come back sorted
     by ascending frame sequence regardless of input order; frames with equal
     sequence numbers keep their input order."""
-    seqs, types, display, sizes = [], [], [], []
-    for line_no, raw in enumerate(stream, start=1):
+    seqs, sizes = array(COLUMN_TYPECODE), array(COLUMN_TYPECODE)
+    types, display = [], []
+    in_order = True
+    lines = iter(stream)
+    first_line_no = 1
+    while chunk := list(islice(lines, TRACE_CHUNK_LINES)):
+        try:
+            in_order &= _read_chunk(chunk, seqs, types, display, sizes)
+        except (ValueError, OverflowError):
+            _refuse(chunk, first_line_no)
+        first_line_no += len(chunk)
+    if not seqs:
+        raise TraceParseError(None, "trace contains no frames")
+    if not in_order:
+        # A stable index sort: frames with equal seqs keep their input order.
+        order = sorted(range(len(seqs)), key=seqs.__getitem__)
+        seqs, sizes = (array(COLUMN_TYPECODE, map(col.__getitem__, order))
+                       for col in (seqs, sizes))
+        types, display = (list(map(col.__getitem__, order)) for col in (types, display))
+    return VideoTrace(seqs, types, display, sizes, frame_interval_ns)
+
+
+def _read_chunk(lines: list[str], seqs: array, types: list, display: list,
+                sizes: array) -> bool:
+    """Append the frames of a chunk of trace lines to the four columns, one
+    column at a time; True if their seqs are in order and follow the seqs
+    already read. Raises ValueError or OverflowError, with the columns
+    partly extended, if any line is not a valid frame line."""
+    text = _LINE_SEP.join(lines)
+    if text.count("#") >= len(lines):       # more '#'s than separators: comments
+        lines = [line.partition("#")[0] for line in lines]
+        text = _LINE_SEP.join(lines)
+    fields = text.split()
+    if not _four_per_line(fields, len(lines)):
+        lines = list(filter(str.split, lines))                # drop blank lines
+        if not lines:
+            return True
+        fields = _LINE_SEP.join(lines).split()
+        if not _four_per_line(fields, len(lines)):
+            raise ValueError("a line without 4 columns")
+    chunk_seqs = list(map(int, fields[0::5]))
+    chunk_types = fields[1::5]
+    if not _FRAME_TYPE_SET.issuperset(chunk_types):
+        chunk_types = list(map(str.upper, chunk_types))
+        if not _FRAME_TYPE_SET.issuperset(chunk_types):
+            raise ValueError("an unknown frame type")
+    chunk_sizes = list(map(int, fields[3::5]))
+    ordered = sorted(chunk_seqs)          # n - 1 comparisons when in order
+    if ordered[0] < 0 or min(chunk_sizes) <= 0:
+        raise ValueError("a negative sequence or a non-positive size")
+    in_order = ordered == chunk_seqs and (not seqs or seqs[-1] <= ordered[0])
+    display += map(float, fields[2::5])
+    seqs.fromlist(chunk_seqs)                # OverflowError at 2**63 or more
+    sizes.fromlist(chunk_sizes)
+    types += chunk_types
+    return in_order
+
+
+def _four_per_line(fields: list[str], n_lines: int) -> bool:
+    """True if fields, split from n_lines lines joined by _LINE_SEP, hold
+    exactly four fields per line. No line holds a '#', so the n_lines - 1
+    '#' fields are the separators, and each must follow its line's four."""
+    return len(fields) == 5 * n_lines - 1 and fields[4::5].count("#") == n_lines - 1
+
+
+def _refuse(lines: list[str], first_line_no: int):
+    """Raise the TraceParseError of the first bad line in a chunk that
+    _read_chunk refused; lines[0] is line first_line_no of the trace."""
+    for line_no, raw in enumerate(lines, start=first_line_no):
         if "#" in raw:
             raw = raw.partition("#")[0]
         cols = raw.split()
@@ -130,11 +219,10 @@ def parse_trace(stream, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> V
             seq = int(seq_col)
         except ValueError:
             raise TraceParseError(line_no, f"bad frame sequence {seq_col!r}") from None
-        ftype = type_col.upper()
-        if ftype not in FRAME_TYPES:
+        if type_col.upper() not in FRAME_TYPES:
             raise TraceParseError(line_no, f"unknown frame type {type_col!r}")
         try:
-            time_ms = float(time_col)
+            float(time_col)
         except ValueError:
             raise TraceParseError(line_no, f"bad display time {time_col!r}") from None
         try:
@@ -149,18 +237,8 @@ def parse_trace(stream, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> V
             raise TraceParseError(line_no, f"frame size must be below 2**63, got {size}")
         if seq >= COLUMN_LIMIT:
             raise TraceParseError(line_no, f"frame sequence must be below 2**63, got {seq}")
-        seqs.append(seq)
-        types.append(ftype)
-        display.append(time_ms)
-        sizes.append(size)
-    if not seqs:
-        raise TraceParseError(None, "trace contains no frames")
-    columns = (seqs, types, display, sizes)
-    if seqs != sorted(seqs):
-        # A stable index sort: frames with equal seqs keep their input order.
-        order = sorted(range(len(seqs)), key=seqs.__getitem__)
-        columns = [[col[i] for i in order] for col in columns]
-    return VideoTrace(*columns, frame_interval_ns)
+    raise AssertionError(f"trace lines {first_line_no}..{first_line_no + len(lines) - 1}: "
+                         "refused by the column pass, but no line is bad")
 
 
 def load_trace(path, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> VideoTrace:
@@ -170,8 +248,16 @@ def load_trace(path, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> Vide
 
 def serialize_trace(trace: VideoTrace) -> str:
     """Inverse of parse_trace: parse(serialize(t)) == t."""
-    return "".join(f"{seq} {ftype} {time_ms:g} {size}\n" for seq, ftype, time_ms, size
+    return "".join(f"{seq} {ftype} {_display_text(time_ms)} {size}\n"
+                   for seq, ftype, time_ms, size
                    in zip(trace.seqs, trace.frame_types, trace.display_ms, trace.size_bytes))
+
+
+def _display_text(time_ms: float) -> str:
+    """time_ms as :g text where that reads back as the same float, else as
+    its shortest text that does (repr)."""
+    text = f"{time_ms:g}"
+    return text if float(text) == time_ms else repr(time_ms)
 
 
 def trace_stats(trace: VideoTrace) -> TraceStats:

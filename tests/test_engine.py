@@ -332,11 +332,12 @@ def test_stream_end_turns_polls_minimal(tmp_path):
 
 
 def test_each_trace_file_is_parsed_once_per_run(tmp_path, monkeypatch):
-    parsed = []
+    parsed, traces = [], []
 
     def load_trace(path, frame_interval_ns):
         parsed.append(path)
-        return real_load(path, frame_interval_ns)
+        traces.append(real_load(path, frame_interval_ns))
+        return traces[-1]
 
     real_load = engine.load_trace
     monkeypatch.setattr(engine, "load_trace", load_trace)
@@ -350,10 +351,12 @@ def test_each_trace_file_is_parsed_once_per_run(tmp_path, monkeypatch):
 
     sim = engine.Simulation(scenario([paths[0]] * 12))
     assert parsed == [str(paths[0])]
-    # The run uses the whole file, so the 12 stations share its columns.
+    # The run uses the whole file, so the 12 stations share the parsed
+    # trace's own columns.
     first = sim.stations[0]
     assert first.sizes == array("q", [5000, 4000]) and first.seqs == array("q", [0, 1])
-    assert all(st.sizes is first.sizes and st.seqs is first.seqs for st in sim.stations)
+    assert all(st.sizes is traces[0].size_bytes and st.seqs is traces[0].seqs
+               for st in sim.stations)
     engine.Simulation(scenario(paths))
     assert parsed == [str(paths[0])] + [str(p) for p in paths]
     # Not across runs: a file rewritten between runs is read again.
@@ -365,6 +368,13 @@ def test_each_trace_file_is_parsed_once_per_run(tmp_path, monkeypatch):
     paths[0].write_text("".join(f"{k} I {40 * k} {900 + k}\n" for k in range(40)))
     sim = engine.Simulation(scenario([paths[0]] * 2))
     assert [list(st.sizes) for st in sim.stations] == [list(range(900, 925))] * 2
+    # One file however it is spelled: parsed once, under the first spelling.
+    monkeypatch.chdir(tmp_path)
+    del parsed[:], traces[:]
+    sim = engine.Simulation(scenario(["t1.txt", "./t1.txt", paths[1], "t1.txt"]))
+    assert parsed == ["t1.txt"]
+    assert all(st.sizes is traces[0].size_bytes and st.seqs is traces[0].seqs
+               for st in sim.stations)
 
 
 def test_a_bad_shared_trace_names_the_first_station(tmp_path):

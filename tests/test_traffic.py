@@ -1,12 +1,14 @@
 import io
 import random
+from array import array
 
 import pytest
 
 from conftest import FRAGMENT_SIZES
-from hccasim.traffic import (FrameRecord, TraceParseError, VideoTrace, load_trace,
-                             parse_trace, serialize_trace, stats_csv_row, synth_sizes,
-                             synth_trace, trace_stats)
+from hccasim import traffic
+from hccasim.traffic import (TRACE_CHUNK_LINES, FrameRecord, TraceParseError, VideoTrace,
+                             load_trace, parse_trace, serialize_trace, stats_csv_row,
+                             synth_sizes, synth_trace, trace_stats)
 
 
 def _row_parse(lines):
@@ -48,8 +50,8 @@ def test_parse_sorts_by_sequence():
 ])
 def test_parse_keeps_input_order_of_equal_seqs(text):
     trace = parse_trace(io.StringIO(text))
-    assert trace.seqs == (0, 1, 1, 2, 2)
-    assert trace.size_bytes == (100, 900, 300, 700, 500)
+    assert trace.seqs == array("q", [0, 1, 1, 2, 2])
+    assert trace.size_bytes == array("q", [100, 900, 300, 700, 500])
     assert trace.frame_types == ("I", "I", "B", "P", "B")
     assert trace.records == _row_parse(text.splitlines())
 
@@ -60,7 +62,7 @@ def test_parse_skips_comments_and_blank_lines():
     assert len(trace) == 1
     text = "# header\n \t\n3 b 120 500 #x\n  1 i 40 900\n#2 P 80 700\n2 p 80 700#\n"
     trace = parse_trace(io.StringIO(text))
-    assert trace.seqs == (1, 2, 3)
+    assert trace.seqs == array("q", [1, 2, 3])
     assert trace.frame_types == ("I", "P", "B")
     assert trace.records == _row_parse(text.splitlines())
 
@@ -85,7 +87,7 @@ def test_parse_errors_carry_line_numbers(bad, msg):
 
 def test_parse_takes_the_largest_64_bit_values():
     trace = parse_trace(io.StringIO(f"{2**63 - 1} I 40 {2**63 - 1}\n"))
-    assert trace.seqs == trace.size_bytes == (2**63 - 1,)
+    assert trace.seqs == trace.size_bytes == array("q", [2**63 - 1])
 
 
 @pytest.mark.parametrize("text", ["", "# nothing here\n", "\n  \n"])
@@ -100,6 +102,11 @@ def test_round_trip(fragment_path):
     trace = load_trace(fragment_path)
     again = parse_trace(io.StringIO(serialize_trace(trace)))
     assert again == trace
+    # Display times that :g would cut to 6 significant digits.
+    trace = VideoTrace([0, 1, 2], "IPB", [12345.678, 0.1 + 0.2, 1e-7], [900, 800, 700])
+    text = serialize_trace(trace)
+    assert text == "0 I 12345.678 900\n1 P 0.30000000000000004 800\n2 B 1e-07 700\n"
+    assert parse_trace(io.StringIO(text)) == trace
 
 
 def test_a_leading_byte_order_mark_is_not_data(fragment_path, tmp_path):
@@ -203,6 +210,103 @@ def test_columns_match_row_parse_on_random_traces():
         assert trace.records == rows
         assert list(trace.size_bytes) == [r.size_bytes for r in rows]
         assert parse_trace(io.StringIO(serialize_trace(trace))) == trace
+
+
+def _line_read(lines) -> VideoTrace:
+    """The per-line reader as a reference: the first bad line's
+    TraceParseError, else the frames of _row_parse."""
+    lines = list(lines)
+    try:
+        traffic._refuse(lines, 1)
+    except AssertionError:     # no bad line
+        rows = _row_parse(lines)
+        if not rows:
+            raise TraceParseError(None, "trace contains no frames") from None
+        return VideoTrace([r.seq for r in rows], [r.frame_type for r in rows],
+                          [r.display_time_ms for r in rows], [r.size_bytes for r in rows])
+
+
+def _outcome(read):
+    try:
+        return read()
+    except TraceParseError as e:
+        return "error", str(e), e.line_no
+
+
+def _assert_reads_like_the_line_reader(text, tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(text.encode("utf-8"))
+
+    def from_file(read):
+        with open(path, encoding="utf-8-sig") as fh:
+            return read(fh)
+
+    want = _outcome(lambda: from_file(_line_read))
+    assert _outcome(lambda: load_trace(path)) == want
+    want = _outcome(lambda: _line_read(io.StringIO(text)))
+    assert _outcome(lambda: parse_trace(io.StringIO(text))) == want
+    lines = text.split("\n")          # lines without their "\n"
+    assert _outcome(lambda: parse_trace(lines)) == _outcome(lambda: _line_read(lines))
+
+
+DIFFERENTIAL_TEXTS = [
+    "0 I 0\n100 1 I 40 200\n",                  # 3 + 5 fields: line 1 is bad
+    "1 I 40 900 5\nI 40 900\n",                 # 5 + 3 fields
+    "0 I 0 100\n1 P 40 200 # 3 B 80 300\n2 B 80 300\n",
+    "# header\n0 I 0 100\n\n1 P 40 200\n",
+    "0 I 0 100\r\n1 P 40 200\r\n2 B 80 300",   # CRLF, no final newline
+    "\ufeff0 I 0 100\n1 P 40 200\n",             # a BOM is not data in a file only
+    "0 i 0 100\n1 p 40 200\n2 b 80 300\n3 \u0131 120 400\n",   # "\u0131".upper() == "I"
+    "0 \u00df 0 100\n",                            # "\u00df".upper() == "SS"
+    "+5 I 0 1_000\n\u0663 P 40 \u0664\u0665\n1 B 1_0.5 7\n",
+    "0\x0bI\x1c0 100\n1 P 40\x0b200\n\x1c\n",
+    f"{2**63 - 1} I 0 {2**63 - 1}\n",
+    f"0 I 0 100\n{2**63} I 40 900\n",
+    f"0 I 0 {2**63}\n",
+    f"-{2**63} I 0 5\n",
+    "0 I 0 100\n1 X 40 200\n",
+    "0 I zz 100\n",
+    "0 I 0 0\n",
+    "-1 I 0 100\n",
+    "2 P 80 700\n1 I 40 900\n2 B 120 500\n1 B 0 300\n0 I 0 100\n",
+    "",
+    "\n \t\n",
+    "# only a comment",
+]
+
+
+@pytest.mark.parametrize("chunk_lines", [TRACE_CHUNK_LINES, 1, 2, 3])
+@pytest.mark.parametrize("text", DIFFERENTIAL_TEXTS)
+def test_column_pass_reads_like_the_line_reader(text, chunk_lines, tmp_path, monkeypatch):
+    monkeypatch.setattr(traffic, "TRACE_CHUNK_LINES", chunk_lines)
+    _assert_reads_like_the_line_reader(text, tmp_path)
+
+
+def _numbered_lines(n):
+    return [f"{k} {'IPB'[k % 3]} {40 * k} {100 + k}" for k in range(n)]
+
+
+@pytest.mark.parametrize("bad_line_nos", [(TRACE_CHUNK_LINES,), (TRACE_CHUNK_LINES + 1,),
+                                          (TRACE_CHUNK_LINES, TRACE_CHUNK_LINES + 1)])
+@pytest.mark.parametrize("bad", ["7 I 40", "7 Q 40 900", "7 I 40 -5", "# 7 I 40 900 9"])
+def test_column_pass_reports_bad_lines_at_a_chunk_border(bad, bad_line_nos, tmp_path):
+    lines = _numbered_lines(TRACE_CHUNK_LINES + 5)
+    for line_no in bad_line_nos:
+        lines[line_no - 1] = bad
+    _assert_reads_like_the_line_reader("\n".join(lines) + "\n", tmp_path)
+
+
+def test_column_pass_sorts_across_a_chunk_border(tmp_path):
+    # Descending seqs in equal pairs; the sizes tell the pair's order apart.
+    n = TRACE_CHUNK_LINES + 10
+    text = "".join(f"{(n - k) // 2} P {k} {k + 1}\n" for k in range(n))
+    _assert_reads_like_the_line_reader(text, tmp_path)
+    trace = parse_trace(io.StringIO(text))
+    assert trace.seqs == array("q", sorted((n - k) // 2 for k in range(n)))
+    # An in-order chunk after an out-of-order one is sorted too.
+    text = "".join(f"{k} B {k} {k + 1}\n" for k in range(TRACE_CHUNK_LINES)) + "3 I 0 9\n"
+    _assert_reads_like_the_line_reader(text, tmp_path)
+    assert list(parse_trace(io.StringIO(text)).seqs[:5]) == [0, 1, 2, 3, 3]
 
 
 def test_synth_sizes_match_uniform_reference():
