@@ -119,8 +119,8 @@ def sweep_cells(base: ScenarioConfig, stations: range, schedulers) -> list[Scena
 
 def _run_cell(cfg: ScenarioConfig) -> tuple:
     """Run one sweep cell: its metrics.summary_row and its admission and
-    traffic notes, all that summary.csv and the warnings need. A pool
-    worker pickles this back rather than the whole report."""
+    traffic notes, all that summary.csv and the warnings need. A forked
+    child pickles these back for its share rather than the whole reports."""
     report = engine.run(cfg)
     return metrics.summary_row(report), report.admission_notes + report.traffic_notes
 
@@ -133,31 +133,99 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """A process pool of max_workers. concurrent.futures is imported here,
-    when a sweep starts a pool, so that no other command pays for it."""
-    from concurrent.futures import ProcessPoolExecutor as Pool
+def _deal(cells, shares: int) -> list[list[tuple[int, int]]]:
+    """The (dispatch position, cell index) pairs of every cell, dealt into
+    `shares` lists: cells with the most stations first, dealt back and
+    forth (shares 0, 1, ..., 1, 0, 0, 1, ...) so that each share gets a
+    like mix of large and small cells and none ends running a big cell
+    alone."""
+    order = sorted(range(len(cells)), key=lambda i: -cells[i].stations)
+    dealt = [[] for _ in range(shares)]
+    for k, i in enumerate(order):
+        lap, j = divmod(k, shares)
+        dealt[shares - 1 - j if lap % 2 else j].append((k, i))
+    return dealt
 
-    return Pool(max_workers=max_workers)
+
+def _run_share(cells, share) -> tuple[dict, tuple | None]:
+    """_run_cell of each cell of share in turn: the results by cell index,
+    and the (dispatch position, exception) of the first cell that raised,
+    or None. The remaining cells of the share are not run."""
+    done = {}
+    for k, i in share:
+        try:
+            done[i] = _run_cell(cells[i])
+        except Exception as e:  # handed to _run_cells, which raises it
+            return done, (k, e)
+    return done, None
+
+
+def _fork_share(cells, share) -> tuple[int, int]:
+    """Fork a child that runs share and writes _run_share's outcome,
+    pickled, to a pipe, then leaves with os._exit: status 0 once the
+    outcome is written, else 1. Returns (child pid, read end of the pipe);
+    raises OSError if no child could be started."""
+    import pickle  # only a sweep that forks pays for the import
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                pickle.dump(_run_share(cells, share), fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)  # else later children hold it open and the read never ends
+    return pid, r
 
 
 def _run_cells(cells) -> list:
-    """_run_cell of every cell, in cell order."""
-    workers = min(len(cells), _usable_cpus())
-    if workers > 1:
+    """_run_cell of every cell, in cell order. The cells are dealt into one
+    share per usable CPU; a forked child runs each share after the first
+    and this process runs the first itself, so no worker waits to start and
+    no CPU sits idle. (The CLI starts no thread, so it may fork.) Where
+    os.fork is missing or fails, this process runs those shares as well.
+    When cells raise, every child is reaped first, then the error of the
+    earliest failing cell in dispatch order is raised."""
+    workers = min(len(cells), _usable_cpus()) if hasattr(os, "fork") else 1
+    shares = _deal(cells, workers)
+    mine, children, reaped = shares[0], [], []
+    for share in shares[1:]:
         try:
-            pool = ProcessPoolExecutor(max_workers=workers)
+            children.append((share[0][0], *_fork_share(cells, share)))
         except OSError:
-            pass  # sandboxed environments without semaphores: run serially
+            mine = sorted(mine + share)  # run here, still in dispatch order
+    try:
+        results, error = _run_share(cells, mine)
+    finally:
+        for first, pid, r in children:
+            with open(r, "rb") as fh:
+                data = fh.read()
+            reaped.append((first, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
+    errors = [error] if error else []
+    for first, code, data in reaped:
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            errors.append((first, engine.SimulationError(
+                f"sweep worker {how} before sending its results")))
         else:
-            # The pool hands out cells in the order given: largest first, so
-            # no worker is left running a big cell alone at the end.
-            order = sorted(range(len(cells)), key=lambda i: -cells[i].stations)
-            # A cell's own error comes back from its worker and propagates.
-            with pool:
-                done = dict(zip(order, pool.map(_run_cell, [cells[i] for i in order])))
-            return [done[i] for i in range(len(cells))]
-    return [_run_cell(c) for c in cells]
+            import pickle
+
+            done, error = pickle.loads(data)
+            results.update(done)
+            if error:
+                errors.append(error)
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return [results[i] for i in range(len(cells))]
 
 
 def cmd_sweep(args) -> int:

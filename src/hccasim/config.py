@@ -28,7 +28,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 import yaml
 
 from .phy import NS_PER_MS, NS_PER_S, NS_PER_US, FieldError, PhyParams, check_types
-from .sched import OVERHEAD_MODES, OVERHEAD_PER_MSDU, TSPEC_PRESETS, Tspec
+from .sched import (OVERHEAD_MODES, OVERHEAD_PER_MSDU, TSPEC_PRESETS, Tspec,
+                    assign_si, min_msi)
 from .traffic import COLUMN_LIMIT, FRAME_TYPES
 
 SCHEDULERS = ("reference", "adaptive")
@@ -39,6 +40,11 @@ VALIDATED_STATION_RANGE = (1, 12)
 # grows with it: two million generated frames, most left unsent, peaked at
 # 97 MiB (Python 3.11, x86-64); sent frames add their log and CSV lines.
 MAX_RUN_FRAMES = 10_000_000
+# Largest number of station polls (stations x CAPs) a run may make. The CAP
+# loop visits every station at every SI, whether or not its traffic has
+# started, so a run of many stations is long even when it generates no
+# frame.
+MAX_RUN_POLLS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -400,34 +406,43 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
 
 def check_run_size(cfg: ScenarioConfig) -> None:
     """Refuse a run that would generate more than MAX_RUN_FRAMES synthetic
-    frames and beacons; ScenarioConfig calls it on construction, before
-    anything per frame is built. Each synthetic
-    station is counted from traffic start to the end of the run (stagger
-    only shortens that). The error names the interval behind the larger
-    count when that interval is shorter than its default, else duration_s."""
+    frames and beacons, or poll more than MAX_RUN_POLLS stations over its
+    CAPs; ScenarioConfig calls it on construction, before anything per
+    station or per frame is built. A uniform station list is counted in
+    closed form. Each synthetic station is counted from traffic start to
+    the end of the run (stagger only shortens that). The frame error names
+    the interval behind the larger count when that interval is shorter than
+    its default; else, as the poll error does, stations when there are more
+    than the validated range, else duration_s."""
     dur = cfg.duration_ns
     horizon = dur - cfg.traffic_start_ns
     beacons = -(-dur // cfg.beacon_interval_ns)
+    specs = [(s.traffic, s.tspec) for s in cfg.station_specs] or [(cfg.traffic, cfg.tspec)]
+    per_spec = 1 if cfg.station_specs else cfg.stations
+    culprit = "stations" if cfg.stations > VALIDATED_STATION_RANGE[1] else "duration_s"
     frames, fastest = 0, None
-    for i, spec in enumerate(cfg.station_list()):
-        tc = spec.traffic
+    for i, (tc, _) in enumerate(specs):
         if tc.kind == "synth" and horizon > 0:
-            frames += -(-horizon // tc.frame_interval_ns)
+            frames += per_spec * -(-horizon // tc.frame_interval_ns)
             if fastest is None or tc.frame_interval_ns < fastest[1].frame_interval_ns:
                 fastest = (i, tc)
-    if frames + beacons <= MAX_RUN_FRAMES:
-        return
-    if frames >= beacons:
-        i, tc = fastest
-        culprit = tc.frame_interval_ns < TrafficConfig.frame_interval_ns
-        section = f"stations[{i}].traffic" if cfg.station_specs else "traffic"
-        fieldname = f"{section}.frame_interval_ms"
-    else:
-        culprit = cfg.beacon_interval_ns < ScenarioConfig.beacon_interval_ns
-        fieldname = "beacon_interval_ms"
-    raise ConfigError(fieldname if culprit else "duration_s",
-                      f"run would generate about {frames} frames and {beacons} "
-                      f"beacons, above the limit of {MAX_RUN_FRAMES}")
+    if frames + beacons > MAX_RUN_FRAMES:
+        if frames >= beacons:
+            i, tc = fastest
+            if tc.frame_interval_ns < TrafficConfig.frame_interval_ns:
+                section = f"stations[{i}].traffic" if cfg.station_specs else "traffic"
+                culprit = f"{section}.frame_interval_ms"
+        elif cfg.beacon_interval_ns < ScenarioConfig.beacon_interval_ns:
+            culprit = "beacon_interval_ms"
+        raise ConfigError(culprit, f"run would generate about {frames} frames and "
+                                   f"{beacons} beacons, above the limit of {MAX_RUN_FRAMES}")
+    # The engine's CAPs fall at SI boundaries: at most this many before dur.
+    _, divisor = assign_si(cfg.beacon_interval_ns, min_msi(t for _, t in specs))
+    caps = -(-dur * divisor // cfg.beacon_interval_ns)
+    if cfg.stations * caps > MAX_RUN_POLLS:
+        raise ConfigError(culprit, f"run would poll {cfg.stations} stations in each of "
+                                   f"about {caps} CAPs, above the limit of "
+                                   f"{MAX_RUN_POLLS} polls")
 
 
 def stations_warning(cfg: ScenarioConfig) -> str | None:

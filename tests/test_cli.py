@@ -7,7 +7,7 @@ import yaml
 
 from hccasim import cli, engine
 from hccasim.cli import main
-from hccasim.config import ConfigError, load_scenario
+from hccasim.config import ConfigError, ScenarioConfig, load_scenario
 from hccasim.metrics import SUMMARY_CSV_HEADER, summarize
 
 
@@ -22,11 +22,9 @@ def use_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-class NoPool:
-    """A ProcessPoolExecutor that cannot start, as without semaphores."""
-
-    def __init__(self, max_workers):
-        raise PermissionError(13, "Permission denied")
+def fork_fails():
+    """An os.fork that cannot start a child, as when out of processes."""
+    raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
 def run_cli(capsys, *argv):
@@ -359,10 +357,27 @@ def test_oversized_run_is_refused_before_it_starts(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, counted", [
+    (("validate", "--set", "stations=99999999999999999999"), "generate"),
+    (("validate", "--set", "stations=10000000", "--set", "duration_s=20.1"), "generate"),
+    # Traffic never starts: no frame, but 250 CAPs of two million polls.
+    (("validate", "--set", "stations=2000000", "--set", "duration_s=10"), "poll"),
+    (("sweep", "--stations", "1..100000"), "poll"),
+])
+def test_huge_station_counts_are_refused_at_once(tmp_path, capsys, argv, counted):
+    t0 = time.perf_counter()
+    code, _, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert stderr.startswith(f"error: stations: run would {counted} ")
+    assert stderr.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_cell_above_run_size_limit_is_refused(tmp_path, capsys):
     # One station of 1e6 frames passes validation; the 11- and 12-station
     # cells (1.1e7 and 1.2e7 frames) are refused by the engine before it
-    # builds anything, in pool workers where there is more than one CPU.
+    # builds anything, in forked children where there is more than one CPU.
     cfg = write_config(tmp_path, preset="vbr-high", duration_s=30,
                        traffic={"frame_interval_ms": 0.01})
     t0 = time.perf_counter()
@@ -424,38 +439,60 @@ def test_simulate_names_the_station_of_a_malformed_trace(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_sweep_falls_back_to_serial_only_when_the_pool_cannot_start(tmp_path, capsys,
-                                                                     monkeypatch):
-    use_cpus(monkeypatch, 2)
+def test_sweep_reaps_every_child_and_reports_the_first_failure(tmp_path, capsys,
+                                                              monkeypatch):
+    # 1..3 stations on 3 CPUs deal one cell per share: the 3-station cell
+    # runs in this process, the 2- and 1-station cells in two children.
+    use_cpus(monkeypatch, 3)
     argv = ("sweep", "--set", "preset=cbr-nominal", "--set", "duration_s=20.5",
-            "--stations", "1..2", "--schedulers", "adaptive")
+            "--stations", "1..3", "--schedulers", "adaptive")
+    parent, real_run_cell = os.getpid(), cli._run_cell
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
-    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "serial"))
-    assert code == 0
-    assert len((tmp_path / "serial" / "summary.csv").read_text().splitlines()) == 3
+    def sweep_failing(name, failures):
+        ran_here = []
 
-    class WorkerRaises:
-        def __init__(self, max_workers):
-            pass
+        def run_cell(cfg):
+            if os.getpid() == parent:
+                ran_here.append(cfg.stations)
+            fail = failures.get(cfg.stations)
+            if fail == "exit" and os.getpid() != parent:
+                os._exit(3)
+            if fail == "raise":
+                raise ConfigError(f"cell{cfg.stations}", "failed")
+            return real_run_cell(cfg)
 
-        def __enter__(self):
-            return self
+        monkeypatch.setattr(cli, "_run_cell", run_cell)
+        result = run_cli(capsys, *argv, "--out", str(tmp_path / name))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return result, ran_here
 
-        def __exit__(self, *exc):
-            return False
+    (code, _, stderr), ran_here = sweep_failing("clean", {})
+    assert (code, stderr, ran_here) == (0, "", [3])
+    assert len((tmp_path / "clean" / "summary.csv").read_text().splitlines()) == 4
 
-        def map(self, fn, cells):
-            raise ConfigError("stations[0].traffic.path",
-                              "[Errno 2] No such file or directory: 'gone.txt'")
+    # The error of the cell dealt first wins, whichever share it ran in,
+    # and no failed share is run again in this process.
+    for failures, first in [({3: "raise", 1: "raise"}, 3), ({1: "raise", 2: "raise"}, 2)]:
+        (code, _, stderr), ran_here = sweep_failing("o", failures)
+        assert (code, stderr, ran_here) == (2, f"error: cell{first}: failed\n", [3])
 
-    serial = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", WorkerRaises)
-    monkeypatch.setattr(cli, "_run_cell", serial.append)
-    code, _, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+    # A child that dies without sending its results is named by its status.
+    (code, _, stderr), _ = sweep_failing("o", {2: "exit"})
     assert code == 2
-    assert stderr.startswith("error: stations[0].traffic.path: [Errno 2] No such file")
-    assert serial == []
+    assert stderr == "error: sweep worker exited with status 3 before sending its results\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_cells_are_dealt_largest_first_back_and_forth():
+    cells = cli.sweep_cells(ScenarioConfig(), range(1, 5), ["reference", "adaptive"])
+    # Largest first, ties in cell order: 4r 4a 3r 3a 2r 2a 1r 1a.
+    dealt = [[(k, (cells[i].stations, cells[i].scheduler[0])) for k, i in share]
+             for share in cli._deal(cells, 3)]
+    assert dealt == [[(0, (4, "r")), (5, (2, "a")), (6, (1, "r"))],
+                     [(1, (4, "a")), (4, (2, "r")), (7, (1, "a"))],
+                     [(2, (3, "r")), (3, (3, "a"))]]
+    assert [len(share) for share in cli._deal(cells, 1)] == [8]
 
 
 def test_usable_cpus_follow_the_affinity_set(monkeypatch):
@@ -469,10 +506,13 @@ def test_usable_cpus_follow_the_affinity_set(monkeypatch):
 
 
 @pytest.mark.parametrize("schedulers", ["reference,adaptive", "adaptive,reference"])
-@pytest.mark.parametrize("mode", ["pooled", "serial"])
-def test_sweep_matches_in_process_runs(tmp_path, capsys, monkeypatch, schedulers, mode):
+@pytest.mark.parametrize("cpus, forks", [(1, True), (2, True), (3, True), (3, False)])
+def test_sweep_matches_in_process_runs(tmp_path, capsys, monkeypatch, schedulers, cpus,
+                                       forks):
     # Four stations of oversized I-frames, the fourth rejected by admission:
-    # every cell has notes, and the largest cells go to the pool first.
+    # every cell has notes, and the largest cells are dealt first. Three
+    # CPUs give two children and shares of 3, 3 and 2 cells; when os.fork
+    # fails, every cell runs in this process.
     cfg = write_config(tmp_path, preset="vbr-high", duration_s=21, seed=5,
                        admission="on", on_reject="run", traffic={"i_size": 20000})
     cells = cli.sweep_cells(load_scenario(cfg), range(1, 5), schedulers.split(","))
@@ -480,15 +520,24 @@ def test_sweep_matches_in_process_runs(tmp_path, capsys, monkeypatch, schedulers
     notes = dict.fromkeys(n for r in reports for n in r.admission_notes + r.traffic_notes)
     assert [n.split(":")[0] for n in notes] == [
         "flow 0", "flow 1", "flow 2", "flow 3 rejected", "flow 3"]
-    use_cpus(monkeypatch, 2)
-    if mode == "serial":
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    use_cpus(monkeypatch, cpus)
+    if not forks:
+        monkeypatch.setattr(os, "fork", fork_fails)
+    parent, ran_here, real_run_cell = os.getpid(), [], cli._run_cell
+
+    def run_cell(cfg):
+        if os.getpid() == parent:
+            ran_here.append(cfg)
+        return real_run_cell(cfg)
+
+    monkeypatch.setattr(cli, "_run_cell", run_cell)
     out = tmp_path / "o"
     code, _, stderr = run_cli(capsys, "sweep", "--config", cfg, "--stations", "1..4",
                               "--schedulers", schedulers, "--out", str(out))
     assert code == 0
     assert (out / "summary.csv").read_bytes() == summarize(reports).encode()
     assert stderr.splitlines() == [f"warning: {n}" for n in notes]
+    assert len(ran_here) == (8 if cpus == 1 or not forks else {2: 4, 3: 3}[cpus])
 
 
 def test_sweep_builds_each_synthetic_schedule_once_per_process(tmp_path, capsys,
@@ -514,10 +563,11 @@ def test_sweep_builds_each_synthetic_schedule_once_per_process(tmp_path, capsys,
     assert code == 0
     assert len(stations) == 24
     assert len(built) == 12
+    widest = max(stations, key=len)
     for cell in stations:
         for i, st in enumerate(cell):
             assert isinstance(st.sizes, array) and st.sizes.typecode == "q"
-            assert st.sizes is stations[-1][i].sizes
+            assert st.sizes is widest[i].sizes
 
 
 def bad_file(tmp_path, kind) -> str:

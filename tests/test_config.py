@@ -356,6 +356,24 @@ def test_run_size_limit_boundary():
         scenario_from_dict(dict(base, duration_s=at_limit + 1e-6))
 
 
+def test_run_poll_limit_boundary():
+    # Traffic never starts, so no frame counts; the default TSPEC gives a
+    # 40 ms SI, so 40 s is 1000 CAPs, each polling every station.
+    limit = config.MAX_RUN_POLLS
+    base = {"traffic_start_s": 100, "stations": limit // 1000}
+    cfg = scenario_from_dict(dict(base, duration_s=40))
+    assert cfg.stations == limit // 1000
+    with pytest.raises(ConfigError, match=r"^stations: run would poll 10000 stations "
+                                          r"in each of about 1001 CAPs"):
+        scenario_from_dict(dict(base, duration_s=40.04))
+    # A long run of few stations names its duration, a short MSI its CAPs.
+    with pytest.raises(ConfigError, match=r"^duration_s: run would poll 1 stations"):
+        scenario_from_dict({"duration_s": 1e6, "traffic": {"frame_interval_ms": 1000}})
+    tspec = dict(INLINE_TSPEC, msi_ms=0.001)
+    with pytest.raises(ConfigError, match=r"^duration_s: .* about 50000000 CAPs"):
+        scenario_from_dict({"tspec": tspec})
+
+
 def test_engine_checks_run_size_of_unvalidated_configs():
     cfg = scenario_from_dict({"duration_s": 600})
     with pytest.raises(ConfigError, match="traffic.frame_interval_ms"):

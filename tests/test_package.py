@@ -23,12 +23,12 @@ def test_readme_lists_every_scenario_key():
 
 
 def test_cli_import_loads_no_unneeded_modules():
-    # sched counts MSDUs in integers, without Fraction, and cli imports the
-    # pool module only when a sweep starts a pool.
+    # sched counts MSDUs in integers, without Fraction, and cli imports
+    # pickle only when a sweep forks, and no process pool at all.
     src = pathlib.Path(hccasim.__file__).resolve().parent.parent
     probe = ("import sys, hccasim.cli; "
-             "print(sorted(m for m in ('fractions', 'decimal', 'concurrent.futures') "
-             "if m in sys.modules))")
+             "print(sorted(m for m in ('fractions', 'decimal', 'concurrent.futures', "
+             "'pickle', 'multiprocessing') if m in sys.modules))")
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
