@@ -19,9 +19,11 @@ The run is one loop over SI boundaries, with no event queue:
 * A CAP that runs past the next SI boundary pushes the next CAP back to
   its end (back-to-back CAPs under overload).
 * Each station's arrivals are a precomputed schedule of frame sizes at a
-  fixed interval. A CAP sees every frame generated up to the instant it
-  fell due, so frames generated while a CAP is under way become pollable
-  only from the next CAP.
+  fixed interval, synthetic or replayed from a trace file; a trace file
+  is parsed once per set-up, and its stations share its columns. A CAP
+  sees every frame generated up to the instant it fell due, so frames
+  generated while a CAP is under way become pollable only from the next
+  CAP.
 * The AP keeps one feedback value per station, set at each poll: None
   when no frame from it was received (the next grant falls back to the
   TSPEC-based one), 0 when the last frame received reported nothing
@@ -257,32 +259,6 @@ def _rotate(pattern: str, steps: int) -> str:
     return pattern[r:] + pattern[:r]
 
 
-def load_station_traces(cfg: ScenarioConfig) -> dict:
-    """The (size_bytes, seqs) columns of each trace file the stations
-    replay, keyed by (path as written, frame interval). Each file is parsed
-    once, however its path is spelled, and every spelling shares the
-    parsed VideoTrace's array('q') columns. A file that cannot be read, is
-    not UTF-8 or is malformed is a ConfigError naming the first station
-    that replays it. Nothing is kept across calls, so a file rewritten
-    between two runs is read again."""
-    columns, parsed = {}, {}
-    for i, spec in enumerate(cfg.station_list()):
-        tc = spec.traffic
-        key = (tc.path, tc.frame_interval_ns)
-        if tc.kind != "trace" or key in columns:
-            continue
-        try:
-            file_key = (os.path.realpath(tc.path), tc.frame_interval_ns)
-            if file_key not in parsed:
-                trace = load_trace(tc.path, tc.frame_interval_ns)
-                # Keep the two columns a run reads; the rest of the trace is freed now.
-                parsed[file_key] = trace.size_bytes, trace.seqs
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"stations[{i}].traffic.path", str(e)) from e
-        columns[key] = parsed[file_key]
-    return columns
-
-
 @lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
 def _synth_schedule(pattern: str, base_sizes: tuple[int, int, int], jitter: float,
                     n: int, seed: int) -> array:
@@ -294,8 +270,18 @@ def _synth_schedule(pattern: str, base_sizes: tuple[int, int, int], jitter: floa
 
 
 def _build_stations(cfg: ScenarioConfig) -> list[StationSchedule]:
+    """Every station's schedule, in one pass over the station list. Each
+    trace file is parsed once, however its path is spelled and at whatever
+    frame interval its stations replay it, and they all share the parsed
+    VideoTrace's array('q') columns. A file that cannot be read, is not
+    UTF-8 or is malformed is a ConfigError naming the first station that
+    replays it. Nothing is kept across calls, so a file rewritten between
+    two runs is read again."""
     stations = []
-    traces = load_station_traces(cfg)
+    # (size_bytes, seqs) of each trace file, keyed by every path as written
+    # and by the file's realpath (a realpath is its own realpath), so
+    # realpath runs once per spelling.
+    traces = {}
     dur = cfg.duration_ns
     for i, spec in enumerate(cfg.station_list()):
         tc = spec.traffic
@@ -303,10 +289,20 @@ def _build_stations(cfg: ScenarioConfig) -> list[StationSchedule]:
         interval = tc.frame_interval_ns
         n = max(0, -(-(dur - start_ns) // interval))   # frames generated before dur
         if tc.kind == "trace":
+            if tc.path not in traces:
+                try:
+                    file = os.path.realpath(tc.path)
+                    if file not in traces:
+                        trace = load_trace(tc.path, interval)
+                        # Keep the two columns a run reads; the rest is freed now.
+                        traces[file] = trace.size_bytes, trace.seqs
+                except (OSError, ValueError) as e:
+                    raise ConfigError(f"stations[{i}].traffic.path", str(e)) from e
+                traces[tc.path] = traces[file]
             # An array slice always copies: stations that replay the whole
             # file share its columns, and only a shorter run slices them.
             sizes, seqs = (column if n >= len(column) else column[:n]
-                           for column in traces[tc.path, interval])
+                           for column in traces[tc.path])
         else:
             pattern = _rotate(tc.pattern, GOP_ROTATE_STEP * i) if tc.rotate_gop else tc.pattern
             base_seed = cfg.seed if tc.seed is None else tc.seed

@@ -1,6 +1,6 @@
 """MPEG-4 video trace handling: parsing of 4-column trace files, summary
-statistics, and a seeded synthetic GoP generator for tests and built-in
-workloads.
+statistics, and a seeded synthetic GoP size generator for tests and
+built-in workloads.
 
 Trace file format (whitespace-separated, '#' comments allowed):
 
@@ -12,12 +12,14 @@ default. One video frame is one MSDU, whatever its size.
 
 A VideoTrace holds its frames as columns (sequence numbers, frame types,
 display times, sizes), sorted by sequence number only when the file is out
-of order. parse_trace reads TRACE_CHUNK_LINES lines at a time and fills the
-columns a column at a time (split, int, float and str.upper mapped over
-each chunk's fields); a chunk with a bad line is read again line by line,
-only to report the first bad line. VideoTrace.records is a derived view:
-it builds a fresh tuple of FrameRecord rows on every access, so read it
-once when iterating it often.
+of order. parse_trace (and load_trace, which opens a file for it) is the
+one place a trace is checked; a VideoTrace takes its columns as given.
+parse_trace reads TRACE_CHUNK_LINES lines at a time and fills the columns
+a column at a time (split, int, float and str.upper mapped over each
+chunk's fields); a chunk with a bad line is read again line by line, only
+to report the first bad line. VideoTrace.records is a derived view: it
+builds a fresh tuple of FrameRecord named tuples on every access, so read
+it once when iterating it often.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from itertools import cycle, islice
+from typing import NamedTuple
 
 from .phy import NS_PER_MS
 
@@ -57,30 +60,24 @@ class TraceParseError(ValueError):
         return type(self), (self.line_no, self.detail)
 
 
-@dataclass(frozen=True)
-class FrameRecord:
+class FrameRecord(NamedTuple):
+    """One frame of a VideoTrace, as VideoTrace.records lists it."""
+
     seq: int
     frame_type: str
     display_time_ms: float
     size_bytes: int
-
-    def __post_init__(self):
-        if self.seq < 0:
-            raise ValueError("seq must be >= 0")
-        if self.frame_type not in FRAME_TYPES:
-            raise ValueError(f"frame type must be one of {FRAME_TYPES}")
-        if self.size_bytes <= 0:
-            raise ValueError("frame size must be positive")
 
 
 @dataclass(frozen=True)
 class VideoTrace:
     """One trace as columns in coding order: frame k has sequence number
     seqs[k], type frame_types[k], display time display_ms[k] and size
-    size_bytes[k]. seqs and size_bytes are array('q') columns, taken as
-    they are when given as such (a run shares them), else copied;
-    frame_types and display_ms are tuples. A VideoTrace is not hashable,
-    because arrays are not."""
+    size_bytes[k]. seqs and size_bytes are array('q') columns (a run
+    shares them), frame_types and display_ms tuples. The columns are
+    taken as given: build a VideoTrace with parse_trace or load_trace,
+    which check them. A VideoTrace is not hashable, because arrays are
+    not."""
 
     seqs: array
     frame_types: tuple
@@ -89,30 +86,6 @@ class VideoTrace:
     frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS
 
     __hash__ = None
-
-    def __post_init__(self):
-        for name in ("seqs", "size_bytes"):
-            column = getattr(self, name)
-            if not (isinstance(column, array) and column.typecode == COLUMN_TYPECODE):
-                try:
-                    object.__setattr__(self, name, array(COLUMN_TYPECODE, column))
-                except OverflowError:
-                    raise ValueError(f"{name} must be 64-bit integers") from None
-        for name in ("frame_types", "display_ms"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        n = len(self.seqs)
-        if not n:
-            raise ValueError("trace must contain at least one frame")
-        if not n == len(self.frame_types) == len(self.display_ms) == len(self.size_bytes):
-            raise ValueError("trace columns must have equal lengths")
-        if self.frame_interval_ns <= 0:
-            raise ValueError("frame interval must be positive")
-        if min(self.seqs) < 0:
-            raise ValueError("seq must be >= 0")
-        if not _FRAME_TYPE_SET.issuperset(self.frame_types):
-            raise ValueError(f"frame type must be one of {FRAME_TYPES}")
-        if min(self.size_bytes) <= 0:
-            raise ValueError("frame size must be positive")
 
     def __len__(self) -> int:
         return len(self.seqs)
@@ -137,7 +110,11 @@ class TraceStats:
 def parse_trace(stream, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> VideoTrace:
     """Parse a trace from an iterable of text lines. Frames come back sorted
     by ascending frame sequence regardless of input order; frames with equal
-    sequence numbers keep their input order."""
+    sequence numbers keep their input order. Every line is checked; a bad
+    line is a TraceParseError naming it, a frame interval that is not
+    positive a ValueError."""
+    if frame_interval_ns <= 0:
+        raise ValueError("frame interval must be positive")
     seqs, sizes = array(COLUMN_TYPECODE), array(COLUMN_TYPECODE)
     types, display = [], []
     in_order = True
@@ -156,8 +133,8 @@ def parse_trace(stream, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> V
         order = sorted(range(len(seqs)), key=seqs.__getitem__)
         seqs, sizes = (array(COLUMN_TYPECODE, map(col.__getitem__, order))
                        for col in (seqs, sizes))
-        types, display = (list(map(col.__getitem__, order)) for col in (types, display))
-    return VideoTrace(seqs, types, display, sizes, frame_interval_ns)
+        types, display = (map(col.__getitem__, order) for col in (types, display))
+    return VideoTrace(seqs, tuple(types), tuple(display), sizes, frame_interval_ns)
 
 
 def _read_chunk(lines: list[str], seqs: array, types: list, display: list,
@@ -300,19 +277,6 @@ def synth_sizes(gop_pattern: str, base_sizes: tuple[int, int, int], jitter: floa
     rand = random.Random(rng_seed).random
     return [round(b * (1.0 + (-1.0 + 2.0 * rand()) * jitter)) or 1
             for b in islice(cycle(bases), n_frames)]
-
-
-def synth_trace(gop_pattern: str, base_sizes: tuple[int, int, int], jitter: float,
-                n_frames: int, rng_seed: int,
-                frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> VideoTrace:
-    """synth_sizes as a VideoTrace: frame k is seq k, displayed at
-    k * frame interval."""
-    sizes = synth_sizes(gop_pattern, base_sizes, jitter, n_frames, rng_seed)
-    pattern = gop_pattern.upper()
-    types = (pattern * -(-n_frames // len(pattern)))[:n_frames]
-    interval_ms = frame_interval_ns / NS_PER_MS
-    return VideoTrace(range(n_frames), types, [k * interval_ms for k in range(n_frames)],
-                      sizes, frame_interval_ns)
 
 
 def stats_csv_row(name: str, stats: TraceStats) -> str:

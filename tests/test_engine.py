@@ -375,6 +375,16 @@ def test_each_trace_file_is_parsed_once_per_run(tmp_path, monkeypatch):
     assert parsed == ["t1.txt"]
     assert all(st.sizes is traces[0].size_bytes and st.seqs is traces[0].seqs
                for st in sim.stations)
+    # One file at two frame intervals: parsed once, each station keeping
+    # its own interval.
+    del parsed[:], traces[:]
+    sim = engine.Simulation(make_scenario(duration_s=21, traffic_start_s=20, stations=[
+        {"traffic": {"kind": "trace", "path": "t2.txt", "frame_interval_ms": ms}}
+        for ms in (40, 20)]))
+    assert parsed == ["t2.txt"]
+    assert all(st.sizes is traces[0].size_bytes and st.seqs is traces[0].seqs
+               for st in sim.stations)
+    assert [st.interval for st in sim.stations] == [40_000_000, 20_000_000]
 
 
 def test_a_bad_shared_trace_names_the_first_station(tmp_path):

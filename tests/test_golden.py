@@ -16,7 +16,7 @@ import yaml
 
 from conftest import make_scenario
 from hccasim import cli, engine, metrics
-from hccasim.traffic import serialize_trace, synth_trace
+from hccasim.traffic import synth_sizes
 
 CASES = {
     "ref-1": (dict(preset="vbr-high", scheduler="reference", stations=1, seed=3),
@@ -82,12 +82,20 @@ def _polls_text(polls) -> str:
                    f"{p.frames_sent}\n" for p in polls)
 
 
+TRACE_GOP = "IBBPBBPBBPBB"
+
+
+def _trace_lines(rng_seed, seq_of=lambda k: k) -> list[str]:
+    # 150 frames (6 s, longer than the 4 s of traffic in a case); frame k
+    # is numbered seq_of(k), typed from the GoP and displayed at 40 * k ms.
+    sizes = synth_sizes(TRACE_GOP, (12160, 4800, 2400), 0.25, 150, rng_seed)
+    return [f"{seq_of(k)} {TRACE_GOP[k % len(TRACE_GOP)]} {40 * k} {size}"
+            for k, size in enumerate(sizes)]
+
+
 def _gapped_trace_text() -> str:
-    # 150 frames (6 s, longer than the 4 s of traffic in a case) numbered
-    # 1000, 1004, 1006, 1010, ... and written in shuffled order.
-    trace = synth_trace("IBBPBBPBBPBB", (12160, 4800, 2400), 0.25, 150, 98)
-    lines = [f"{1000 + 3 * k + k % 2} {r.frame_type} {r.display_time_ms:g} {r.size_bytes}"
-             for k, r in enumerate(trace.records)]
+    # Numbered 1000, 1004, 1006, 1010, ... and written in shuffled order.
+    lines = _trace_lines(98, lambda k: 1000 + 3 * k + k % 2)
     random.Random(5).shuffle(lines)
     return "\n".join(lines) + "\n"
 
@@ -99,8 +107,7 @@ def _scenario_dict(name, tmp_path):
         if name.startswith("trace-gaps-"):
             path.write_text(_gapped_trace_text())
         else:
-            trace = synth_trace("IBBPBBPBBPBB", (12160, 4800, 2400), 0.25, 150, 99)
-            path.write_text(serialize_trace(trace))
+            path.write_text("".join(f"{line}\n" for line in _trace_lines(99)))
         kwargs["traffic"] = {"kind": "trace", "path": str(path)}
     return kwargs
 

@@ -8,7 +8,7 @@ from conftest import FRAGMENT_SIZES
 from hccasim import traffic
 from hccasim.traffic import (TRACE_CHUNK_LINES, FrameRecord, TraceParseError, VideoTrace,
                              load_trace, parse_trace, serialize_trace, stats_csv_row,
-                             synth_sizes, synth_trace, trace_stats)
+                             synth_sizes, trace_stats)
 
 
 def _row_parse(lines):
@@ -77,12 +77,19 @@ def test_parse_skips_comments_and_blank_lines():
     # A run holds sizes and sequence numbers as 64-bit integers.
     (f"1 I 40 {2**63}\n", f"frame size must be below 2**63, got {2**63}"),
     (f"{2**63} I 40 900\n", f"frame sequence must be below 2**63, got {2**63}"),
+    ("-1 I 40 900\n", "frame sequence must be >= 0, got -1"),
 ])
 def test_parse_errors_carry_line_numbers(bad, msg):
     with pytest.raises(TraceParseError) as e:
         parse_trace(io.StringIO("5 I 40 900\n" + bad))
     assert msg in str(e.value)
     assert e.value.line_no == 2
+
+
+@pytest.mark.parametrize("interval_ns", [0, -40_000_000])
+def test_parse_refuses_a_frame_interval_that_is_not_positive(interval_ns):
+    with pytest.raises(ValueError, match="frame interval must be positive"):
+        parse_trace(io.StringIO("0 I 0 100\n"), frame_interval_ns=interval_ns)
 
 
 def test_parse_takes_the_largest_64_bit_values():
@@ -103,7 +110,8 @@ def test_round_trip(fragment_path):
     again = parse_trace(io.StringIO(serialize_trace(trace)))
     assert again == trace
     # Display times that :g would cut to 6 significant digits.
-    trace = VideoTrace([0, 1, 2], "IPB", [12345.678, 0.1 + 0.2, 1e-7], [900, 800, 700])
+    trace = VideoTrace(array("q", [0, 1, 2]), ("I", "P", "B"), (12345.678, 0.1 + 0.2, 1e-7),
+                       array("q", [900, 800, 700]))
     text = serialize_trace(trace)
     assert text == "0 I 12345.678 900\n1 P 0.30000000000000004 800\n2 B 1e-07 700\n"
     assert parse_trace(io.StringIO(text)) == trace
@@ -138,64 +146,53 @@ def test_stats_csv_row(fragment_path):
     assert row == "frag,6740.33,8124,1348066.7,1624800.0,1.2053"
 
 
+def _trace_of_sizes(sizes) -> VideoTrace:
+    """A VideoTrace with the given frame sizes; trace_stats reads only
+    the sizes and the frame interval."""
+    n = len(sizes)
+    return VideoTrace(array("q", range(n)), ("I",) * n, (0.0,) * n, array("q", sizes))
+
+
 def test_synth_zero_jitter():
-    trace = synth_trace("IBB", (8000, 7000, 6000), 0.0, 3, rng_seed=1)
-    assert list(trace.size_bytes) == [8000, 6000, 6000]
-    assert [r.frame_type for r in trace.records] == ["I", "B", "B"]
+    assert synth_sizes("IBB", (8000, 7000, 6000), 0.0, 3, rng_seed=1) == [8000, 6000, 6000]
 
 
 def test_synth_deterministic():
-    a = synth_trace("IBBPBB", (9000, 5000, 2000), 0.4, 200, rng_seed=42)
-    b = synth_trace("IBBPBB", (9000, 5000, 2000), 0.4, 200, rng_seed=42)
-    c = synth_trace("IBBPBB", (9000, 5000, 2000), 0.4, 200, rng_seed=43)
+    a = synth_sizes("IBBPBB", (9000, 5000, 2000), 0.4, 200, rng_seed=42)
+    b = synth_sizes("IBBPBB", (9000, 5000, 2000), 0.4, 200, rng_seed=42)
+    c = synth_sizes("IBBPBB", (9000, 5000, 2000), 0.4, 200, rng_seed=43)
     assert a == b
     assert a != c
 
 
 def test_synth_mean_converges():
-    trace = synth_trace("I", (3800, 3800, 3800), 0.5, 1000, rng_seed=7)
-    mean = sum(trace.size_bytes) / len(trace)
+    sizes = synth_sizes("I", (3800, 3800, 3800), 0.5, 1000, rng_seed=7)
+    mean = sum(sizes) / len(sizes)
     assert abs(mean - 3800) / 3800 < 0.02
 
 
 def test_synth_validation():
     with pytest.raises(ValueError):
-        synth_trace("IXB", (1, 1, 1), 0.0, 3, 0)
+        synth_sizes("IXB", (1, 1, 1), 0.0, 3, 0)
     with pytest.raises(ValueError):
-        synth_trace("", (1, 1, 1), 0.0, 3, 0)
+        synth_sizes("", (1, 1, 1), 0.0, 3, 0)
     with pytest.raises(ValueError):
-        synth_trace("I", (1, 1, 1), 1.0, 3, 0)
+        synth_sizes("I", (1, 1, 1), 1.0, 3, 0)
     with pytest.raises(ValueError):
-        synth_trace("I", (0, 1, 1), 0.0, 3, 0)
+        synth_sizes("I", (0, 1, 1), 0.0, 3, 0)
 
 
 def test_stats_peak_dominates_mean_on_random_traces():
     rng = random.Random(5)
     for _ in range(50):
-        trace = synth_trace("IBBPBBPBBPBB",
+        sizes = synth_sizes("IBBPBBPBBPBB",
                             (rng.randrange(2000, 20000),
                              rng.randrange(1000, 8000),
                              rng.randrange(500, 4000)),
                             rng.random() * 0.9, rng.randrange(1, 300), rng.randrange(10**6))
-        stats = trace_stats(trace)
+        stats = trace_stats(_trace_of_sizes(sizes))
         assert stats.peak_size_bytes >= stats.mean_size_bytes
         assert stats.peak_to_mean >= 1.0
-
-
-def test_video_trace_rejects_empty():
-    with pytest.raises(ValueError):
-        VideoTrace((), (), (), ())
-
-
-@pytest.mark.parametrize("columns", [
-    ((1, 2), ("I", "P"), (0.0, 40.0), (900,)),        # ragged columns
-    ((-1,), ("I",), (0.0,), (900,)),                   # negative seq
-    ((1,), ("X",), (0.0,), (900,)),                    # unknown type
-    ((1,), ("I",), (0.0,), (0,)),                      # empty frame
-])
-def test_video_trace_rejects_invalid_columns(columns):
-    with pytest.raises(ValueError):
-        VideoTrace(*columns)
 
 
 def test_columns_match_row_parse_on_random_traces():
@@ -222,8 +219,8 @@ def _line_read(lines) -> VideoTrace:
         rows = _row_parse(lines)
         if not rows:
             raise TraceParseError(None, "trace contains no frames") from None
-        return VideoTrace([r.seq for r in rows], [r.frame_type for r in rows],
-                          [r.display_time_ms for r in rows], [r.size_bytes for r in rows])
+        seqs, types, display, sizes = zip(*rows)
+        return VideoTrace(array("q", seqs), types, display, array("q", sizes))
 
 
 def _outcome(read):
@@ -321,4 +318,3 @@ def test_synth_sizes_match_uniform_reference():
                              * (1.0 + ref.uniform(-1.0, 1.0) * jitter)))
                 for k in range(n)]
         assert synth_sizes(pattern, bases, jitter, n, seed) == want
-        assert list(synth_trace(pattern, bases, jitter, n, seed).size_bytes) == want
