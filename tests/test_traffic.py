@@ -69,11 +69,13 @@ def test_parse_skips_comments_and_blank_lines():
 
 @pytest.mark.parametrize("bad,msg", [
     ("1 I 40\n", "expected 4 columns"),
+    ("1 I 40 900 7\n", "expected 4 columns, got 5"),
     ("1 X 40 900\n", "unknown frame type"),
     ("x I 40 900\n", "bad frame sequence"),
     ("1 I y 900\n", "bad display time"),
     ("1 I 40 zap\n", "bad frame size"),
     ("1 I 40 0\n", "must be positive"),
+    ("1 I 40 -5\n", "frame size must be positive, got -5"),
     # A run holds sizes and sequence numbers as 64-bit integers.
     (f"1 I 40 {2**63}\n", f"frame size must be below 2**63, got {2**63}"),
     (f"{2**63} I 40 900\n", f"frame sequence must be below 2**63, got {2**63}"),
