@@ -40,13 +40,84 @@ def _fail(msg: str) -> int:
     return EXIT_USAGE
 
 
+def _fail_out(error) -> int:
+    print(f"error: out: {error}", file=sys.stderr)
+    return EXIT_FAILURE
+
+
 def _load_config(args) -> ScenarioConfig:
     if args.config:
         return load_scenario(args.config, args.set or [])
     return scenario_from_dict(apply_overrides({}, args.set or []))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork(fn, *args) -> tuple[int, int]:
+    """Fork a child that calls fn(*args) and writes the return value,
+    pickled, to a pipe, then leaves with os._exit: status 0 once the value
+    is written, else 1. Returns (child pid, read end of the pipe) for
+    _join; raises OSError if no child could be started."""
+    import pickle  # only a command that forks pays for the import
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                pickle.dump(fn(*args), fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)  # else later children hold it open and the read never ends
+    return pid, r
+
+
+def _join(pid: int, r: int, who: str):
+    """Read what the child _fork started sent on r, reap it and return
+    fn's value. If the child ended without sending it, raises a
+    SimulationError that names the child as who and says how it ended."""
+    with open(r, "rb") as fh:
+        data = fh.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise engine.SimulationError(f"{who} {how} before sending its results")
+    import pickle
+
+    return pickle.loads(data)
+
+
+def _write_packets(report, path: str) -> OSError | None:
+    """Write report's packet log CSV to path: None once it is written, else
+    the OSError that stopped it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            report.write_packets_csv(fh)
+    except OSError as e:
+        return e
+    return None
+
+
 def cmd_simulate(args) -> int:
+    """Run one scenario and write packets.csv and summary.csv under
+    args.out. With more than one usable CPU a forked child writes
+    packets.csv while this process computes the summary; where os.fork is
+    missing or fails, this process writes it. The files are the same either
+    way, and summary.csv is written only once packets.csv has been."""
     try:
         cfg = _load_config(args)
         warn = stations_warning(cfg)
@@ -57,16 +128,31 @@ def cmd_simulate(args) -> int:
         return _fail(str(e))
     packets_path = os.path.join(args.out, "packets.csv")
     summary_path = os.path.join(args.out, "summary.csv")
-    summary = metrics.summarize([report])
     try:
         os.makedirs(args.out, exist_ok=True)
-        with open(packets_path, "w", encoding="utf-8", newline="\n") as fh:
-            report.write_packets_csv(fh)
+    except OSError as e:
+        return _fail_out(e)
+    writer = None
+    if hasattr(os, "fork") and _usable_cpus() > 1:
+        try:
+            writer = _fork(_write_packets, report, packets_path)
+        except OSError:
+            pass
+    try:
+        summary = metrics.summarize([report])
+    finally:
+        try:
+            error = (_join(*writer, "packets.csv writer") if writer
+                     else _write_packets(report, packets_path))
+        except engine.SimulationError as e:
+            error = e
+    if error:
+        return _fail_out(error)
+    try:
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(summary)
     except OSError as e:
-        print(f"error: out: {e}", file=sys.stderr)
-        return EXIT_FAILURE
+        return _fail_out(e)
     for note in report.admission_notes + report.traffic_notes:
         _warn(note)
     _say(args, f"wrote {packets_path} and {summary_path}")
@@ -125,14 +211,6 @@ def _run_cell(cfg: ScenarioConfig) -> tuple:
     return metrics.summary_row(report), report.admission_notes + report.traffic_notes
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else every CPU of the host."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _deal(cells, shares: int) -> list[list[tuple[int, int]]]:
     """The (dispatch position, cell index) pairs of every cell, dealt into
     `shares` lists: cells with the most stations first, dealt back and
@@ -160,33 +238,6 @@ def _run_share(cells, share) -> tuple[dict, tuple | None]:
     return done, None
 
 
-def _fork_share(cells, share) -> tuple[int, int]:
-    """Fork a child that runs share and writes _run_share's outcome,
-    pickled, to a pipe, then leaves with os._exit: status 0 once the
-    outcome is written, else 1. Returns (child pid, read end of the pipe);
-    raises OSError if no child could be started."""
-    import pickle  # only a sweep that forks pays for the import
-
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as fh:
-                pickle.dump(_run_share(cells, share), fh)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)  # else later children hold it open and the read never ends
-    return pid, r
-
-
 def _run_cells(cells) -> list:
     """_run_cell of every cell, in cell order. The cells are dealt into one
     share per usable CPU; a forked child runs each share after the first
@@ -197,32 +248,26 @@ def _run_cells(cells) -> list:
     earliest failing cell in dispatch order is raised."""
     workers = min(len(cells), _usable_cpus()) if hasattr(os, "fork") else 1
     shares = _deal(cells, workers)
-    mine, children, reaped = shares[0], [], []
+    mine, children = shares[0], []
     for share in shares[1:]:
         try:
-            children.append((share[0][0], *_fork_share(cells, share)))
+            children.append((share[0][0], _fork(_run_share, cells, share)))
         except OSError:
             mine = sorted(mine + share)  # run here, still in dispatch order
+    outcomes = []
     try:
         results, error = _run_share(cells, mine)
     finally:
-        for first, pid, r in children:
-            with open(r, "rb") as fh:
-                data = fh.read()
-            reaped.append((first, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
+        for first, child in children:
+            try:
+                outcomes.append(_join(*child, "sweep worker"))
+            except engine.SimulationError as e:
+                outcomes.append(({}, (first, e)))
     errors = [error] if error else []
-    for first, code, data in reaped:
-        if code:
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            errors.append((first, engine.SimulationError(
-                f"sweep worker {how} before sending its results")))
-        else:
-            import pickle
-
-            done, error = pickle.loads(data)
-            results.update(done)
-            if error:
-                errors.append(error)
+    for done, error in outcomes:
+        results.update(done)
+        if error:
+            errors.append(error)
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
     return [results[i] for i in range(len(cells))]
@@ -247,8 +292,7 @@ def cmd_sweep(args) -> int:
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(metrics.summary_csv(cells, [row for row, _ in results]))
     except OSError as e:
-        print(f"error: out: {e}", file=sys.stderr)
-        return EXIT_FAILURE
+        return _fail_out(e)
     # Station i replays the same traffic and TSPEC in every cell: say each
     # note once.
     for note in dict.fromkeys(n for _, notes in results for n in notes):

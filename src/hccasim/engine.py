@@ -34,7 +34,9 @@ The run is one loop over SI boundaries, with no event queue:
   from the station's schedule, and per-packet records are only built on
   request. Every per-frame column is an array('q') (a synthetic
   schedule's sequence numbers are a range), 8 bytes per value and no int
-  object per frame.
+  object per frame. A run allocates each flow's receive log for every
+  frame of its schedule, stores frame k's receive time at index k when it
+  goes out, and cuts the log to the frames sent when the loop ends.
 
 Set-up (Simulation.stations and the schedule arrays that stations and
 sweep cells share) is read-only. Simulation.run() builds the state it
@@ -370,6 +372,7 @@ class Simulation:
         dur, beacon_ns = cfg.duration_ns, cfg.beacon_interval_ns
         si_ns, divisor = self.si_ns, self.divisor
         adaptive, exact, loss_p = cfg.scheduler == "adaptive", cfg.qs_exact, cfg.loss_p
+        lossy = loss_p > 0
         record_polls, polls = cfg.record_polls, []
         draw = random.Random(cfg.seed).random
 
@@ -392,10 +395,12 @@ class Simulation:
 
         # The run's own state, per flow: the send cursor (frames [0:next_tx)
         # are sent), the receive log and the AP's feedback value, None
-        # before the first poll.
+        # before the first poll. A log is written by index and cut to the
+        # cursor after the loop: storing an array item converts the value
+        # once, appending converts it twice.
         next_tx = [0] * len(stations)
         feedback = [None] * len(stations)
-        logs = [array(COLUMN_TYPECODE) for _ in stations]
+        logs = [array(COLUMN_TYPECODE, [0]) * len(st.sizes) for st in stations]
         polled = [(st.flow, st.tspec.phys_rate_bps, st.sizes, logs[st.flow], st.start,
                    st.interval, len(st.sizes),
                    reference_txop(st.tspec, si_ns, p, cfg.overhead_mode))
@@ -412,8 +417,7 @@ class Simulation:
                 n_beacons += 1
                 next_beacon += beacon_ns
             n_caps += 1
-            t = max(t_cap, busy_until)
-            grant_sum = 0
+            t = cap_start = max(t_cap, busy_until)
             for flow, phys_rate, sizes, log, start, interval, n_frames, ref_txop in polled:
                 if t >= dur:
                     break
@@ -438,7 +442,6 @@ class Simulation:
                 else:
                     grant, branch = minimal_grant, "minimal"
                     n_minimal += 1
-                grant_sum += grant
 
                 # Poll + TXOP: frames go out while the whole exchange fits
                 # the grant; the AP decodes the piggybacked next-frame size
@@ -451,40 +454,46 @@ class Simulation:
                     data_end = tx + phy_hdr - (neg_mac_num - sizes[nt] * bit_ns) // data_rate
                     if data_end + ack_ifs > budget_end or data_end > dur:
                         break
-                    nt += 1
-                    if loss_p > 0 and draw() < loss_p:
-                        log.append(LOST)
+                    if lossy and draw() < loss_p:
+                        log[nt] = LOST
                     else:
-                        log.append(data_end)
-                        reported_at = nt
+                        log[nt] = data_end
+                        reported_at = nt + 1
+                    nt += 1
                     tx = data_end + ack_ifs
                 next_tx[flow] = nt
-                null_end = tx + null_air
-                if nt == first and null_end + ack_ifs <= budget_end and null_end <= dur:
-                    # Nothing sent (empty queue, or head frame larger than the
-                    # grant): one null data frame keeps the feedback loop alive.
-                    n_null += 1
-                    if not (loss_p > 0 and draw() < loss_p):
-                        reported_at = nt
-                    tx = null_end + ack_ifs
+                if nt == first:
+                    null_end = tx + null_air
+                    if null_end + ack_ifs <= budget_end and null_end <= dur:
+                        # Nothing sent (empty queue, or head frame larger than
+                        # the grant): one null data frame keeps the feedback
+                        # loop alive.
+                        n_null += 1
+                        if not (lossy and draw() < loss_p):
+                            reported_at = nt
+                        tx = null_end + ack_ifs
                 # Each received frame reports the frame queued behind it; the
                 # last one received sets the next grant. A prerecorded source
                 # knows its own future, so the report names that frame even
                 # before it arrives. Nothing is reported past the last frame.
-                if reported_at is None:
-                    feedback[flow] = None
-                elif reported_at >= n_frames:
-                    feedback[flow] = 0
-                elif exact:
-                    feedback[flow] = sizes[reported_at]
-                else:
-                    reported = -(-sizes[reported_at] // qs_unit) * qs_unit
-                    feedback[flow] = reported if reported < qs_cap else qs_cap
+                # No reference grant reads the feedback, so only an adaptive
+                # run keeps it.
+                if adaptive:
+                    if reported_at is None:
+                        feedback[flow] = None
+                    elif reported_at >= n_frames:
+                        feedback[flow] = 0
+                    elif exact:
+                        feedback[flow] = sizes[reported_at]
+                    else:
+                        reported = -(-sizes[reported_at] // qs_unit) * qs_unit
+                        feedback[flow] = reported if reported < qs_cap else qs_cap
                 if record_polls:
                     polls.append(PollRecord(flow, t, grant, tx - t, branch, nt - first))
                 t += grant
-            # No grant is negative, so the CAP ran past its SI if its final sum does.
-            if grant_sum > si_ns:
+            # t grew by exactly the grants made, none of them negative, so
+            # the CAP ran past its SI if their sum did.
+            if t - cap_start > si_ns:
                 n_overruns += 1
             # CAPs serialize on the medium: a late-running CAP pushes the next
             # one past its nominal SI boundary (back-to-back rounds under
@@ -497,6 +506,8 @@ class Simulation:
             t_cap = max(k * beacon_ns + (r * beacon_ns) // divisor, t)
         if next_beacon < dur:
             n_beacons += -(-(dur - next_beacon) // beacon_ns)
+        for log, nt in zip(logs, next_tx):
+            del log[nt:]
 
         # Each flow sends its frames in arrival order, so its log lines up
         # with the head of its schedule. The counts come from the log and

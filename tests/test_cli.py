@@ -484,6 +484,77 @@ def test_sweep_reaps_every_child_and_reports_the_first_failure(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+def count_forks(monkeypatch, works=True):
+    """Record in the returned list the pid of every os.fork call; each
+    call forks, or fails as fork_fails does when works is false."""
+    calls, real_fork = [], os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork() if works else fork_fails()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+@pytest.mark.parametrize("cpus, forks", [(1, True), (2, True), (2, False)])
+def test_simulate_matches_in_process_run(tmp_path, capsys, monkeypatch, cpus, forks):
+    # A lossy run, so packets.csv holds lost rows; one usable CPU forks no
+    # writer, and a failed fork writes packets.csv in this process.
+    cfg = write_config(tmp_path, preset="vbr-high", stations=3, duration_s=22, seed=5,
+                       loss_p=0.1)
+    report = engine.run(load_scenario(cfg))
+    use_cpus(monkeypatch, cpus)
+    calls = count_forks(monkeypatch, forks)
+    out = tmp_path / "o"
+    code, _, stderr = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out),
+                              "--quiet")
+    assert (code, stderr) == (0, "")
+    assert (out / "packets.csv").read_bytes() == report.packets_csv().encode()
+    assert (out / "summary.csv").read_bytes() == summarize([report]).encode()
+    assert calls == ([] if cpus == 1 else [os.getpid()])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("forks", [True, False])
+def test_simulate_reports_an_unwritable_packet_log_once(tmp_path, capsys, monkeypatch,
+                                                        forks):
+    use_cpus(monkeypatch, 2)
+    calls = count_forks(monkeypatch, forks)
+    out = tmp_path / "o"
+    (out / "packets.csv").mkdir(parents=True)
+    code, stdout, stderr = run_cli(capsys, "simulate", "--set", "preset=cbr-nominal",
+                                   "--set", "duration_s=20.5", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: out: [Errno 21] Is a directory: '{out / 'packets.csv'}'\n"
+    assert sorted(p.name for p in out.iterdir()) == ["packets.csv"]
+    assert len(calls) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_simulate_names_a_packet_writer_that_died(tmp_path, capsys, monkeypatch):
+    use_cpus(monkeypatch, 2)
+    parent, real_write = os.getpid(), cli._write_packets
+
+    def write_packets(report, path):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_write(report, path)
+
+    monkeypatch.setattr(cli, "_write_packets", write_packets)
+    out = tmp_path / "o"
+    code, stdout, stderr = run_cli(capsys, "simulate", "--set", "preset=cbr-nominal",
+                                   "--set", "duration_s=20.5", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr == ("error: out: packets.csv writer exited with status 3 "
+                      "before sending its results\n")
+    assert not (out / "summary.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_cells_are_dealt_largest_first_back_and_forth():
     cells = cli.sweep_cells(ScenarioConfig(), range(1, 5), ["reference", "adaptive"])
     # Largest first, ties in cell order: 4r 4a 3r 3a 2r 2a 1r 1a.

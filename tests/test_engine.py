@@ -171,6 +171,26 @@ def test_adaptive_bootstrap_cap_overrun_at_four_stations():
     assert r.counters.polls_fallback == 4
 
 
+@pytest.mark.parametrize("scheduler, traffic, counts", [
+    # (overruns, polls_reference, polls_adaptive, polls_fallback,
+    #  polls_minimal, null_frames, lost_frames)
+    ("reference", {}, (63, 753, 0, 0, 0, 0, 228)),
+    ("reference", {"i_size": 20000}, (63, 753, 0, 0, 0, 718, 8)),
+    ("adaptive", {}, (164, 0, 1861, 190, 0, 11, 241)),
+    ("adaptive", {"i_size": 20000}, (148, 0, 1641, 175, 0, 27, 209)),
+])
+def test_overloaded_lossy_run_counters_are_pinned(scheduler, traffic, counts):
+    # Twelve stations overload the SI and lose a tenth of their frames;
+    # I-frames of 20 000 B outgrow the reference grant, so its polls send
+    # null frames. The overrun count checks the CAP's grant total, the
+    # branch counts check the feedback the adaptive grants read.
+    cfg = make_scenario(preset="vbr-high", scheduler=scheduler, stations=12,
+                        duration_s=30, seed=3, loss_p=0.1, traffic=traffic)
+    c = engine.run(cfg).counters
+    assert (c.overruns, c.polls_reference, c.polls_adaptive, c.polls_fallback,
+            c.polls_minimal, c.null_frames, c.lost_frames) == counts
+
+
 def test_admission_on_feasible_never_overruns():
     cfg = make_scenario(preset="vbr-high", scheduler="adaptive", stations=3,
                         duration_s=30, seed=3, admission="on", loss_p=0.2)
