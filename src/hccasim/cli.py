@@ -24,6 +24,9 @@ from .traffic import STATS_CSV_HEADER, load_trace, stats_csv_row, trace_stats
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+# Three note kinds (admission rejection, oversized frame, late start) for
+# each station of the validated 1..12 range: no run inside it loses a note.
+NOTES_SHOWN = 36
 
 
 def _say(args, msg: str):
@@ -33,6 +36,15 @@ def _say(args, msg: str):
 
 def _warn(msg: str):
     print(f"warning: {msg}", file=sys.stderr)
+
+
+def _warn_notes(notes):
+    """Warn once per distinct note, in order; past NOTES_SHOWN, count the rest."""
+    notes = list(dict.fromkeys(notes))
+    for note in notes[:NOTES_SHOWN]:
+        _warn(note)
+    if len(notes) > NOTES_SHOWN:
+        _warn(f"{len(notes) - NOTES_SHOWN} more notes not shown")
 
 
 def _fail(msg: str) -> int:
@@ -59,11 +71,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork(fn, *args) -> tuple[int, int]:
+def _fork(fn, *args) -> tuple[int, int] | None:
     """Fork a child that calls fn(*args) and writes the return value,
     pickled, to a pipe, then leaves with os._exit: status 0 once the value
     is written, else 1. Returns (child pid, read end of the pipe) for
-    _join; raises OSError if no child could be started."""
+    _join, or None with no child where os.fork is missing or fails or
+    fewer than two CPUs are usable: the caller then calls fn itself. This
+    is the one place hccasim forks; the CLI starts no thread, so it may."""
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        return None
     import pickle  # only a command that forks pays for the import
 
     r, w = os.pipe()
@@ -72,7 +88,7 @@ def _fork(fn, *args) -> tuple[int, int]:
     except OSError:
         os.close(r)
         os.close(w)
-        raise
+        return None
     if pid == 0:
         status = 1
         try:
@@ -114,10 +130,10 @@ def _write_packets(report, path: str) -> OSError | None:
 
 def cmd_simulate(args) -> int:
     """Run one scenario and write packets.csv and summary.csv under
-    args.out. With more than one usable CPU a forked child writes
-    packets.csv while this process computes the summary; where os.fork is
-    missing or fails, this process writes it. The files are the same either
-    way, and summary.csv is written only once packets.csv has been."""
+    args.out. A child that _fork starts writes packets.csv while this
+    process computes the summary; where _fork starts none, this process
+    writes it. The files are the same either way, and summary.csv is
+    written only once packets.csv has been."""
     try:
         cfg = _load_config(args)
         warn = stations_warning(cfg)
@@ -132,12 +148,7 @@ def cmd_simulate(args) -> int:
         os.makedirs(args.out, exist_ok=True)
     except OSError as e:
         return _fail_out(e)
-    writer = None
-    if hasattr(os, "fork") and _usable_cpus() > 1:
-        try:
-            writer = _fork(_write_packets, report, packets_path)
-        except OSError:
-            pass
+    writer = _fork(_write_packets, report, packets_path)
     try:
         summary = metrics.summarize([report])
     finally:
@@ -153,8 +164,7 @@ def cmd_simulate(args) -> int:
             fh.write(summary)
     except OSError as e:
         return _fail_out(e)
-    for note in report.admission_notes + report.traffic_notes:
-        _warn(note)
+    _warn_notes(report.admission_notes + report.traffic_notes)
     _say(args, f"wrote {packets_path} and {summary_path}")
     _say(args, summary.rstrip("\n"))
     return EXIT_OK
@@ -240,30 +250,26 @@ def _run_share(cells, share) -> tuple[dict, tuple | None]:
 
 def _run_cells(cells) -> list:
     """_run_cell of every cell, in cell order. The cells are dealt into one
-    share per usable CPU; a forked child runs each share after the first
-    and this process runs the first itself, so no worker waits to start and
-    no CPU sits idle. (The CLI starts no thread, so it may fork.) Where
-    os.fork is missing or fails, this process runs those shares as well.
-    When cells raise, every child is reaped first, then the error of the
-    earliest failing cell in dispatch order is raised."""
-    workers = min(len(cells), _usable_cpus()) if hasattr(os, "fork") else 1
-    shares = _deal(cells, workers)
-    mine, children = shares[0], []
-    for share in shares[1:]:
-        try:
-            children.append((share[0][0], _fork(_run_share, cells, share)))
-        except OSError:
-            mine = sorted(mine + share)  # run here, still in dispatch order
+    share per usable CPU; a child that _fork starts runs each share after
+    the first, and this process runs the first itself, so no worker waits to
+    start and no CPU sits idle. A share _fork starts no child for runs in
+    this process after the first. Each share stops at its first failing
+    cell; every child is reaped, then the error of the earliest failing
+    cell in dispatch order is raised."""
+    shares = _deal(cells, min(len(cells), _usable_cpus()))
+    children = [(share, _fork(_run_share, cells, share)) for share in shares[1:]]
     outcomes = []
     try:
-        results, error = _run_share(cells, mine)
+        outcomes.append(_run_share(cells, shares[0]))
+        outcomes += [_run_share(cells, share) for share, child in children if not child]
     finally:
-        for first, child in children:
-            try:
-                outcomes.append(_join(*child, "sweep worker"))
-            except engine.SimulationError as e:
-                outcomes.append(({}, (first, e)))
-    errors = [error] if error else []
+        for share, child in children:
+            if child:
+                try:
+                    outcomes.append(_join(*child, "sweep worker"))
+                except engine.SimulationError as e:
+                    outcomes.append(({}, (share[0][0], e)))
+    results, errors = {}, []
     for done, error in outcomes:
         results.update(done)
         if error:
@@ -293,10 +299,9 @@ def cmd_sweep(args) -> int:
             fh.write(metrics.summary_csv(cells, [row for row, _ in results]))
     except OSError as e:
         return _fail_out(e)
-    # Station i replays the same traffic and TSPEC in every cell: say each
-    # note once.
-    for note in dict.fromkeys(n for _, notes in results for n in notes):
-        _warn(note)
+    # Station i replays the same traffic and TSPEC in every cell: its notes
+    # repeat, and _warn_notes says each once.
+    _warn_notes(n for _, notes in results for n in notes)
     _say(args, f"wrote {summary_path} ({len(results)} runs)")
     return EXIT_OK
 
@@ -313,16 +318,18 @@ def cmd_trace_stats(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    """Set the scenario up as simulate does, in engine.Simulation, and stop
+    before the first CAP: the same warnings, and the same error and exit
+    code for what simulate refuses before it runs."""
     try:
         cfg = _load_config(args)
-        notes = engine.traffic_notes(cfg)  # parses referenced trace files too
-    except ConfigError as e:
+        warn = stations_warning(cfg)
+        if warn:
+            _warn(warn)
+        sim = engine.Simulation(cfg)
+    except (ConfigError, engine.SimulationError) as e:
         return _fail(str(e))
-    warn = stations_warning(cfg)
-    if warn:
-        _warn(warn)
-    for note in notes:
-        _warn(note)
+    _warn_notes(sim.admission_notes + sim.traffic_notes)
     _say(args, "config ok")
     return EXIT_OK
 

@@ -38,10 +38,13 @@ The run is one loop over SI boundaries, with no event queue:
   frame of its schedule, stores frame k's receive time at index k when it
   goes out, and cuts the log to the frames sent when the loop ends.
 
-Set-up (Simulation.stations and the schedule arrays that stations and
-sweep cells share) is read-only. Simulation.run() builds the state it
-changes, the send cursors, receive logs and feedback values, so it may be
-called again and gives the same report.
+Building a Simulation is the one set-up: it parses the trace files,
+builds the schedules, picks the SI and runs admission control (`hccasim
+validate` stops there). Set-up (Simulation.stations and the schedule
+arrays that stations and sweep cells share) is read-only. Simulation.run()
+builds the state it changes, the send cursors, receive logs and feedback
+values, so it may be called again and gives the same report. The engine
+never forks.
 
 All bookkeeping is in integer nanoseconds; runs are bitwise reproducible
 for a fixed (scenario, seed).
@@ -315,44 +318,31 @@ def _build_stations(cfg: ScenarioConfig) -> list[StationSchedule]:
     return stations
 
 
-def _traffic_notes(stations, dur_ns: int) -> list[str]:
-    """One note per station the run starves. Its largest frame may exceed
-    its TSPEC maximum MSDU size: grants sized from the TSPEC may never fit
-    such a frame, and the station then sends null frames while it waits.
-    Or its traffic may start at or after the end of the run: it then
-    generates no frame, and its summary counts stay empty."""
-    notes = []
-    for st in stations:
-        biggest = max(st.sizes, default=0)
-        if biggest > st.tspec.max_msdu_bytes:
-            notes.append(f"flow {st.flow}: largest frame is {biggest} B, above "
-                         f"tspec.max_msdu_bytes {st.tspec.max_msdu_bytes} B; grants "
-                         f"sized from the TSPEC may never fit it")
-        if st.start >= dur_ns:
-            notes.append(f"flow {st.flow}: traffic starts at {st.start / NS_PER_S:g} s, "
-                         f"not before the end of the run at {dur_ns / NS_PER_S:g} s; "
-                         f"it sends nothing")
-    return notes
-
-
-def traffic_notes(cfg: ScenarioConfig) -> list[str]:
-    """The traffic notes a run of cfg gives, without running it. It builds
-    every station's schedule, so an unreadable trace file is a ConfigError
-    here as in a run."""
-    return _traffic_notes(_build_stations(cfg), cfg.duration_ns)
-
-
 class Simulation:
     """A run's read-only set-up: the station schedules, the SI and divisor,
     and the traffic and admission notes; each run() call simulates it
-    afresh. It stays a class, not a function, because perfbench/child.py's
-    set-up probe builds engine.Simulation(cfg) and traces __init__ and run
-    apart."""
+    afresh. Building one raises SimulationError where admission control
+    rejects a flow and on_reject is abort. It stays a class, not a
+    function, because perfbench/child.py's set-up probe builds
+    engine.Simulation(cfg) and traces __init__ and run apart."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.stations = _build_stations(cfg)
-        self.traffic_notes = _traffic_notes(self.stations, cfg.duration_ns)
+        # Note each station whose largest frame no TSPEC-sized grant may fit
+        # (it sends null frames while it waits) or whose traffic never starts.
+        dur, notes = cfg.duration_ns, []
+        for st in self.stations:
+            biggest = max(st.sizes, default=0)
+            if biggest > st.tspec.max_msdu_bytes:
+                notes.append(f"flow {st.flow}: largest frame is {biggest} B, above "
+                             f"tspec.max_msdu_bytes {st.tspec.max_msdu_bytes} B; grants "
+                             f"sized from the TSPEC may never fit it")
+            if st.start >= dur:
+                notes.append(f"flow {st.flow}: traffic starts at {st.start / NS_PER_S:g} s, "
+                             f"not before the end of the run at {dur / NS_PER_S:g} s; "
+                             f"it sends nothing")
+        self.traffic_notes = notes
         tspecs = [s.tspec for s in self.stations]
         self.si_ns, self.divisor = assign_si(cfg.beacon_interval_ns, min_msi(tspecs))
         rejected = []

@@ -74,12 +74,17 @@ def test_missing_trace_file_fails(tmp_path, capsys):
     assert "no-such.txt" in stderr
 
 
-def test_simulate_admission_abort_is_reported(tmp_path, capsys):
-    code, _, stderr = run_cli(capsys, "simulate", "--set", "preset=vbr-high",
-                              "--set", "stations=6", "--set", "admission=on",
-                              "--set", "duration_s=21", "--out", str(tmp_path / "o"))
-    assert code == 2
-    assert "rejected" in stderr
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_simulate_admission_abort_is_reported(tmp_path, capsys, command):
+    # validate sets the scenario up as simulate does, admission control included.
+    code, stdout, stderr = run_cli(capsys, command, "--set", "preset=vbr-high",
+                                   "--set", "stations=6", "--set", "admission=on",
+                                   "--set", "duration_s=21", "--out", str(tmp_path / "o"))
+    assert (code, stdout) == (2, "")
+    assert stderr == ("error: admission control rejected flow 3 (utilization 1.3210 "
+                      "exceeds 1.0000 (sum TXOP 52841456 ns over SI 40000000 ns)); "
+                      "set on_reject: run or admission: off to simulate anyway\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_reports_admission_rejections_once(tmp_path, capsys):
@@ -95,14 +100,52 @@ def test_sweep_reports_admission_rejections_once(tmp_path, capsys):
     rejected = [l for l in swept.splitlines() if " rejected: " in l]
     assert [l.split(":")[1] for l in rejected] == [f" flow {i} rejected" for i in range(3, 10)]
     assert rejected == [l for l in simulated.splitlines() if " rejected: " in l]
-
-
-def test_stations_above_range_warns(tmp_path, capsys):
-    code, _, stderr = run_cli(capsys, "simulate", "--set", "preset=vbr-high",
-                              "--set", "stations=13", "--set", "duration_s=20.5",
-                              "--out", str(tmp_path / "o"))
+    code, _, validated = run_cli(capsys, "validate", *argv, "--set", "stations=10")
     assert code == 0
-    assert "stations=13" in stderr
+    assert [l for l in validated.splitlines() if " rejected: " in l] == rejected
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("simulate", ["--set", "stations=13"]),
+    ("validate", ["--set", "stations=13"]),
+    ("sweep", ["--stations", "12..14", "--schedulers", "adaptive,reference"])])
+def test_stations_above_range_warns(tmp_path, capsys, command, argv):
+    # The sweep warns for its first cell above the range, and only once.
+    code, _, stderr = run_cli(capsys, command, "--set", "preset=vbr-high",
+                              "--set", "duration_s=20.5", *argv,
+                              "--out", str(tmp_path / "o"), "--quiet")
+    assert code == 0
+    assert stderr == "warning: stations=13 is outside the validated 1..12 preset range\n"
+
+
+def test_sweep_refuses_a_per_station_list(tmp_path, capsys):
+    cfg = write_config(tmp_path, stations=[{}, {}], duration_s=21)
+    code, _, stderr = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert stderr == ("error: stations: sweep requires a station count, "
+                      "not a per-station list\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_bounds_the_notes_it_prints(capsys):
+    # 40 000 stations that never start: one note each, of which 36 are shown.
+    code, stdout, stderr = run_cli(capsys, "validate", "--set", "stations=40000",
+                                   "--set", "duration_s=10")
+    lines = stderr.splitlines()
+    assert (code, stdout) == (0, "config ok\n")
+    assert len(lines) <= 38
+    assert lines[0] == "warning: stations=40000 is outside the validated 1..12 preset range"
+    assert [l.split(":")[1] for l in lines[1:-1]] == [f" flow {i}" for i in range(36)]
+    assert lines[-1] == "warning: 39964 more notes not shown"
+
+
+def test_warn_notes_says_each_note_once_and_counts_the_rest(capsys):
+    cli._warn_notes(["a", "b", "a"] + [f"n{i}" for i in range(40)] + ["b"])
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["warning: a", "warning: b", *(f"warning: n{i}" for i in range(34)),
+                     "warning: 6 more notes not shown"]
+    cli._warn_notes(f"n{i}" for i in range(cli.NOTES_SHOWN))
+    assert len(capsys.readouterr().err.splitlines()) == cli.NOTES_SHOWN
 
 
 def test_trace_stats_fragment(fragment_path, capsys):
@@ -530,6 +573,32 @@ def test_simulate_reports_an_unwritable_packet_log_once(tmp_path, capsys, monkey
     assert stderr == f"error: out: [Errno 21] Is a directory: '{out / 'packets.csv'}'\n"
     assert sorted(p.name for p in out.iterdir()) == ["packets.csv"]
     assert len(calls) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unwritable_summary_fails_after_the_packet_log(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    (out / "summary.csv").mkdir(parents=True)
+    argv = ["--stations", "1..2"] if command == "sweep" else []
+    code, stdout, stderr = run_cli(capsys, command, "--set", "preset=cbr-nominal",
+                                   "--set", "duration_s=20.5", *argv, "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: out: [Errno 21] Is a directory: '{out / 'summary.csv'}'\n"
+    # simulate writes packets.csv first; sweep writes none.
+    assert sorted(p.name for p in out.iterdir()) == (
+        ["packets.csv", "summary.csv"] if command == "simulate" else ["summary.csv"])
+
+
+def test_fork_declines_without_starting_a_child(monkeypatch):
+    calls = count_forks(monkeypatch, works=False)
+    use_cpus(monkeypatch, 1)
+    assert cli._fork(os.getpid) is None and calls == []
+    use_cpus(monkeypatch, 2)
+    assert cli._fork(os.getpid) is None and calls == [os.getpid()]
+    monkeypatch.delattr(os, "fork")
+    assert cli._fork(os.getpid) is None and len(calls) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

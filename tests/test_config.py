@@ -169,6 +169,10 @@ def test_apply_overrides_nested_paths():
     assert raw == {"traffic": {"jitter": 0.4}, "phy": {"sifs_us": 16}, "seed": 9}
     with pytest.raises(ConfigError, match="--set"):
         apply_overrides({}, ["no-equals-sign"])
+    with pytest.raises(ConfigError, match=r"^--set: empty key in '=5'$"):
+        apply_overrides({}, ["=5"])
+    with pytest.raises(ConfigError, match=r"^--set: empty key in ' =5'$"):
+        apply_overrides({}, [" =5"])
 
 
 def test_override_values_parse_as_yaml():
@@ -177,6 +181,20 @@ def test_override_values_parse_as_yaml():
     assert cfg.qs_exact is True
     assert cfg.loss_p == 0.25
     assert cfg.quality == "foo"
+
+
+def test_override_value_that_is_not_yaml_is_kept_as_text():
+    # "[draft" opens a flow sequence it never closes: not YAML, so a string.
+    raw = apply_overrides({}, ["quality=[draft", "traffic.pattern=IBBP: x: y"])
+    assert raw == {"quality": "[draft", "traffic": {"pattern": "IBBP: x: y"}}
+    assert scenario_from_dict(apply_overrides({}, ["quality=[draft"])).quality == "[draft"
+
+
+def test_empty_config_file_gives_the_defaults(tmp_path):
+    path = tmp_path / "empty.yaml"
+    path.write_text("")
+    assert config.load_scenario(str(path)) == scenario_from_dict({}) == ScenarioConfig()
+    assert config.load_scenario(str(path), ["seed=4"]) == replace(ScenarioConfig(), seed=4)
 
 
 def test_admission_accepts_yaml_booleans():

@@ -1,3 +1,4 @@
+import inspect
 import os
 import pathlib
 import re
@@ -5,7 +6,7 @@ import subprocess
 import sys
 
 import hccasim
-from hccasim import config
+from hccasim import cli, config
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +34,14 @@ def test_cli_import_loads_no_unneeded_modules():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
     assert out.strip() == "[]"
+
+
+def test_only_the_cli_fork_helper_forks():
+    # The library never forks: cli._fork alone decides whether to. Outside
+    # it, no source line names fork (os.fork, "fork", from os import fork).
+    package = pathlib.Path(hccasim.__file__).resolve().parent
+    texts = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    helper = inspect.getsource(cli._fork)
+    assert re.search(r"\bfork\b", helper) and helper in texts["cli.py"]
+    texts["cli.py"] = texts["cli.py"].replace(helper, "")
+    assert sorted(name for name, text in texts.items() if re.search(r"\bfork\b", text)) == []
