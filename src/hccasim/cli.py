@@ -74,10 +74,11 @@ def _usable_cpus() -> int:
 def _fork(fn, *args) -> tuple[int, int] | None:
     """Fork a child that calls fn(*args) and writes the return value,
     pickled, to a pipe, then leaves with os._exit: status 0 once the value
-    is written, else 1. Returns (child pid, read end of the pipe) for
-    _join, or None with no child where os.fork is missing or fails or
-    fewer than two CPUs are usable: the caller then calls fn itself. This
-    is the one place hccasim forks; the CLI starts no thread, so it may."""
+    is written, else 1, after printing to stderr the traceback of what
+    raised. Returns (child pid, read end of the pipe) for _join, or None
+    with no child where os.fork is missing or fails or fewer than two CPUs
+    are usable: the caller then calls fn itself. This is the one place
+    hccasim forks; the CLI starts no thread, so it may."""
     if not hasattr(os, "fork") or _usable_cpus() < 2:
         return None
     import pickle  # only a command that forks pays for the import
@@ -96,6 +97,11 @@ def _fork(fn, *args) -> tuple[int, int] | None:
             with open(w, "wb") as fh:
                 pickle.dump(fn(*args), fh)
             status = 0
+        except Exception:  # os._exit skips the handler that would print it
+            import traceback
+
+            traceback.print_exc()
+            sys.stderr.flush()
         finally:
             os._exit(status)
     os.close(w)  # else later children hold it open and the read never ends
@@ -117,23 +123,14 @@ def _join(pid: int, r: int, who: str):
     return pickle.loads(data)
 
 
-def _write_packets(report, path: str) -> OSError | None:
-    """Write report's packet log CSV to path: None once it is written, else
-    the OSError that stopped it."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            report.write_packets_csv(fh)
-    except OSError as e:
-        return e
-    return None
-
-
 def cmd_simulate(args) -> int:
-    """Run one scenario and write packets.csv and summary.csv under
-    args.out. A child that _fork starts writes packets.csv while this
-    process computes the summary; where _fork starts none, this process
-    writes it. The files are the same either way, and summary.csv is
-    written only once packets.csv has been."""
+    """Run one scenario and write packets.csv, then summary.csv, under
+    args.out. This process writes packets.csv while a child that _fork
+    starts computes the summary and sends back its CSV text, all of about
+    150 bytes; where _fork starts none, this process summarizes once the
+    packet log is written. The files are the same either way, on one CPU
+    (taskset -c 0) too, and summary.csv is written only once packets.csv
+    has been."""
     try:
         cfg = _load_config(args)
         warn = stations_warning(cfg)
@@ -146,23 +143,16 @@ def cmd_simulate(args) -> int:
     summary_path = os.path.join(args.out, "summary.csv")
     try:
         os.makedirs(args.out, exist_ok=True)
-    except OSError as e:
-        return _fail_out(e)
-    writer = _fork(_write_packets, report, packets_path)
-    try:
-        summary = metrics.summarize([report])
-    finally:
+        summarizer = _fork(metrics.summarize, [report])
         try:
-            error = (_join(*writer, "packets.csv writer") if writer
-                     else _write_packets(report, packets_path))
-        except engine.SimulationError as e:
-            error = e
-    if error:
-        return _fail_out(error)
-    try:
+            with open(packets_path, "w", encoding="utf-8", newline="\n") as fh:
+                report.write_packets_csv(fh)
+        finally:
+            summary = summarizer and _join(*summarizer, "summary worker")
+        summary = summary or metrics.summarize([report])
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(summary)
-    except OSError as e:
+    except (OSError, engine.SimulationError) as e:
         return _fail_out(e)
     _warn_notes(report.admission_notes + report.traffic_notes)
     _say(args, f"wrote {packets_path} and {summary_path}")
@@ -344,16 +334,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="scenario YAML file")
         p.add_argument("--set", metavar="K=V", action="append", default=[],
                        help="override a config key (dotted path), repeatable")
-        p.add_argument("--out", metavar="DIR", default="results",
-                       help="output directory (default: results)")
         p.add_argument("--quiet", action="store_true", help="suppress status output")
 
+    def add_writer(p):
+        add_common(p)
+        p.add_argument("--out", metavar="DIR", default="results",
+                       help="output directory (default: results)")
+
     p_sim = sub.add_parser("simulate", help="run one scenario")
-    add_common(p_sim)
+    add_writer(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="run a scheduler x stations grid")
-    add_common(p_sweep)
+    add_writer(p_sweep)
     p_sweep.add_argument("--stations", metavar="A..B", default="1..12",
                          help="station count range (default: 1..12)")
     p_sweep.add_argument("--schedulers", metavar="LIST",

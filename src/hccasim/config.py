@@ -30,7 +30,7 @@ import yaml
 from .phy import NS_PER_MS, NS_PER_S, NS_PER_US, FieldError, PhyParams, check_types
 from .sched import (OVERHEAD_MODES, OVERHEAD_PER_MSDU, TSPEC_PRESETS, Tspec,
                     assign_si, min_msi)
-from .traffic import COLUMN_LIMIT, FRAME_TYPES
+from .traffic import COLUMN_LIMIT, DEFAULT_FRAME_INTERVAL_NS, FRAME_TYPES
 
 SCHEDULERS = ("reference", "adaptive")
 VALIDATED_STATION_RANGE = (1, 12)
@@ -70,7 +70,7 @@ class TrafficConfig:
     p_size: int = 4800
     b_size: int = 2400
     jitter: float = 0.25
-    frame_interval_ns: int = 40 * NS_PER_MS
+    frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS
     rotate_gop: bool = True                # rotate GoP phase per station
     stagger_ns: int = 0                    # extra start offset per station index
     seed: int | None = None                # synth base seed; defaults to scenario seed

@@ -139,8 +139,9 @@ class FlowLog:
     interval_ns with sequence number seqs[k] and size sizes[k]. The first
     len(recv_ns) frames were sent; recv_ns is an array('q') whose entry k
     is frame k's receive time, LOST when it was lost. queued_end is the
-    station's backlog at the end of the run, taken from its send cursor
-    rather than from the log."""
+    station's backlog at the end of the run, taken from its send cursor,
+    the same cursor the log was cut to: conserved() holds by construction
+    and checks no independent count."""
 
     flow: int
     start_ns: int
@@ -298,7 +299,7 @@ def _build_stations(cfg: ScenarioConfig) -> list[StationSchedule]:
                 try:
                     file = os.path.realpath(tc.path)
                     if file not in traces:
-                        trace = load_trace(tc.path, interval)
+                        trace = load_trace(tc.path)
                         # Keep the two columns a run reads; the rest is freed now.
                         traces[file] = trace.size_bytes, trace.seqs
                 except (OSError, ValueError) as e:
@@ -500,9 +501,10 @@ class Simulation:
             del log[nt:]
 
         # Each flow sends its frames in arrival order, so its log lines up
-        # with the head of its schedule. The counts come from the log and
-        # the backlog from the send cursor, so conservation checks one
-        # against the other.
+        # with the head of its schedule. The counts come from the log, cut
+        # to the send cursor above, and the backlog from that same cursor,
+        # so conservation holds by construction: the check below cannot
+        # fail (ROADMAP item 14 asks for one that can).
         flows = {st.flow: FlowLog(st.flow, st.start, st.interval, st.seqs, st.sizes,
                                   logs[st.flow], len(st.sizes) - next_tx[st.flow])
                  for st in stations}

@@ -83,7 +83,6 @@ class VideoTrace:
     frame_types: tuple
     display_ms: tuple
     size_bytes: array
-    frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS
 
     __hash__ = None
 
@@ -107,14 +106,11 @@ class TraceStats:
     peak_to_mean: float
 
 
-def parse_trace(stream, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> VideoTrace:
+def parse_trace(stream) -> VideoTrace:
     """Parse a trace from an iterable of text lines. Frames come back sorted
     by ascending frame sequence regardless of input order; frames with equal
     sequence numbers keep their input order. Every line is checked; a bad
-    line is a TraceParseError naming it, a frame interval that is not
-    positive a ValueError."""
-    if frame_interval_ns <= 0:
-        raise ValueError("frame interval must be positive")
+    line is a TraceParseError naming it."""
     seqs, sizes = array(COLUMN_TYPECODE), array(COLUMN_TYPECODE)
     types, display = [], []
     in_order = True
@@ -134,7 +130,7 @@ def parse_trace(stream, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> V
         seqs, sizes = (array(COLUMN_TYPECODE, map(col.__getitem__, order))
                        for col in (seqs, sizes))
         types, display = (map(col.__getitem__, order) for col in (types, display))
-    return VideoTrace(seqs, tuple(types), tuple(display), sizes, frame_interval_ns)
+    return VideoTrace(seqs, tuple(types), tuple(display), sizes)
 
 
 def _read_chunk(lines: list[str], seqs: array, types: list, display: list,
@@ -218,9 +214,9 @@ def _refuse(lines: list[str], first_line_no: int):
                          "refused by the column pass, but no line is bad")
 
 
-def load_trace(path, frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS) -> VideoTrace:
+def load_trace(path) -> VideoTrace:
     with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not data
-        return parse_trace(fh, frame_interval_ns)
+        return parse_trace(fh)
 
 
 def serialize_trace(trace: VideoTrace) -> str:
@@ -239,11 +235,11 @@ def _display_text(time_ms: float) -> str:
 
 def trace_stats(trace: VideoTrace) -> TraceStats:
     """Mean/peak frame size and bit rate; per-frame bit rate is the frame's
-    size spread over one frame interval."""
+    size spread over one DEFAULT_FRAME_INTERVAL_NS frame interval."""
     sizes = trace.size_bytes
     mean_size = sum(sizes) / len(sizes)
     peak_size = max(sizes)
-    interval_s = trace.frame_interval_ns / 1e9
+    interval_s = DEFAULT_FRAME_INTERVAL_NS / 1e9
     mean_rate = mean_size * 8 / interval_s
     peak_rate = peak_size * 8 / interval_s
     return TraceStats(mean_size, peak_size, mean_rate, peak_rate, peak_rate / mean_rate)

@@ -5,7 +5,7 @@ from array import array
 import pytest
 import yaml
 
-from hccasim import cli, engine
+from hccasim import cli, engine, metrics
 from hccasim.cli import main
 from hccasim.config import ConfigError, ScenarioConfig, load_scenario
 from hccasim.metrics import SUMMARY_CSV_HEADER, summarize
@@ -25,6 +25,11 @@ def use_cpus(monkeypatch, n):
 def fork_fails():
     """An os.fork that cannot start a child, as when out of processes."""
     raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def out_argv(command, path):
+    """--out path for a command that writes files; validate takes no --out."""
+    return [] if command == "validate" else ["--out", str(path)]
 
 
 def run_cli(capsys, *argv):
@@ -79,7 +84,8 @@ def test_simulate_admission_abort_is_reported(tmp_path, capsys, command):
     # validate sets the scenario up as simulate does, admission control included.
     code, stdout, stderr = run_cli(capsys, command, "--set", "preset=vbr-high",
                                    "--set", "stations=6", "--set", "admission=on",
-                                   "--set", "duration_s=21", "--out", str(tmp_path / "o"))
+                                   "--set", "duration_s=21",
+                                   *out_argv(command, tmp_path / "o"))
     assert (code, stdout) == (2, "")
     assert stderr == ("error: admission control rejected flow 3 (utilization 1.3210 "
                       "exceeds 1.0000 (sum TXOP 52841456 ns over SI 40000000 ns)); "
@@ -113,7 +119,7 @@ def test_stations_above_range_warns(tmp_path, capsys, command, argv):
     # The sweep warns for its first cell above the range, and only once.
     code, _, stderr = run_cli(capsys, command, "--set", "preset=vbr-high",
                               "--set", "duration_s=20.5", *argv,
-                              "--out", str(tmp_path / "o"), "--quiet")
+                              *out_argv(command, tmp_path / "o"), "--quiet")
     assert code == 0
     assert stderr == "warning: stations=13 is outside the validated 1..12 preset range\n"
 
@@ -191,7 +197,7 @@ def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, command, override,
     sets = [arg for item in override.split() for arg in ("--set", item)]
     code, stdout, stderr = run_cli(capsys, command, "--set", "preset=vbr-high",
                                    "--set", "duration_s=21", *sets,
-                                   "--out", str(tmp_path / "o"))
+                                   *out_argv(command, tmp_path / "o"))
     assert code == 2
     assert f"error: {field}:" in stderr
     assert "config ok" not in stdout
@@ -217,7 +223,7 @@ def test_values_a_64_bit_column_cannot_hold_exit_2(tmp_path, capsys, command, st
                                    path=str(tmp_path / station["traffic"]["path"]))}
     cfg = write_config(tmp_path, duration_s=21, stations=[{}, station])
     code, stdout, stderr = run_cli(capsys, command, "--config", cfg,
-                                   "--out", str(tmp_path / "o"))
+                                   *out_argv(command, tmp_path / "o"))
     assert (code, stderr) == (2, f"error: {error}\n")
     assert "config ok" not in stdout
     assert not (tmp_path / "o").exists()
@@ -230,10 +236,20 @@ def test_top_level_values_a_64_bit_column_cannot_hold_exit_2(tmp_path, capsys, c
                             ("duration_s=1e13",
                              "duration_s: must be below 2**63 ns (about 292 years)")]:
         code, stdout, stderr = run_cli(capsys, command, "--set", "duration_s=21",
-                                       "--set", override, "--out", str(tmp_path / "o"))
+                                       "--set", override, *out_argv(command, tmp_path / "o"))
         assert (code, stderr) == (2, f"error: {error}\n")
         assert "config ok" not in stdout
         assert not (tmp_path / "o").exists()
+
+
+def test_validate_takes_no_out(tmp_path, capsys, monkeypatch):
+    # validate writes nothing, so it has no output directory to name.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(["validate", "--set", "stations=6", "--out", "x"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --out x" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_quoted_boolean_in_config_file_is_rejected(tmp_path, capsys):
@@ -393,7 +409,7 @@ def test_oversized_run_is_refused_before_it_starts(tmp_path, capsys, command):
     code, _, stderr = run_cli(capsys, command, "--set", "preset=vbr-high",
                               "--set", "stations=8", "--set", "duration_s=600",
                               "--set", "traffic.frame_interval_ms=1e-6",
-                              "--out", str(tmp_path / "o"))
+                              *out_argv(command, tmp_path / "o"))
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert "error: traffic.frame_interval_ms: run would generate" in stderr
@@ -409,7 +425,7 @@ def test_oversized_run_is_refused_before_it_starts(tmp_path, capsys, command):
 ])
 def test_huge_station_counts_are_refused_at_once(tmp_path, capsys, argv, counted):
     t0 = time.perf_counter()
-    code, _, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+    code, _, stderr = run_cli(capsys, *argv, *out_argv(argv[0], tmp_path / "o"))
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert stderr.startswith(f"error: stations: run would {counted} ")
@@ -438,8 +454,9 @@ def test_sweep_cell_above_run_size_limit_is_refused(tmp_path, capsys):
 ])
 def test_pooled_sweep_reports_trace_errors(tmp_path, capsys, monkeypatch,
                                            trace_text, message):
-    # Two CPUs give two pool workers; a worker's error must reach the
-    # parent as the same one-line error, not a rerun or a broken pool.
+    # Two CPUs give one forked child beside this process; a child's error
+    # must reach this process as the same one-line error, not a rerun or a
+    # traceback.
     use_cpus(monkeypatch, 2)
     path = tmp_path / "trace.txt"
     if trace_text is not None:
@@ -476,7 +493,7 @@ def test_simulate_names_the_station_of_a_malformed_trace(tmp_path, capsys):
     message = "error: stations[1].traffic.path: line 2: unknown frame type 'Q'\n"
     for command in ("validate", "simulate"):
         code, _, stderr = run_cli(capsys, command, "--config", cfg,
-                                  "--out", str(tmp_path / "o"))
+                                  *out_argv(command, tmp_path / "o"))
         assert code == 2
         assert stderr == message
     assert not (tmp_path / "o").exists()
@@ -603,23 +620,50 @@ def test_fork_declines_without_starting_a_child(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_simulate_names_a_packet_writer_that_died(tmp_path, capsys, monkeypatch):
-    use_cpus(monkeypatch, 2)
-    parent, real_write = os.getpid(), cli._write_packets
+def summarize_failing_in_the_child(monkeypatch, fail):
+    """Let simulate's summary child call fail() in place of summarizing;
+    this process summarizes as before."""
+    parent, real_summarize = os.getpid(), metrics.summarize
 
-    def write_packets(report, path):
+    def summarize(reports):
         if os.getpid() != parent:
-            os._exit(3)
-        return real_write(report, path)
+            fail()
+        return real_summarize(reports)
 
-    monkeypatch.setattr(cli, "_write_packets", write_packets)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(metrics, "summarize", summarize)
+
+
+def test_simulate_names_a_summary_worker_that_died(tmp_path, capsys, monkeypatch):
+    summarize_failing_in_the_child(monkeypatch, lambda: os._exit(3))
     out = tmp_path / "o"
     code, stdout, stderr = run_cli(capsys, "simulate", "--set", "preset=cbr-nominal",
                                    "--set", "duration_s=20.5", "--out", str(out))
     assert (code, stdout) == (1, "")
-    assert stderr == ("error: out: packets.csv writer exited with status 3 "
+    assert stderr == ("error: out: summary worker exited with status 3 "
                       "before sending its results\n")
-    assert not (out / "summary.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["packets.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_that_raises_prints_why(tmp_path, capfd, monkeypatch):
+    # The child leaves through os._exit, which skips the interpreter's own
+    # printing of an uncaught exception; at fd level its stderr shows.
+    def fail():
+        raise RuntimeError("summary went wrong")
+
+    summarize_failing_in_the_child(monkeypatch, fail)
+    out = tmp_path / "o"
+    code = main(["simulate", "--set", "preset=cbr-nominal", "--set", "duration_s=20.5",
+                 "--out", str(out)])
+    stderr = capfd.readouterr().err
+    assert code == 1
+    assert "Traceback (most recent call last):" in stderr
+    assert "RuntimeError: summary went wrong\n" in stderr
+    assert stderr.endswith("error: out: summary worker exited with status 1 "
+                           "before sending its results\n")
+    assert sorted(p.name for p in out.iterdir()) == ["packets.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -734,7 +778,7 @@ BAD_CONFIGS = ["missing", "directory", "not-utf8", "malformed-yaml",
 @pytest.mark.parametrize("kind", BAD_CONFIGS)
 def test_unreadable_config_exits_2_naming_config(tmp_path, capsys, command, kind):
     code, stdout, stderr = run_cli(capsys, command, "--config", bad_file(tmp_path, kind),
-                                   "--out", str(tmp_path / "o"))
+                                   *out_argv(command, tmp_path / "o"))
     assert code == 2
     assert stderr.startswith("error: config: ")
     assert "Traceback" not in stderr
@@ -747,7 +791,7 @@ def test_unreadable_config_exits_2_naming_config(tmp_path, capsys, command, kind
 def test_unreadable_config_is_refused_before_overrides(tmp_path, capsys, command, kind):
     # A --set override must not turn the file's own error into a traceback.
     path = bad_file(tmp_path, kind)
-    argv = [command, "--config", path, "--out", str(tmp_path / "o")]
+    argv = [command, "--config", path, *out_argv(command, tmp_path / "o")]
     plain = run_cli(capsys, *argv)
     overridden = run_cli(capsys, *argv, "--set", "seed=2", "--set", "traffic.jitter=0.1")
     assert overridden == plain
@@ -759,13 +803,13 @@ def test_unreadable_config_is_refused_before_overrides(tmp_path, capsys, command
 @pytest.mark.parametrize("command", ["validate", "simulate", "sweep", "trace-stats"])
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
 def test_unreadable_trace_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, kind):
-    use_cpus(monkeypatch, 2)  # sweep cells run in pool workers
+    use_cpus(monkeypatch, 2)  # sweep cells run in forked children
     path = bad_file(tmp_path, kind)
     if command == "trace-stats":
         argv, prefix = (path,), "error: trace: "
     else:
         cfg = write_config(tmp_path, duration_s=22, traffic={"kind": "trace", "path": path})
-        argv = ("--config", cfg, "--out", str(tmp_path / "o"))
+        argv = ("--config", cfg, *out_argv(command, tmp_path / "o"))
         argv += ("--stations", "1..2") if command == "sweep" else ()
         prefix = "error: stations[0].traffic.path: "
     code, stdout, stderr = run_cli(capsys, command, *argv)

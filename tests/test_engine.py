@@ -354,9 +354,9 @@ def test_stream_end_turns_polls_minimal(tmp_path):
 def test_each_trace_file_is_parsed_once_per_run(tmp_path, monkeypatch):
     parsed, traces = [], []
 
-    def load_trace(path, frame_interval_ns):
+    def load_trace(path):
         parsed.append(path)
-        traces.append(real_load(path, frame_interval_ns))
+        traces.append(real_load(path))
         return traces[-1]
 
     real_load = engine.load_trace

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import os
 import pathlib
@@ -25,7 +26,7 @@ def test_readme_lists_every_scenario_key():
 
 def test_cli_import_loads_no_unneeded_modules():
     # sched counts MSDUs in integers, without Fraction, and cli imports
-    # pickle only when a sweep forks, and no process pool at all.
+    # pickle only when a command forks, and no process pool at all.
     src = pathlib.Path(hccasim.__file__).resolve().parent.parent
     probe = ("import sys, hccasim.cli; "
              "print(sorted(m for m in ('fractions', 'decimal', 'concurrent.futures', "
@@ -45,3 +46,21 @@ def test_only_the_cli_fork_helper_forks():
     assert re.search(r"\bfork\b", helper) and helper in texts["cli.py"]
     texts["cli.py"] = texts["cli.py"].replace(helper, "")
     assert sorted(name for name, text in texts.items() if re.search(r"\bfork\b", text)) == []
+
+
+def test_every_cli_option_is_read():
+    # An option no code reads promises what the command never does. Each
+    # subcommand's options must be read, as args.<dest>, by its function or
+    # by a cli function it calls (_load_config, _say, ...).
+    parser = cli.build_parser()
+    commands, = (a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, sub in commands.items():
+        source = inspect.getsource(sub.get_default("func"))
+        called = {getattr(cli, f, None) for f in re.findall(r"\b(\w+)\(", source)}
+        source += "".join(inspect.getsource(f) for f in called
+                          if inspect.isfunction(f) and f.__module__ == cli.__name__)
+        unread += [(name, a.dest) for a in sub._actions
+                   if a.dest != "help" and f"args.{a.dest}" not in source]
+    assert unread == []

@@ -88,12 +88,6 @@ def test_parse_errors_carry_line_numbers(bad, msg):
     assert e.value.line_no == 2
 
 
-@pytest.mark.parametrize("interval_ns", [0, -40_000_000])
-def test_parse_refuses_a_frame_interval_that_is_not_positive(interval_ns):
-    with pytest.raises(ValueError, match="frame interval must be positive"):
-        parse_trace(io.StringIO("0 I 0 100\n"), frame_interval_ns=interval_ns)
-
-
 def test_parse_takes_the_largest_64_bit_values():
     trace = parse_trace(io.StringIO(f"{2**63 - 1} I 40 {2**63 - 1}\n"))
     assert trace.seqs == trace.size_bytes == array("q", [2**63 - 1])
