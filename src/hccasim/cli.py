@@ -38,9 +38,8 @@ def _warn(msg: str):
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _warn_notes(notes):
-    """Warn once per distinct note, in order; past NOTES_SHOWN, count the rest."""
-    notes = list(dict.fromkeys(notes))
+def _warn_notes(notes: list[str]):
+    """Warn each note, in order; past NOTES_SHOWN, count the rest."""
     for note in notes[:NOTES_SHOWN]:
         _warn(note)
     if len(notes) > NOTES_SHOWN:
@@ -61,6 +60,18 @@ def _load_config(args) -> ScenarioConfig:
     if args.config:
         return load_scenario(args.config, args.set or [])
     return scenario_from_dict(apply_overrides({}, args.set or []))
+
+
+def _set_up(cfg: ScenarioConfig) -> list[str]:
+    """Warn if cfg has more stations than the presets were validated for,
+    set it up as simulate does, in engine.Simulation, and return its
+    admission and traffic notes; the set-up itself is dropped. Raises what
+    simulate refuses before it runs."""
+    warn = stations_warning(cfg)
+    if warn:
+        _warn(warn)
+    sim = engine.Simulation(cfg)
+    return sim.admission_notes + sim.traffic_notes
 
 
 def _usable_cpus() -> int:
@@ -203,96 +214,86 @@ def sweep_cells(base: ScenarioConfig, stations: range, schedulers) -> list[Scena
     return cells
 
 
-def _run_cell(cfg: ScenarioConfig) -> tuple:
-    """Run one sweep cell: its metrics.summary_row and its admission and
-    traffic notes, all that summary.csv and the warnings need. A forked
-    child pickles these back for its share rather than the whole reports."""
-    report = engine.run(cfg)
-    return metrics.summary_row(report), report.admission_notes + report.traffic_notes
+def _run_cell(cfg: ScenarioConfig) -> str:
+    """Run one sweep cell and return its metrics.summary_row, all that
+    summary.csv needs of it: a forked child sends back only these rows."""
+    return metrics.summary_row(engine.run(cfg))
 
 
-def _deal(cells, shares: int) -> list[list[tuple[int, int]]]:
-    """The (dispatch position, cell index) pairs of every cell, dealt into
-    `shares` lists: cells with the most stations first, dealt back and
-    forth (shares 0, 1, ..., 1, 0, 0, 1, ...) so that each share gets a
-    like mix of large and small cells and none ends running a big cell
-    alone."""
+def _deal(cells, shares: int) -> list[list[int]]:
+    """The index of every cell, dealt into `shares` lists: cells with the
+    most stations first, dealt back and forth (shares 0, 1, ..., 1, 0, 0,
+    1, ...) so that each share gets a like mix of large and small cells
+    and none ends running a big cell alone."""
     order = sorted(range(len(cells)), key=lambda i: -cells[i].stations)
     dealt = [[] for _ in range(shares)]
     for k, i in enumerate(order):
         lap, j = divmod(k, shares)
-        dealt[shares - 1 - j if lap % 2 else j].append((k, i))
+        dealt[shares - 1 - j if lap % 2 else j].append(i)
     return dealt
 
 
-def _run_share(cells, share) -> tuple[dict, tuple | None]:
-    """_run_cell of each cell of share in turn: the results by cell index,
-    and the (dispatch position, exception) of the first cell that raised,
-    or None. The remaining cells of the share are not run."""
-    done = {}
-    for k, i in share:
-        try:
-            done[i] = _run_cell(cells[i])
-        except Exception as e:  # handed to _run_cells, which raises it
-            return done, (k, e)
-    return done, None
+def _run_share(cells, share) -> list[str]:
+    """_run_cell of each cell of share, in share order."""
+    return [_run_cell(cells[i]) for i in share]
 
 
-def _run_cells(cells) -> list:
+def _run_cells(cells) -> list[str]:
     """_run_cell of every cell, in cell order. The cells are dealt into one
     share per usable CPU; a child that _fork starts runs each share after
     the first, and this process runs the first itself, so no worker waits to
     start and no CPU sits idle. A share _fork starts no child for runs in
-    this process after the first. Each share stops at its first failing
-    cell; every child is reaped, then the error of the earliest failing
-    cell in dispatch order is raised."""
+    this process after the first. Every child is reaped; then the
+    SimulationError of the first child that died without sending its rows
+    is raised."""
     shares = _deal(cells, min(len(cells), _usable_cpus()))
     children = [(share, _fork(_run_share, cells, share)) for share in shares[1:]]
-    outcomes = []
+    rows, error = {}, None
     try:
-        outcomes.append(_run_share(cells, shares[0]))
-        outcomes += [_run_share(cells, share) for share, child in children if not child]
+        rows.update(zip(shares[0], _run_share(cells, shares[0])))
+        for share, child in children:
+            if not child:
+                rows.update(zip(share, _run_share(cells, share)))
     finally:
         for share, child in children:
             if child:
                 try:
-                    outcomes.append(_join(*child, "sweep worker"))
+                    rows.update(zip(share, _join(*child, "sweep worker")))
                 except engine.SimulationError as e:
-                    outcomes.append(({}, (share[0][0], e)))
-    results, errors = {}, []
-    for done, error in outcomes:
-        results.update(done)
-        if error:
-            errors.append(error)
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return [results[i] for i in range(len(cells))]
+                    error = error or e
+    if error:
+        raise error
+    return [rows[i] for i in range(len(cells))]
 
 
 def cmd_sweep(args) -> int:
+    """Set the largest cell up as validate would, then run every cell and
+    write summary.csv under args.out. That set-up's error stops the sweep
+    before any child starts, and its warnings are the sweep's."""
     try:
         cfg = _load_config(args)
         cells = sweep_cells(cfg, _parse_station_range(args.stations),
                             _parse_schedulers(args.schedulers))
-        for cell in cells:
-            warn = stations_warning(cell)
-            if warn:
-                _warn(warn)
-                break
-        results = _run_cells(cells)
+        # The largest cell is the first with the most stations. sweep_cells
+        # gives every cell the same station specs and traffic seed, so each
+        # cell's stations are the first n of the largest cell's. Set-up reads
+        # neither the scheduler nor the run seed, a trace error depends only
+        # on the file, and sched.admit decides each stream from the streams
+        # before it. So a cell fails set-up only if the largest does, with
+        # the same text, and every cell's notes are among the largest's.
+        notes = _set_up(max(cells, key=lambda c: c.stations))
+        rows = _run_cells(cells)
     except (ConfigError, engine.SimulationError) as e:
         return _fail(str(e))
     summary_path = os.path.join(args.out, "summary.csv")
     try:
         os.makedirs(args.out, exist_ok=True)
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(metrics.summary_csv(cells, [row for row, _ in results]))
+            fh.write(metrics.summary_csv(cells, rows))
     except OSError as e:
         return _fail_out(e)
-    # Station i replays the same traffic and TSPEC in every cell: its notes
-    # repeat, and _warn_notes says each once.
-    _warn_notes(n for _, notes in results for n in notes)
-    _say(args, f"wrote {summary_path} ({len(results)} runs)")
+    _warn_notes(notes)
+    _say(args, f"wrote {summary_path} ({len(rows)} runs)")
     return EXIT_OK
 
 
@@ -312,14 +313,10 @@ def cmd_validate(args) -> int:
     before the first CAP: the same warnings, and the same error and exit
     code for what simulate refuses before it runs."""
     try:
-        cfg = _load_config(args)
-        warn = stations_warning(cfg)
-        if warn:
-            _warn(warn)
-        sim = engine.Simulation(cfg)
+        notes = _set_up(_load_config(args))
     except (ConfigError, engine.SimulationError) as e:
         return _fail(str(e))
-    _warn_notes(sim.admission_notes + sim.traffic_notes)
+    _warn_notes(notes)
     _say(args, "config ok")
     return EXIT_OK
 

@@ -55,10 +55,6 @@ class ConfigError(ValueError):
         self.field = fieldname
         self.detail = message
 
-    def __reduce__(self):
-        # Sweep workers hand exceptions back pickled.
-        return type(self), (self.field, self.detail)
-
 
 @dataclass(frozen=True)
 class TrafficConfig:

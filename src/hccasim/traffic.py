@@ -53,11 +53,6 @@ class TraceParseError(ValueError):
     def __init__(self, line_no: int | None, message: str):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
-        self.detail = message
-
-    def __reduce__(self):
-        # Sweep workers hand exceptions back pickled.
-        return type(self), (self.line_no, self.detail)
 
 
 class FrameRecord(NamedTuple):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import time
 from array import array
@@ -7,7 +8,7 @@ import yaml
 
 from hccasim import cli, engine, metrics
 from hccasim.cli import main
-from hccasim.config import ConfigError, ScenarioConfig, load_scenario
+from hccasim.config import ConfigError, ScenarioConfig, load_scenario, scenario_from_dict
 from hccasim.metrics import SUMMARY_CSV_HEADER, summarize
 
 
@@ -79,17 +80,23 @@ def test_missing_trace_file_fails(tmp_path, capsys):
     assert "no-such.txt" in stderr
 
 
-@pytest.mark.parametrize("command", ["validate", "simulate"])
-def test_simulate_admission_abort_is_reported(tmp_path, capsys, command):
-    # validate sets the scenario up as simulate does, admission control included.
+@pytest.mark.parametrize("command", ["validate", "simulate", "sweep"])
+def test_simulate_admission_abort_is_reported(tmp_path, capsys, monkeypatch, command):
+    # validate sets the scenario up as simulate does, admission control
+    # included; a sweep sets its largest cell up the same way, before it
+    # forks anything.
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    stations = ["--stations", "1..6"] if command == "sweep" else ["--set", "stations=6"]
     code, stdout, stderr = run_cli(capsys, command, "--set", "preset=vbr-high",
-                                   "--set", "stations=6", "--set", "admission=on",
+                                   *stations, "--set", "admission=on",
                                    "--set", "duration_s=21",
                                    *out_argv(command, tmp_path / "o"))
     assert (code, stdout) == (2, "")
     assert stderr == ("error: admission control rejected flow 3 (utilization 1.3210 "
                       "exceeds 1.0000 (sum TXOP 52841456 ns over SI 40000000 ns)); "
                       "set on_reject: run or admission: off to simulate anyway\n")
+    assert forks == []
     assert not (tmp_path / "o").exists()
 
 
@@ -111,17 +118,18 @@ def test_sweep_reports_admission_rejections_once(tmp_path, capsys):
     assert [l for l in validated.splitlines() if " rejected: " in l] == rejected
 
 
-@pytest.mark.parametrize("command, argv", [
-    ("simulate", ["--set", "stations=13"]),
-    ("validate", ["--set", "stations=13"]),
-    ("sweep", ["--stations", "12..14", "--schedulers", "adaptive,reference"])])
-def test_stations_above_range_warns(tmp_path, capsys, command, argv):
-    # The sweep warns for its first cell above the range, and only once.
+@pytest.mark.parametrize("command, argv, stations", [
+    ("simulate", ["--set", "stations=13"], 13),
+    ("validate", ["--set", "stations=13"], 13),
+    ("sweep", ["--stations", "12..14", "--schedulers", "adaptive,reference"], 14)])
+def test_stations_above_range_warns(tmp_path, capsys, command, argv, stations):
+    # The sweep warns as validate does for its largest cell, and only once.
     code, _, stderr = run_cli(capsys, command, "--set", "preset=vbr-high",
                               "--set", "duration_s=20.5", *argv,
                               *out_argv(command, tmp_path / "o"), "--quiet")
     assert code == 0
-    assert stderr == "warning: stations=13 is outside the validated 1..12 preset range\n"
+    assert stderr == (f"warning: stations={stations} is outside the validated 1..12 "
+                      f"preset range\n")
 
 
 def test_sweep_refuses_a_per_station_list(tmp_path, capsys):
@@ -145,12 +153,12 @@ def test_validate_bounds_the_notes_it_prints(capsys):
     assert lines[-1] == "warning: 39964 more notes not shown"
 
 
-def test_warn_notes_says_each_note_once_and_counts_the_rest(capsys):
-    cli._warn_notes(["a", "b", "a"] + [f"n{i}" for i in range(40)] + ["b"])
+def test_warn_notes_counts_the_notes_past_the_limit(capsys):
+    cli._warn_notes([f"n{i}" for i in range(40)])
     lines = capsys.readouterr().err.splitlines()
-    assert lines == ["warning: a", "warning: b", *(f"warning: n{i}" for i in range(34)),
-                     "warning: 6 more notes not shown"]
-    cli._warn_notes(f"n{i}" for i in range(cli.NOTES_SHOWN))
+    assert lines == [*(f"warning: n{i}" for i in range(36)),
+                     "warning: 4 more notes not shown"]
+    cli._warn_notes([f"n{i}" for i in range(cli.NOTES_SHOWN)])
     assert len(capsys.readouterr().err.splitlines()) == cli.NOTES_SHOWN
 
 
@@ -435,8 +443,8 @@ def test_huge_station_counts_are_refused_at_once(tmp_path, capsys, argv, counted
 
 def test_sweep_cell_above_run_size_limit_is_refused(tmp_path, capsys):
     # One station of 1e6 frames passes validation; the 11- and 12-station
-    # cells (1.1e7 and 1.2e7 frames) are refused by the engine before it
-    # builds anything, in forked children where there is more than one CPU.
+    # cells (1.1e7 and 1.2e7 frames) are refused when sweep_cells builds
+    # their configs, before anything is set up or forked.
     cfg = write_config(tmp_path, preset="vbr-high", duration_s=30,
                        traffic={"frame_interval_ms": 0.01})
     t0 = time.perf_counter()
@@ -454,10 +462,11 @@ def test_sweep_cell_above_run_size_limit_is_refused(tmp_path, capsys):
 ])
 def test_pooled_sweep_reports_trace_errors(tmp_path, capsys, monkeypatch,
                                            trace_text, message):
-    # Two CPUs give one forked child beside this process; a child's error
-    # must reach this process as the same one-line error, not a rerun or a
-    # traceback.
+    # Two CPUs would give one forked child beside this process; the bad
+    # file fails the largest cell's set-up here first, as one line, and
+    # nothing is forked.
     use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
     path = tmp_path / "trace.txt"
     if trace_text is not None:
         path.write_text(trace_text)
@@ -468,6 +477,7 @@ def test_pooled_sweep_reports_trace_errors(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert stderr.startswith(message)
     assert "Traceback" not in stderr
+    assert forks == []
     assert not (tmp_path / "o").exists()
 
 
@@ -509,16 +519,18 @@ def test_sweep_reaps_every_child_and_reports_the_first_failure(tmp_path, capsys,
     parent, real_run_cell = os.getpid(), cli._run_cell
 
     def sweep_failing(name, failures):
+        """Sweep with each cell named in failures raising a ConfigError
+        ("raise") or, in a child, leaving with that exit status."""
         ran_here = []
 
         def run_cell(cfg):
             if os.getpid() == parent:
                 ran_here.append(cfg.stations)
             fail = failures.get(cfg.stations)
-            if fail == "exit" and os.getpid() != parent:
-                os._exit(3)
             if fail == "raise":
                 raise ConfigError(f"cell{cfg.stations}", "failed")
+            if fail and os.getpid() != parent:
+                os._exit(fail)
             return real_run_cell(cfg)
 
         monkeypatch.setattr(cli, "_run_cell", run_cell)
@@ -531,16 +543,16 @@ def test_sweep_reaps_every_child_and_reports_the_first_failure(tmp_path, capsys,
     assert (code, stderr, ran_here) == (0, "", [3])
     assert len((tmp_path / "clean" / "summary.csv").read_text().splitlines()) == 4
 
-    # The error of the cell dealt first wins, whichever share it ran in,
-    # and no failed share is run again in this process.
-    for failures, first in [({3: "raise", 1: "raise"}, 3), ({1: "raise", 2: "raise"}, 2)]:
+    # This process's own error wins; else the first child that died, in
+    # share order, is named by its status. A child that raises prints its
+    # traceback and leaves with status 1. No failed share is run again here.
+    died = "sweep worker exited with status {} before sending its results"
+    for failures, error in [({3: "raise", 2: 3}, "cell3: failed"),
+                            ({2: 3, 1: 4}, died.format(3)),
+                            ({1: 4}, died.format(4)),
+                            ({2: "raise"}, died.format(1))]:
         (code, _, stderr), ran_here = sweep_failing("o", failures)
-        assert (code, stderr, ran_here) == (2, f"error: cell{first}: failed\n", [3])
-
-    # A child that dies without sending its results is named by its status.
-    (code, _, stderr), _ = sweep_failing("o", {2: "exit"})
-    assert code == 2
-    assert stderr == "error: sweep worker exited with status 3 before sending its results\n"
+        assert (code, stderr, ran_here) == (2, f"error: {error}\n", [3])
     assert not (tmp_path / "o").exists()
 
 
@@ -671,11 +683,11 @@ def test_a_child_that_raises_prints_why(tmp_path, capfd, monkeypatch):
 def test_cells_are_dealt_largest_first_back_and_forth():
     cells = cli.sweep_cells(ScenarioConfig(), range(1, 5), ["reference", "adaptive"])
     # Largest first, ties in cell order: 4r 4a 3r 3a 2r 2a 1r 1a.
-    dealt = [[(k, (cells[i].stations, cells[i].scheduler[0])) for k, i in share]
+    dealt = [[(cells[i].stations, cells[i].scheduler[0]) for i in share]
              for share in cli._deal(cells, 3)]
-    assert dealt == [[(0, (4, "r")), (5, (2, "a")), (6, (1, "r"))],
-                     [(1, (4, "a")), (4, (2, "r")), (7, (1, "a"))],
-                     [(2, (3, "r")), (3, (3, "a"))]]
+    assert dealt == [[(4, "r"), (2, "a"), (1, "r")],
+                     [(4, "a"), (2, "r"), (1, "a")],
+                     [(3, "r"), (3, "a")]]
     assert [len(share) for share in cli._deal(cells, 1)] == [8]
 
 
@@ -694,16 +706,19 @@ def test_usable_cpus_follow_the_affinity_set(monkeypatch):
 def test_sweep_matches_in_process_runs(tmp_path, capsys, monkeypatch, schedulers, cpus,
                                        forks):
     # Four stations of oversized I-frames, the fourth rejected by admission:
-    # every cell has notes, and the largest cells are dealt first. Three
-    # CPUs give two children and shares of 3, 3 and 2 cells; when os.fork
-    # fails, every cell runs in this process.
+    # every cell has notes, and the sweep warns those of its largest cell,
+    # in validate's order. Three CPUs give two children and shares of 3, 3
+    # and 2 cells; when os.fork fails, every cell runs in this process.
     cfg = write_config(tmp_path, preset="vbr-high", duration_s=21, seed=5,
                        admission="on", on_reject="run", traffic={"i_size": 20000})
     cells = cli.sweep_cells(load_scenario(cfg), range(1, 5), schedulers.split(","))
     reports = [engine.run(c) for c in cells]
-    notes = dict.fromkeys(n for r in reports for n in r.admission_notes + r.traffic_notes)
+    code, _, validated = run_cli(capsys, "validate", "--config", cfg, "--set", "stations=4")
+    assert code == 0
+    notes = [line.removeprefix("warning: ") for line in validated.splitlines()]
     assert [n.split(":")[0] for n in notes] == [
-        "flow 0", "flow 1", "flow 2", "flow 3 rejected", "flow 3"]
+        "flow 3 rejected", "flow 0", "flow 1", "flow 2", "flow 3"]
+    assert {n for r in reports for n in r.admission_notes + r.traffic_notes} == set(notes)
     use_cpus(monkeypatch, cpus)
     if not forks:
         monkeypatch.setattr(os, "fork", fork_fails)
@@ -720,16 +735,61 @@ def test_sweep_matches_in_process_runs(tmp_path, capsys, monkeypatch, schedulers
                               "--schedulers", schedulers, "--out", str(out))
     assert code == 0
     assert (out / "summary.csv").read_bytes() == summarize(reports).encode()
-    assert stderr.splitlines() == [f"warning: {n}" for n in notes]
+    assert stderr == validated
     assert len(ran_here) == (8 if cpus == 1 or not forks else {2: 4, 3: 3}[cpus])
 
 
-def test_sweep_builds_each_synthetic_schedule_once_per_process(tmp_path, capsys,
-                                                              monkeypatch):
+def set_up_or_error(cfg):
+    """A cell's set-up as cmd_sweep sees it: its notes, or its error."""
+    try:
+        return cli._set_up(cfg)
+    except (ConfigError, engine.SimulationError) as e:
+        return type(e), str(e)
+
+
+def test_every_cell_sets_up_as_the_largest_allows(tmp_path):
+    # cmd_sweep sets up only its largest cell. Over this grid, no cell may
+    # fail set-up unless the largest does, with the same error, and no
+    # cell may have a note the largest lacks.
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("0 I 0 9000\n1 P 40 20000\n2 B 80 800\n")
+    bad.write_text("0 I 0 900\n1 Q 40 800\n")
+    traffics = [{"preset": p, "traffic": {"i_size": i}}
+                for p in ("vbr-high", "cbr-nominal") for i in (12160, 20000)]
+    traffics += [{"preset": "vbr-high", "traffic": {"kind": "trace", "path": str(f)}}
+                 for f in (good, bad)]
+    seen = set()
+    for traffic, (admission, on_reject), start, stations, schedulers in itertools.product(
+            traffics, [("off", "abort"), ("on", "abort"), ("on", "run")], (20, 25),
+            (range(1, 7), range(3, 6)), (["reference", "adaptive"], ["adaptive", "reference"])):
+        base = scenario_from_dict(dict(traffic, admission=admission, on_reject=on_reject,
+                                       traffic_start_s=start, duration_s=21))
+        cells = cli.sweep_cells(base, stations, schedulers)
+        largest = set_up_or_error(max(cells, key=lambda c: c.stations))
+        for cell in cells:
+            got = set_up_or_error(cell)
+            if isinstance(got, tuple):
+                assert got == largest
+                seen.add(got[1].split(" ")[0])
+            else:
+                assert isinstance(largest, tuple) or set(got) <= set(largest)
+                seen.update(n.split()[2] for n in got)
+    # Both errors and all three note kinds occur in the grid.
+    assert seen == {"admission", "stations[0].traffic.path:", "rejected:", "largest",
+                    "traffic"}
+
+
+@pytest.mark.parametrize("cpus, built_here", [(1, 25), (2, 13)])
+def test_sweep_builds_each_synthetic_schedule_once(tmp_path, capsys, monkeypatch,
+                                                   cpus, built_here):
     # Station i replays the same schedule in all 24 cells of a 1..12 sweep.
-    built, stations = [], []
+    # The largest cell's set-up builds every schedule in this process, and
+    # a forked child inherits them: one that builds a schedule fails.
+    parent, built, stations = os.getpid(), [], []
 
     def synth_sizes(*args):
+        if os.getpid() != parent:
+            os._exit(3)
         built.append(args)
         return real_synth(*args)
 
@@ -741,13 +801,14 @@ def test_sweep_builds_each_synthetic_schedule_once_per_process(tmp_path, capsys,
     monkeypatch.setattr(engine, "synth_sizes", synth_sizes)
     monkeypatch.setattr(engine, "_build_stations", build_stations)
     engine._synth_schedule.cache_clear()
-    use_cpus(monkeypatch, 1)
+    use_cpus(monkeypatch, cpus)
     code, _, _ = run_cli(capsys, "sweep", "--set", "preset=vbr-high", "--set",
                          "duration_s=21", "--out", str(tmp_path / "o"))
     assert code == 0
-    assert len(stations) == 24
+    assert len(stations) == built_here
     assert len(built) == 12
-    widest = max(stations, key=len)
+    widest = stations[0]
+    assert len(widest) == 12
     for cell in stations:
         for i, st in enumerate(cell):
             assert isinstance(st.sizes, array) and st.sizes.typecode == "q"

@@ -1,5 +1,4 @@
 import hashlib
-import pickle
 import re
 from dataclasses import replace
 
@@ -10,7 +9,6 @@ from hccasim.config import (ConfigError, ScenarioConfig, TrafficConfig, apply_ov
                             scenario_from_dict)
 from hccasim.phy import FieldError, PhyParams
 from hccasim.sched import tspec_preset
-from hccasim.traffic import TraceParseError
 
 INLINE_TSPEC = {"rho_bps": 1e5, "nominal_bytes": 500, "max_bytes": 900,
                 "delay_bound_ms": 80, "msi_ms": 40, "phys_rate_bps": 11000000}
@@ -397,17 +395,3 @@ def test_engine_checks_run_size_of_unvalidated_configs():
     with pytest.raises(ConfigError, match="traffic.frame_interval_ms"):
         replace(cfg, traffic=replace(TrafficConfig(), frame_interval_ns=1))
 
-
-def test_config_error_survives_pickling():
-    # Sweep workers hand exceptions back to the parent pickled.
-    err = pickle.loads(pickle.dumps(ConfigError("traffic.i_size", "must be positive")))
-    assert isinstance(err, ConfigError)
-    assert err.field == "traffic.i_size"
-    assert str(err) == "traffic.i_size: must be positive"
-
-
-def test_trace_parse_error_survives_pickling():
-    err = pickle.loads(pickle.dumps(TraceParseError(2, "unknown frame type 'Q'")))
-    assert isinstance(err, TraceParseError)
-    assert err.line_no == 2
-    assert str(err) == "line 2: unknown frame type 'Q'"

@@ -119,6 +119,10 @@ def _scenario(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_outputs(name, tmp_path):
     report = engine.run(_scenario(name, tmp_path))
+    # A count the log does not give by construction: the frames each flow
+    # was polled to send, from its poll records.
+    sent = [sum(p.frames_sent for p in report.polls if p.flow == f) for f in report.flows]
+    assert sent == [len(log.recv_ns) for log in report.flows.values()]
     assert report.conservation_ok()
     _, want_packets, want_polls = CASES[name]
     assert _sha(report.packets_csv() + metrics.summarize([report])) == want_packets
