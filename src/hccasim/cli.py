@@ -51,8 +51,8 @@ def _fail(msg: str) -> int:
     return EXIT_USAGE
 
 
-def _fail_out(error) -> int:
-    print(f"error: out: {error}", file=sys.stderr)
+def _fail_run(msg: str) -> int:
+    print(f"error: {msg}", file=sys.stderr)
     return EXIT_FAILURE
 
 
@@ -83,17 +83,15 @@ def _usable_cpus() -> int:
 
 
 def _fork(fn, *args) -> tuple[int, int] | None:
-    """Fork a child that calls fn(*args) and writes the return value,
-    pickled, to a pipe, then leaves with os._exit: status 0 once the value
-    is written, else 1, after printing to stderr the traceback of what
+    """Fork a child that calls fn(*args), which returns a str, and writes
+    that text to a pipe as UTF-8, then leaves with os._exit: status 0 once
+    it is written, else 1, after printing to stderr the traceback of what
     raised. Returns (child pid, read end of the pipe) for _join, or None
     with no child where os.fork is missing or fails or fewer than two CPUs
     are usable: the caller then calls fn itself. This is the one place
     hccasim forks; the CLI starts no thread, so it may."""
     if not hasattr(os, "fork") or _usable_cpus() < 2:
         return None
-    import pickle  # only a command that forks pays for the import
-
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -105,8 +103,8 @@ def _fork(fn, *args) -> tuple[int, int] | None:
         status = 1
         try:
             os.close(r)
-            with open(w, "wb") as fh:
-                pickle.dump(fn(*args), fh)
+            with open(w, "w", encoding="utf-8", newline="") as fh:
+                fh.write(fn(*args))
             status = 0
         except Exception:  # os._exit skips the handler that would print it
             import traceback
@@ -119,19 +117,17 @@ def _fork(fn, *args) -> tuple[int, int] | None:
     return pid, r
 
 
-def _join(pid: int, r: int, who: str):
-    """Read what the child _fork started sent on r, reap it and return
-    fn's value. If the child ended without sending it, raises a
-    SimulationError that names the child as who and says how it ended."""
-    with open(r, "rb") as fh:
-        data = fh.read()
+def _join(pid: int, r: int, who: str) -> str:
+    """Read the text the child _fork started sent on r, reap it and return
+    that text, fn's value. If the child ended without sending it, raises a
+    ChildProcessError that names the child as who and says how it ended."""
+    with open(r, encoding="utf-8", newline="") as fh:
+        text = fh.read()
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise engine.SimulationError(f"{who} {how} before sending its results")
-    import pickle
-
-    return pickle.loads(data)
+        raise ChildProcessError(f"{who} {how} before sending its results")
+    return text
 
 
 def cmd_simulate(args) -> int:
@@ -141,7 +137,13 @@ def cmd_simulate(args) -> int:
     150 bytes; where _fork starts none, this process summarizes once the
     packet log is written. The files are the same either way, on one CPU
     (taskset -c 0) too, and summary.csv is written only once packets.csv
-    has been."""
+    has been. The child pays where a second CPU is even partly free: on 2
+    CPUs whose capacity (two forked busy loops timed against one) read
+    1.03-2.08, median 1.2, the benchmark's wall_ratio was 0.889 forked
+    against 1.006 on one CPU for vbr-adaptive-long (lower in 8 of 10
+    pairs) and 0.908 against 1.030 for trace-reference-lossy (10 of 10),
+    for about 1.2 MiB more peak RSS (28.84 against 27.75 MiB, 32.91
+    against 31.65 MiB)."""
     try:
         cfg = _load_config(args)
         warn = stations_warning(cfg)
@@ -163,8 +165,8 @@ def cmd_simulate(args) -> int:
         summary = summary or metrics.summarize([report])
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(summary)
-    except (OSError, engine.SimulationError) as e:
-        return _fail_out(e)
+    except OSError as e:   # a dead summary worker too: ChildProcessError
+        return _fail_run(f"out: {e}")
     _warn_notes(report.admission_notes + report.traffic_notes)
     _say(args, f"wrote {packets_path} and {summary_path}")
     _say(args, summary.rstrip("\n"))
@@ -233,9 +235,10 @@ def _deal(cells, shares: int) -> list[list[int]]:
     return dealt
 
 
-def _run_share(cells, share) -> list[str]:
-    """_run_cell of each cell of share, in share order."""
-    return [_run_cell(cells[i]) for i in share]
+def _run_share(cells, share) -> str:
+    """_run_cell of each cell of share, in share order, one row per line.
+    No row holds a "\n", but a quality label may hold other line breaks."""
+    return "\n".join(_run_cell(cells[i]) for i in share)
 
 
 def _run_cells(cells) -> list[str]:
@@ -244,25 +247,24 @@ def _run_cells(cells) -> list[str]:
     the first, and this process runs the first itself, so no worker waits to
     start and no CPU sits idle. A share _fork starts no child for runs in
     this process after the first. Every child is reaped; then the
-    SimulationError of the first child that died without sending its rows
-    is raised."""
+    ChildProcessError of the first child that died without sending its
+    rows is raised."""
     shares = _deal(cells, min(len(cells), _usable_cpus()))
     children = [(share, _fork(_run_share, cells, share)) for share in shares[1:]]
-    rows, error = {}, None
+    texts, error = [], None
     try:
-        rows.update(zip(shares[0], _run_share(cells, shares[0])))
-        for share, child in children:
-            if not child:
-                rows.update(zip(share, _run_share(cells, share)))
+        texts.append((shares[0], _run_share(cells, shares[0])))
+        texts += [(share, _run_share(cells, share)) for share, child in children if not child]
     finally:
         for share, child in children:
             if child:
                 try:
-                    rows.update(zip(share, _join(*child, "sweep worker")))
-                except engine.SimulationError as e:
+                    texts.append((share, _join(*child, "sweep worker")))
+                except ChildProcessError as e:
                     error = error or e
     if error:
         raise error
+    rows = dict(row for share, text in texts for row in zip(share, text.split("\n")))
     return [rows[i] for i in range(len(cells))]
 
 
@@ -285,13 +287,15 @@ def cmd_sweep(args) -> int:
         rows = _run_cells(cells)
     except (ConfigError, engine.SimulationError) as e:
         return _fail(str(e))
+    except ChildProcessError as e:   # the input was fine; a worker died
+        return _fail_run(str(e))
     summary_path = os.path.join(args.out, "summary.csv")
     try:
         os.makedirs(args.out, exist_ok=True)
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(metrics.summary_csv(cells, rows))
     except OSError as e:
-        return _fail_out(e)
+        return _fail_run(f"out: {e}")
     _warn_notes(notes)
     _say(args, f"wrote {summary_path} ({len(rows)} runs)")
     return EXIT_OK

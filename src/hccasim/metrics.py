@@ -11,7 +11,7 @@ reproduces the simulator's own exactly.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
+from itertools import repeat
 from operator import rshift
 
 from .engine import PacketRecord, SimReport
@@ -19,7 +19,6 @@ from .engine import PacketRecord, SimReport
 SUMMARY_CSV_HEADER = ("scheduler,stations,quality,mean_delay_us,p95_delay_us,"
                       "max_delay_us,throughput_bps,delivered,lost,overruns")
 BUCKET_SHIFT = 16   # bucketed_percentile counts values per value >> 16 (65.5 us of delay)
-SORT_LIMIT = 1 << 14  # summary_row sorts up to this many delays as one list (640 KiB)
 
 
 def _delays_ns(log) -> list[int]:
@@ -86,26 +85,19 @@ def _fmt_us(value_ns) -> str:
 
 
 def summary_row(report: SimReport) -> str:
-    # Each flow's delays are an array('q'). Up to SORT_LIMIT of them are
-    # sorted as one list, the faster way; a longer run's are summed per
-    # flow and bucketed, so no list of every delay is built.
+    # Each flow's delays are an array('q'): they are summed and bucketed per
+    # flow, so no list of every delay is built.
     logs = report.flows.values()
     delays = [log.delays_ns() for log in logs]
-    n = sum(map(len, delays))
-    if n <= SORT_LIMIT:
-        ordered = sorted(chain.from_iterable(delays))
-        total, p95_ns = sum(ordered), nearest_rank_percentile(ordered, 95)
-        max_ns = ordered[-1] if n else None
-    else:
-        total, p95_ns = sum(map(sum, delays)), bucketed_percentile(delays, 95)
-        max_ns = max(map(max, filter(None, delays)))   # a flow may have no delay
-    mean_ns = total / n if n else None
+    delivered = sum(map(len, delays))
+    mean_ns = sum(map(sum, delays)) / delivered if delivered else None
+    p95_ns = bucketed_percentile(delays, 95)
+    max_ns = max(map(max, filter(None, delays)), default=None)  # a flow may have no delay
     window = report.active_window_ns()
     # Same arithmetic as aggregate_throughput, over the logged bytes.
     bits = sum(log.delivered_bytes for log in logs) * 8
     thr = bits * 1e9 / window if window > 0 else 0.0
     lost = sum(log.lost for log in logs)
-    delivered = sum(len(log.recv_ns) for log in logs) - lost
     cfg = report.cfg
     return (f"{cfg.scheduler},{cfg.stations},{cfg.quality},"
             f"{_fmt_us(mean_ns)},{_fmt_us(p95_ns)},{_fmt_us(max_ns)},"

@@ -543,16 +543,17 @@ def test_sweep_reaps_every_child_and_reports_the_first_failure(tmp_path, capsys,
     assert (code, stderr, ran_here) == (0, "", [3])
     assert len((tmp_path / "clean" / "summary.csv").read_text().splitlines()) == 4
 
-    # This process's own error wins; else the first child that died, in
-    # share order, is named by its status. A child that raises prints its
+    # This process's own error wins (exit 2, as for invalid input); else the
+    # first child that died, in share order, is named by its status (exit 1,
+    # as for simulate's summary worker). A child that raises prints its
     # traceback and leaves with status 1. No failed share is run again here.
     died = "sweep worker exited with status {} before sending its results"
-    for failures, error in [({3: "raise", 2: 3}, "cell3: failed"),
-                            ({2: 3, 1: 4}, died.format(3)),
-                            ({1: 4}, died.format(4)),
-                            ({2: "raise"}, died.format(1))]:
+    for failures, exit_code, error in [({3: "raise", 2: 3}, 2, "cell3: failed"),
+                                       ({2: 3, 1: 4}, 1, died.format(3)),
+                                       ({1: 4}, 1, died.format(4)),
+                                       ({2: "raise"}, 1, died.format(1))]:
         (code, _, stderr), ran_here = sweep_failing("o", failures)
-        assert (code, stderr, ran_here) == (2, f"error: {error}\n", [3])
+        assert (code, stderr, ran_here) == (exit_code, f"error: {error}\n", [3])
     assert not (tmp_path / "o").exists()
 
 
@@ -708,9 +709,12 @@ def test_sweep_matches_in_process_runs(tmp_path, capsys, monkeypatch, schedulers
     # Four stations of oversized I-frames, the fourth rejected by admission:
     # every cell has notes, and the sweep warns those of its largest cell,
     # in validate's order. Three CPUs give two children and shares of 3, 3
-    # and 2 cells; when os.fork fails, every cell runs in this process.
+    # and 2 cells; when os.fork fails, every cell runs in this process. The
+    # quality label holds U+2028 and U+0085, which str.splitlines() would
+    # take for line breaks in a share's rows.
     cfg = write_config(tmp_path, preset="vbr-high", duration_s=21, seed=5,
-                       admission="on", on_reject="run", traffic={"i_size": 20000})
+                       quality="vbr\u2028high\x85", admission="on", on_reject="run",
+                       traffic={"i_size": 20000})
     cells = cli.sweep_cells(load_scenario(cfg), range(1, 5), schedulers.split(","))
     reports = [engine.run(c) for c in cells]
     code, _, validated = run_cli(capsys, "validate", "--config", cfg, "--set", "stations=4")

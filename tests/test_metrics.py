@@ -112,13 +112,8 @@ def _reference_summary_row(report):
             f"{sum(p.lost for p in packets)},{report.counters.overruns}")
 
 
-@pytest.mark.parametrize("bucketed", [False, True], ids=["sorted", "bucketed"])
 @pytest.mark.parametrize("seed", range(12))
-def test_summary_row_matches_the_sorted_reference(seed, bucketed, monkeypatch):
-    # These runs are short, so summary_row sorts their delays; with
-    # SORT_LIMIT at 0 it takes the bucketed path of a long run.
-    if bucketed:
-        monkeypatch.setattr(metrics, "SORT_LIMIT", 0)
+def test_summary_row_matches_the_sorted_reference(seed):
     rng = random.Random(seed)
     # A stagger of 1 s starts the last stations after the end of the run:
     # their flows have no delay.

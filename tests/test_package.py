@@ -1,10 +1,12 @@
 import argparse
+import ast
 import inspect
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 
 import hccasim
 from hccasim import cli, config
@@ -24,17 +26,51 @@ def test_readme_lists_every_scenario_key():
     assert [key for key in keys if not re.search(rf"\b{key}\b", section)] == []
 
 
-def test_cli_import_loads_no_unneeded_modules():
-    # sched counts MSDUs in integers, without Fraction, and cli imports
-    # pickle only when a command forks, and no process pool at all.
+def test_cli_import_loads_no_unneeded_modules(tmp_path):
+    # sched counts MSDUs in integers, without Fraction; cli starts no process
+    # pool, and its children send their results back as text, so not even a
+    # command that forks imports pickle. The probe sees two usable CPUs and
+    # counts its forks: one by simulate, one by a sweep on two shares.
     src = pathlib.Path(hccasim.__file__).resolve().parent.parent
-    probe = ("import sys, hccasim.cli; "
-             "print(sorted(m for m in ('fractions', 'decimal', 'concurrent.futures', "
-             "'pickle', 'multiprocessing') if m in sys.modules))")
+    probe = textwrap.dedent("""
+        import os, sys, hccasim.cli
+        def loaded():
+            return sorted(m for m in ('fractions', 'decimal', 'concurrent.futures',
+                                      'pickle', 'multiprocessing') if m in sys.modules)
+        print(loaded())
+        os.sched_getaffinity = lambda pid: {0, 1}
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(os.getpid()) or fork()
+        for command in (["simulate"], ["sweep", "--stations", "1..2"]):
+            assert hccasim.cli.main([*command, "--set", "preset=cbr-nominal", "--set",
+                                     "duration_s=20.5", "--quiet", "--out", sys.argv[1]]) == 0
+        print(len(forks), loaded())
+    """)
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out == "[]\n2 []\n"
+
+
+def test_the_package_imports_only_the_standard_library_and_yaml():
+    # README promises PyYAML as the only runtime dependency. Every import,
+    # function-level ones too, names a standard module, yaml or, relatively,
+    # a module of this package.
+    allowed = sys.stdlib_module_names | {"yaml"}
+    package = pathlib.Path(hccasim.__file__).resolve().parent
+    foreign = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert foreign == []
 
 
 def test_only_the_cli_fork_helper_forks():
