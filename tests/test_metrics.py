@@ -98,9 +98,9 @@ def test_bucketed_percentile_edges():
         metrics.bucketed_percentile([col], 0)
 
 
-def _reference_summary_row(report):
-    """summary_row's fields from the PacketRecords, with every delay sorted."""
-    packets = report.packets
+def _reference_summary_row(report, packets):
+    """summary_row's fields from the run's PacketRecords packets, with every
+    delay sorted."""
     delays = sorted(p.recv_ns - p.gen_ns for p in packets if not p.lost)
     window = report.active_window_ns()
     thr = metrics.aggregate_throughput(packets, window) if window > 0 else 0.0
@@ -112,8 +112,12 @@ def _reference_summary_row(report):
             f"{sum(p.lost for p in packets)},{report.counters.overruns}")
 
 
+@pytest.mark.parametrize("log", ["records", "packets_csv"])
 @pytest.mark.parametrize("seed", range(12))
-def test_summary_row_matches_the_sorted_reference(seed):
+def test_summary_row_matches_the_sorted_reference(seed, log):
+    # The reference reads the run's PacketRecords, or packets.csv's text
+    # parsed back: a summary row recomputed from the serialized log is the
+    # simulator's own.
     rng = random.Random(seed)
     # A stagger of 1 s starts the last stations after the end of the run:
     # their flows have no delay.
@@ -124,7 +128,9 @@ def test_summary_row_matches_the_sorted_reference(seed):
                         traffic={"stagger_ms": rng.choice([0.0, 7.0, 300.0, 1000.0])},
                         throughput_window=rng.choice(["active", "full"]))
     report = engine.run(cfg)
-    assert metrics.summary_row(report) == _reference_summary_row(report)
+    packets = (report.packets if log == "records"
+               else metrics.parse_packets_csv(report.packets_csv()))
+    assert metrics.summary_row(report) == _reference_summary_row(report, packets)
 
 
 def test_run_and_summary_hold_few_bytes_per_frame():
