@@ -58,8 +58,8 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress, islice, repeat
-from operator import ne
+from itertools import chain, compress, islice, repeat
+from operator import eq, ne, sub
 from typing import NamedTuple, Sequence
 
 from . import phy as phylib
@@ -167,7 +167,11 @@ class FlowLog:
 
     @property
     def delivered_bytes(self) -> int:
-        # The mask and the sum run in C: the received frames' sizes.
+        """The received frames' sizes summed in C: the sent frames' sizes
+        when none was lost, else those that a mask of the receive log
+        keeps."""
+        if not self.lost:
+            return sum(self.sizes[:len(self.recv_ns)])
         return sum(compress(self.sizes, map(ne, self.recv_ns, repeat(LOST))))
 
     def conserved(self) -> bool:
@@ -184,14 +188,18 @@ class FlowLog:
 
     def delays_ns(self) -> array:
         """recv - gen of each received frame, in send order, as an array('q').
-        It is filled PACKET_CSV_CHUNK_ROWS values at a time, so no list of every
-        delay is held; a comprehension per chunk is faster than filling the
-        array from a map."""
-        delays, pairs = array(COLUMN_TYPECODE), zip(self.gen_ns(), self.recv_ns)
-        for _ in range(0, len(self.recv_ns), PACKET_CSV_CHUNK_ROWS):
-            delays.fromlist([recv - gen for gen, recv in islice(pairs, PACKET_CSV_CHUNK_ROWS)
-                             if recv != LOST])
-        return delays
+        The differences are C-level passes over the columns (only a flow
+        that lost frames masks them out), moved PACKET_CSV_CHUNK_ROWS at a
+        time: no list of every delay is held, and fromlist converts each
+        value once where filling the array from an iterator converts it
+        twice."""
+        delays = map(sub, self.recv_ns, self.gen_ns())
+        if self.lost:
+            delays = compress(delays, map(ne, self.recv_ns, repeat(LOST)))
+        column = array(COLUMN_TYPECODE)
+        while chunk := list(islice(delays, PACKET_CSV_CHUNK_ROWS)):
+            column.fromlist(chunk)
+        return column
 
 
 @dataclass
@@ -217,15 +225,25 @@ class SimReport:
 
     def write_packets_csv(self, fh) -> None:
         """Write the packet log CSV to the text file fh, PACKET_CSV_CHUNK_ROWS
-        rows per write, so the whole log is never held as one string."""
+        rows per write, so the whole log is never held as one string. A
+        chunk is one printf-style % over its rows' values: the flow's row
+        template repeated once per row, with the lost-row template spliced
+        in at each lost frame, whose %.0s takes the LOST receive time and
+        prints nothing."""
         fh.write(self.PACKET_CSV_HEADER + "\n")
         for log in self.flows.values():
-            flow, rows = log.flow, log.rows()
-            for _ in range(0, len(log.recv_ns), PACKET_CSV_CHUNK_ROWS):
-                fh.write("".join([f"{flow},{seq},{gen},{recv},{size},0\n" if recv != LOST
-                                  else f"{flow},{seq},{gen},,{size},1\n"
-                                  for seq, gen, recv, size
-                                  in islice(rows, PACKET_CSV_CHUNK_ROWS)]))
+            recv, values = log.recv_ns, chain.from_iterable(log.rows())
+            row, lost_row = f"{log.flow},%d,%d,%d,%d,0\n", f"{log.flow},%d,%d,%.0s,%d,1\n"
+            width, rows = len(row), row * PACKET_CSV_CHUNK_ROWS
+            for start in range(0, len(recv), PACKET_CSV_CHUNK_ROWS):
+                n = min(PACKET_CSV_CHUNK_ROWS, len(recv) - start)
+                template, at = [], 0
+                if log.lost:
+                    for k in compress(range(n), map(eq, recv[start:start + n], repeat(LOST))):
+                        template += rows[at * width:k * width], lost_row
+                        at = k + 1
+                template.append(rows[at * width:n * width])
+                fh.write("".join(template) % tuple(islice(values, 4 * n)))
 
     def packets_csv(self) -> str:
         """The packet log CSV as one string; write_packets_csv's text."""
@@ -399,16 +417,16 @@ class Simulation:
 
         n_beacons = n_caps = n_overruns = n_null = 0
         n_reference = n_adaptive = n_fallback = n_minimal = 0
-        busy_until = next_beacon = j = t_cap = 0
+        busy_until = next_beacon = t_cap = 0
         while t_cap < dur:
             # A beacon due at or before this CAP goes out first, deferred
             # while the medium is still busy with the previous CAP.
             while next_beacon <= t_cap:
-                busy_until = max(next_beacon, busy_until) + beacon_air
+                busy_until = (next_beacon if next_beacon > busy_until else busy_until) + beacon_air
                 n_beacons += 1
                 next_beacon += beacon_ns
             n_caps += 1
-            t = cap_start = max(t_cap, busy_until)
+            t = cap_start = t_cap if t_cap > busy_until else busy_until
             for flow, phys_rate, sizes, log, start, interval, n_frames, ref_txop in polled:
                 if t >= dur:
                     break
@@ -490,11 +508,12 @@ class Simulation:
             # one past its nominal SI boundary (back-to-back rounds under
             # overload, grid-locked polling otherwise).
             busy_until = t
-            j += 1
-            # j-th SI boundary, re-anchored at each beacon so a non-dividing
-            # divisor never drifts.
-            k, r = divmod(j, divisor)
-            t_cap = max(k * beacon_ns + (r * beacon_ns) // divisor, t)
+            # The n_caps-th SI boundary, re-anchored at each beacon so a
+            # non-dividing divisor never drifts.
+            k, r = divmod(n_caps, divisor)
+            t_cap = k * beacon_ns + (r * beacon_ns) // divisor
+            if t_cap < t:
+                t_cap = t
         if next_beacon < dur:
             n_beacons += -(-(dur - next_beacon) // beacon_ns)
         for log, nt in zip(logs, next_tx):

@@ -2,7 +2,9 @@
 aggregate throughput and the sweep summary table.
 
 The summary table reads a report's per-flow FlowLogs: their columns for
-delays and the counts they derive from them. mean_e2e_delay and
+delays and the counts they derive from them. Its p95 and max delay come
+from one exact nearest-rank selection, top_values, which sorts only the
+delays from a sampled threshold up. mean_e2e_delay and
 aggregate_throughput take a list of PacketRecords instead, such as
 parse_packets_csv returns, so recomputing a summary from a serialized CSV
 reproduces the simulator's own exactly.
@@ -10,15 +12,15 @@ reproduces the simulator's own exactly.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import repeat
-from operator import rshift
+from functools import partial
+from itertools import chain
+from operator import le
 
 from .engine import PacketRecord, SimReport
 
 SUMMARY_CSV_HEADER = ("scheduler,stations,quality,mean_delay_us,p95_delay_us,"
                       "max_delay_us,throughput_bps,delivered,lost,overruns")
-BUCKET_SHIFT = 16   # bucketed_percentile counts values per value >> 16 (65.5 us of delay)
+SAMPLE_STRIDE = 17  # top_values samples every 17th value, coprime with a 12-frame GoP
 
 
 def _delays_ns(log) -> list[int]:
@@ -44,30 +46,41 @@ def nearest_rank_percentile(sorted_values, q: float):
     return sorted_values[int(rank) - 1]
 
 
-def bucketed_percentile(columns, q: float):
-    """nearest_rank_percentile of the values of all columns taken together,
-    without sorting them all. Values are counted per value >> BUCKET_SHIFT
-    bucket, and only the bucket that holds the rank is sorted, so no list
-    of every value is built."""
+def top_values(columns, q: float) -> list:
+    """The values of all columns taken together from their nearest-rank
+    q-th percentile up, ascending: the percentile first, the largest value
+    last; [] when the columns hold no value. Only a top slice of the values
+    is sorted. A threshold taken from every SAMPLE_STRIDE-th value keeps
+    the values at or above it, in one C-level filter pass per column, and
+    is lowered until enough of them are kept."""
     n = sum(map(len, columns))
     if not n:
-        return None
+        return []
     if not 0 < q <= 100:
         raise ValueError("percentile must be in (0, 100]")
-    rank = int(-(-n * q // 100))  # ceil(n*q/100), 1-based
-    counts = Counter()
-    for column in columns:
-        counts.update(map(rshift, column, repeat(BUCKET_SHIFT)))
-    # A high percentile sits near the top: walk the buckets down from the
-    # largest, counting the values at or above the rank.
-    from_top = n - rank + 1
-    for bucket in sorted(counts, reverse=True):
-        if from_top <= counts[bucket]:
+    from_top = n - int(-(-n * q // 100)) + 1   # n - ceil(n*q/100) + 1 values
+    sample = sorted(chain.from_iterable(column[::SAMPLE_STRIDE] for column in columns))
+    # At least `above` values are kept, and about SAMPLE_STRIDE times as
+    # many: aim at twice the values needed, then four times as far down.
+    above = 2 * (from_top // SAMPLE_STRIDE + 1)
+    while above < len(sample):
+        threshold = sample[-above]
+        top = list(chain.from_iterable(filter(partial(le, threshold), column)
+                                       for column in columns))
+        if len(top) >= from_top:
             break
-        from_top -= counts[bucket]
-    members = sorted(v for column in columns for v in column
-                     if v >> BUCKET_SHIFT == bucket)
-    return members[-from_top]
+        above *= 4
+    else:
+        top = list(chain.from_iterable(columns))
+    top.sort()
+    return top[-from_top:]
+
+
+def columns_percentile(columns, q: float):
+    """nearest_rank_percentile of the values of all columns taken together,
+    without sorting them all (see top_values); None when they hold none."""
+    top = top_values(columns, q)
+    return top[0] if top else None
 
 
 def aggregate_throughput(log, window_ns: int) -> float:
@@ -85,14 +98,14 @@ def _fmt_us(value_ns) -> str:
 
 
 def summary_row(report: SimReport) -> str:
-    # Each flow's delays are an array('q'): they are summed and bucketed per
-    # flow, so no list of every delay is built.
+    # Each flow's delays are an array('q'): they are summed per flow, and only
+    # the top of them is sorted, so no list of every delay is built.
     logs = report.flows.values()
     delays = [log.delays_ns() for log in logs]
     delivered = sum(map(len, delays))
     mean_ns = sum(map(sum, delays)) / delivered if delivered else None
-    p95_ns = bucketed_percentile(delays, 95)
-    max_ns = max(map(max, filter(None, delays)), default=None)  # a flow may have no delay
+    top = top_values(delays, 95)
+    p95_ns, max_ns = (top[0], top[-1]) if top else (None, None)
     window = report.active_window_ns()
     # Same arithmetic as aggregate_throughput, over the logged bytes.
     bits = sum(log.delivered_bytes for log in logs) * 8

@@ -124,6 +124,11 @@ def test_golden_outputs(name, tmp_path):
     sent = [sum(p.frames_sent for p in report.polls if p.flow == f) for f in report.flows]
     assert sent == [len(log.recv_ns) for log in report.flows.values()]
     assert report.conservation_ok()
+    # The medium is exclusive: each poll starts no earlier than the poll
+    # before it plus that poll's grant, and no exchange outlasts its grant.
+    polls = report.polls
+    assert all(p.poll_ns >= q.poll_ns + q.grant_ns for q, p in zip(polls, polls[1:]))
+    assert all(p.used_ns <= p.grant_ns for p in polls)
     _, want_packets, want_polls = CASES[name]
     assert _sha(report.packets_csv() + metrics.summarize([report])) == want_packets
     assert _sha(_polls_text(report.polls)) == want_polls

@@ -65,37 +65,64 @@ def _columns(rng, values):
     return [array("q", values[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+SHIFT = 16   # 1 << 16 ns: a 65.5 us range of delays
+
+
 @pytest.mark.parametrize("seed", range(30))
-def test_bucketed_percentile_matches_the_sorted_nearest_rank(seed):
+def test_columns_percentile_matches_the_sorted_nearest_rank(seed):
     rng = random.Random(seed)
     n = rng.choice([1, 2, 3, 20, 500, 5000])
     shape = seed % 3
     if shape == 0:      # duplicates: a handful of distinct values
         pool = [rng.randrange(10**9) for _ in range(rng.randrange(1, 6))]
         values = [rng.choice(pool) for _ in range(n)]
-    elif shape == 1:    # every value in one bucket
-        base = rng.randrange(10**5) << metrics.BUCKET_SHIFT
-        values = [base + rng.randrange(1 << metrics.BUCKET_SHIFT) for _ in range(n)]
-    else:               # many buckets, from 0 up to tens of seconds in ns
+    elif shape == 1:    # every value in one 65.5 us range
+        base = rng.randrange(10**5) << SHIFT
+        values = [base + rng.randrange(1 << SHIFT) for _ in range(n)]
+    else:               # from 0 up to tens of seconds in ns, and beyond
         values = [rng.randrange(rng.choice([1 << 17, 10**10, 2**63])) for _ in range(n)]
     columns = _columns(rng, values)
     for q in (0.001, 1, 50, 95, 99.9, 100):
-        assert metrics.bucketed_percentile(columns, q) == \
+        assert metrics.columns_percentile(columns, q) == \
             metrics.nearest_rank_percentile(sorted(values), q), (q, n)
 
 
-def test_bucketed_percentile_edges():
-    assert metrics.bucketed_percentile([], 95) is None
-    assert metrics.bucketed_percentile([array("q"), array("q")], 95) is None
-    assert metrics.bucketed_percentile([array("q", [7])], 95) == 7
-    assert metrics.bucketed_percentile([array("q", [7])], 100) == 7
-    shift = metrics.BUCKET_SHIFT
+def test_columns_percentile_edges():
+    assert metrics.columns_percentile([], 95) is None
+    assert metrics.columns_percentile([array("q"), array("q")], 95) is None
+    assert metrics.columns_percentile([array("q", [7])], 95) == 7
+    assert metrics.columns_percentile([array("q", [7])], 100) == 7
+    shift = SHIFT
     col = array("q", [3 << shift, 1, 5 << shift, 1 << shift])
-    assert metrics.bucketed_percentile([col], 100) == 5 << shift
-    assert metrics.bucketed_percentile([col], 25) == 1
-    assert metrics.bucketed_percentile([col], 50) == 1 << shift
+    assert metrics.columns_percentile([col], 100) == 5 << shift
+    assert metrics.columns_percentile([col], 25) == 1
+    assert metrics.columns_percentile([col], 50) == 1 << shift
     with pytest.raises(ValueError):
-        metrics.bucketed_percentile([col], 0)
+        metrics.columns_percentile([col], 0)
+
+
+@pytest.mark.parametrize("sampled", ["largest", "smallest"])
+@pytest.mark.parametrize("seed", range(6))
+def test_columns_percentile_when_the_sample_misleads(seed, sampled):
+    # top_values takes its threshold from every SAMPLE_STRIDE-th value of
+    # each column. Where those positions hold the largest values, the first
+    # threshold keeps little more than the sample and has to be lowered;
+    # where they hold the smallest, it keeps far more than it needs.
+    rng = random.Random(seed)
+    stride = metrics.SAMPLE_STRIDE
+    columns = []
+    for _ in range(rng.randrange(1, 5)):
+        length = rng.choice([1, stride, 3 * stride + 2, 40 * stride + 5, 600 * stride + 1])
+        high, low = (10**9, 0) if sampled == "largest" else (0, 10**9)
+        columns.append(array("q", [(high if k % stride == 0 else low) + rng.randrange(10**6)
+                                   for k in range(length)]))
+    values = [v for column in columns for v in column]
+    want = sorted(values)
+    for q in (0.001, 1, 50, 95, 99.9, 100):
+        assert metrics.columns_percentile(columns, q) == \
+            metrics.nearest_rank_percentile(want, q), (q, len(values))
+        top = metrics.top_values(columns, q)
+        assert top == want[len(want) - len(top):]
 
 
 def _reference_summary_row(report, packets):
@@ -242,12 +269,13 @@ def test_column_metrics_match_the_packet_reference():
                            str(sum(p.lost for p in parsed))]
 
 
-def _report_with_logs(sent_per_flow, lost_at=()):
-    """A report whose flow f sent sent_per_flow[f] frames, 40 ms apart; the
-    frames at the indices in lost_at were lost."""
+def _report_with_logs(sent_per_flow, lost_at=(), flows=None):
+    """A report whose k-th flow, numbered flows[k] (k by default), sent
+    sent_per_flow[k] frames, 40 ms apart; the frames at the indices in
+    lost_at were lost."""
     base = engine.run(make_scenario(preset="vbr-high", duration_s=0))
     logs = {}
-    for flow, sent in enumerate(sent_per_flow):
+    for flow, sent in zip(flows or range(len(sent_per_flow)), sent_per_flow):
         start = 20_000_000_000 + flow
         recv = array("q", [LOST if k in lost_at else start + k * 40_000_000 + 3_000_000
                            for k in range(sent)])
@@ -278,6 +306,23 @@ def test_packet_log_writer_matches_the_row_reference_across_chunks():
     assert len(rows) == 4 * CHUNK + 5
     assert [k for k, row in enumerate(rows) if row.endswith(",1")] == \
         sorted(lost_at) + [2 * CHUNK + 5 + k for k in sorted(lost_at)]
+
+
+@pytest.mark.parametrize("sent, lost_at, flows", [
+    # Row templates differ in width per flow: one-digit flows beside
+    # two- and three-digit ones, with lost rows in each.
+    ([CHUNK + 3, 5, CHUNK, 2], {1, CHUNK - 1, CHUNK + 1}, [9, 10, 3, 123]),
+    # A chunk in which every row is lost, between two that lose none.
+    ([3 * CHUNK + 2], range(CHUNK, 2 * CHUNK), None),
+    # The first and last rows lost, of a partial last chunk and of a
+    # one-row flow.
+    ([CHUNK + 7, 1, 4], {0, CHUNK + 6}, [0, 1, 12]),
+])
+def test_packet_log_writer_edge_cases_match_the_row_reference(sent, lost_at, flows):
+    report = _report_with_logs(sent, lost_at, flows)
+    buf = io.StringIO()
+    report.write_packets_csv(buf)
+    assert buf.getvalue() == _row_csv(report)
 
 
 def test_packet_log_writer_holds_one_chunk_at_a_time():
