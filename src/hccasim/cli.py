@@ -283,8 +283,11 @@ def cmd_sweep(args) -> int:
         # on the file, and sched.admit decides each stream from the streams
         # before it. So a cell fails set-up only if the largest does, with
         # the same text, and every cell's notes are among the largest's.
-        notes = _set_up(max(cells, key=lambda c: c.stations))
-        rows = _run_cells(cells)
+        # Every set-up of this command reads a trace file once: the cells,
+        # and the children forked to run them, reuse the largest cell's.
+        with engine.reusing_traces():
+            notes = _set_up(max(cells, key=lambda c: c.stations))
+            rows = _run_cells(cells)
     except (ConfigError, engine.SimulationError) as e:
         return _fail(str(e))
     except ChildProcessError as e:   # the input was fine; a worker died

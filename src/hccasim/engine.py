@@ -20,10 +20,11 @@ The run is one loop over SI boundaries, with no event queue:
   its end (back-to-back CAPs under overload).
 * Each station's arrivals are a precomputed schedule of frame sizes at a
   fixed interval, synthetic or replayed from a trace file; a trace file
-  is parsed once per set-up, and its stations share its columns. A CAP
-  sees every frame generated up to the instant it fell due, so frames
-  generated while a CAP is under way become pollable only from the next
-  CAP.
+  is parsed once per set-up (once per block of set-ups under
+  reusing_traces(), as a sweep's cells are), and its stations share its
+  columns. A CAP sees every frame generated up to the instant it fell
+  due, so frames generated while a CAP is under way become pollable only
+  from the next CAP.
 * The AP keeps one feedback value per station, set at each poll: None
   when no frame from it was received (the next grant falls back to the
   TSPEC-based one), 0 when the last frame received reported nothing
@@ -47,7 +48,9 @@ values, so it may be called again and gives the same report. The engine
 never forks.
 
 All bookkeeping is in integer nanoseconds; runs are bitwise reproducible
-for a fixed (scenario, seed).
+for a fixed (scenario, seed). A run reduces each rate's fraction 8e9 /
+rate by its gcd once, so the loop's air-time and grant arithmetic stays
+in one-digit ints, CPython's fast path, and exact (Simulation.run).
 """
 
 from __future__ import annotations
@@ -56,9 +59,11 @@ import io
 import os
 import random
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, compress, islice, repeat
+from math import gcd
 from operator import eq, ne, sub
 from typing import NamedTuple, Sequence
 
@@ -75,10 +80,23 @@ GOP_ROTATE_STEP = 5           # per-station GoP phase shift, coprime with 12
 PACKET_CSV_CHUNK_ROWS = 4096  # rows boxed at once when a flow's columns are walked
 SCHEDULE_CACHE_SIZE = 32      # synthetic schedules kept per process: a 1..32-station sweep
 LOST = -1                     # receive time logged for a lost frame; real ones are >= 0
+BYTE_NS = 8 * NS_PER_S        # ns per byte at 1 b/s: a byte's air time is BYTE_NS / rate
+
+# Parsed trace columns that every set-up inside a reusing_traces() block
+# shares; None outside one, where each set-up parses its own.
+_shared_traces: dict | None = None
 
 
 class SimulationError(RuntimeError):
     pass
+
+
+def _ns_per_byte(rate_bps: int) -> tuple[int, int]:
+    """A byte's air time at rate_bps, BYTE_NS / rate_bps, as the fraction
+    (num, den) reduced by its gcd: ceil(n * num / den) is ceil(n * 8e9 /
+    rate_bps) for every n, with smaller ints."""
+    g = gcd(BYTE_NS, rate_bps)
+    return BYTE_NS // g, rate_bps // g
 
 
 def encode_qs(next_size_bytes: int, exact: bool) -> int:
@@ -267,8 +285,9 @@ class StationSchedule(NamedTuple):
     k * interval; the frames generated before the run ends are listed.
     sizes and seqs are array('q') columns (seqs a range for a synthetic
     schedule) shared with every station and sweep cell that replays the
-    same schedule. The station joins the polling list at start, when its
-    stream is set up; CAPs before that skip it."""
+    same schedule. largest is kept with the columns it was taken from, so
+    no set-up scans them again. The station joins the polling list at
+    start, when its stream is set up; CAPs before that skip it."""
 
     flow: int
     tspec: Tspec
@@ -276,6 +295,7 @@ class StationSchedule(NamedTuple):
     interval: int
     sizes: Sequence[int]
     seqs: Sequence[int]
+    largest: int            # max(sizes), 0 when empty
 
 
 def _rotate(pattern: str, steps: int) -> str:
@@ -285,12 +305,28 @@ def _rotate(pattern: str, steps: int) -> str:
 
 @lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
 def _synth_schedule(pattern: str, base_sizes: tuple[int, int, int], jitter: float,
-                    n: int, seed: int) -> array:
-    """synth_sizes as an array('q'), built once per process for each key.
-    Station i replays the same schedule in every cell of a sweep, so the
-    cells share this one object rather than rebuild it; nothing writes
-    to it."""
-    return array(COLUMN_TYPECODE, synth_sizes(pattern, base_sizes, jitter, n, seed))
+                    n: int, seed: int) -> tuple[array, int]:
+    """synth_sizes as an array('q'), and its largest size, built once per
+    process for each key. Station i replays the same schedule in every cell
+    of a sweep, so the cells share this one object rather than rebuild it;
+    nothing writes to it."""
+    sizes = synth_sizes(pattern, base_sizes, jitter, n, seed)
+    return array(COLUMN_TYPECODE, sizes), max(sizes, default=0)
+
+
+@contextmanager
+def reusing_traces():
+    """Within the block, each set-up reuses the trace columns that an
+    earlier set-up in it parsed, so a sweep's cells parse no file its first
+    set-up parsed, and a child forked inside the block inherits them.
+    Leaving the block drops them: the next block, or a set-up outside any,
+    reads a rewritten file again."""
+    global _shared_traces
+    outer, _shared_traces = _shared_traces, {}
+    try:
+        yield
+    finally:
+        _shared_traces = outer
 
 
 def _build_stations(cfg: ScenarioConfig) -> list[StationSchedule]:
@@ -299,13 +335,13 @@ def _build_stations(cfg: ScenarioConfig) -> list[StationSchedule]:
     frame interval its stations replay it, and they all share the parsed
     VideoTrace's array('q') columns. A file that cannot be read, is not
     UTF-8 or is malformed is a ConfigError naming the first station that
-    replays it. Nothing is kept across calls, so a file rewritten between
-    two runs is read again."""
+    replays it. Nothing is kept across calls outside a reusing_traces()
+    block, so a file rewritten between two runs is read again."""
     stations = []
-    # (size_bytes, seqs) of each trace file, keyed by every path as written
-    # and by the file's realpath (a realpath is its own realpath), so
-    # realpath runs once per spelling.
-    traces = {}
+    # (size_bytes, seqs, largest size) of each trace file, keyed by every
+    # path as written and by the file's realpath (a realpath is its own
+    # realpath), so realpath runs once per spelling.
+    traces = {} if _shared_traces is None else _shared_traces
     dur = cfg.duration_ns
     for i, spec in enumerate(cfg.station_list()):
         tc = spec.traffic
@@ -319,21 +355,26 @@ def _build_stations(cfg: ScenarioConfig) -> list[StationSchedule]:
                     if file not in traces:
                         trace = load_trace(tc.path)
                         # Keep the two columns a run reads; the rest is freed now.
-                        traces[file] = trace.size_bytes, trace.seqs
+                        traces[file] = (trace.size_bytes, trace.seqs,
+                                        max(trace.size_bytes, default=0))
                 except (OSError, ValueError) as e:
                     raise ConfigError(f"stations[{i}].traffic.path", str(e)) from e
                 traces[tc.path] = traces[file]
-            # An array slice always copies: stations that replay the whole
-            # file share its columns, and only a shorter run slices them.
-            sizes, seqs = (column if n >= len(column) else column[:n]
-                           for column in traces[tc.path])
+            sizes, seqs, largest = traces[tc.path]
+            if n < len(sizes):
+                # An array slice always copies: stations that replay the
+                # whole file share its columns, and only a shorter run
+                # slices them (and scans its own head for the largest).
+                sizes, seqs = sizes[:n], seqs[:n]
+                largest = max(sizes, default=0)
         else:
             pattern = _rotate(tc.pattern, GOP_ROTATE_STEP * i) if tc.rotate_gop else tc.pattern
             base_seed = cfg.seed if tc.seed is None else tc.seed
-            sizes = _synth_schedule(pattern, tc.base_sizes(), tc.jitter, n,
-                                    base_seed + i) if n else array(COLUMN_TYPECODE)
+            sizes, largest = _synth_schedule(pattern, tc.base_sizes(), tc.jitter, n,
+                                             base_seed + i) if n else (array(COLUMN_TYPECODE), 0)
             seqs = range(n)
-        stations.append(StationSchedule(i, spec.tspec, start_ns, interval, sizes, seqs))
+        stations.append(StationSchedule(i, spec.tspec, start_ns, interval, sizes, seqs,
+                                        largest))
     return stations
 
 
@@ -352,9 +393,8 @@ class Simulation:
         # (it sends null frames while it waits) or whose traffic never starts.
         dur, notes = cfg.duration_ns, []
         for st in self.stations:
-            biggest = max(st.sizes, default=0)
-            if biggest > st.tspec.max_msdu_bytes:
-                notes.append(f"flow {st.flow}: largest frame is {biggest} B, above "
+            if st.largest > st.tspec.max_msdu_bytes:
+                notes.append(f"flow {st.flow}: largest frame is {st.largest} B, above "
                              f"tspec.max_msdu_bytes {st.tspec.max_msdu_bytes} B; grants "
                              f"sized from the TSPEC may never fit it")
             if st.start >= dur:
@@ -388,16 +428,24 @@ class Simulation:
         # PHY and grant constants, once per run. Frame air times, the
         # adaptive and minimal grants and the queue-size report below expand
         # phylib.data_tx_time, sched.adaptive_txop / minimal_txop and
-        # decode_qs(encode_qs(size)) with them, writing ceil(bits * 1e9 /
-        # rate) as -(-bits * 1e9 // rate).
+        # decode_qs(encode_qs(size)) with them. A byte's air time at a rate
+        # is the fraction _ns_per_byte(rate), 8e9 / rate reduced by its gcd
+        # once per run (the data rate) or per flow (its TSPEC rate, in
+        # polled): 8000 / 11 at 11 Mb/s. ceil(bytes * num / den) is written
+        # -(-bytes * num // den), exact for any integer rate. A frame of up
+        # to 134 217 B times 8000 stays below 2**30, one CPython digit, where
+        # times 8e9 it takes two, and one-digit ints take CPython's fast
+        # multiply and divide: on Python 3.11 (-288000 - a*8000) // 11 took
+        # 75 ns where (-288e9 - a*8e9) // 11e6 took 163 ns. A rate that
+        # shares no factor with 8e9 keeps the unreduced speed. A data
+        # frame's air time, its MAC header and payload plus the whole-ns PHY
+        # header, is one ceiling: -(neg_hdr_num - size * air_num) // air_den.
         poll_lead = phylib.ctrl_tx_time(p.poll_frame_bytes, p) + p.sifs_ns
         ack_ifs = p.sifs_ns + phylib.ctrl_tx_time(p.ack_frame_bytes, p) + p.sifs_ns
         beacon_air = phylib.ctrl_tx_time(BEACON_FRAME_BYTES, p)
         null_air = phylib.data_tx_time(0, p)
-        phy_hdr = p.phy_header_ns()
-        bit_ns = 8 * NS_PER_S
-        neg_mac_num = -p.mac_header_bytes * bit_ns
-        data_rate = p.data_rate_bps
+        air_num, air_den = _ns_per_byte(p.data_rate_bps)
+        neg_hdr_num = -p.mac_header_bytes * air_num - p.phy_header_ns() * air_den
         txop_o1 = phylib.txop_overhead(1, p)
         minimal_grant = txop_o1 + null_air
         qs_unit, qs_cap = QS_UNIT_BYTES, QS_MAX_UNITS * QS_UNIT_BYTES
@@ -410,8 +458,8 @@ class Simulation:
         next_tx = [0] * len(stations)
         feedback = [None] * len(stations)
         logs = [array(COLUMN_TYPECODE, [0]) * len(st.sizes) for st in stations]
-        polled = [(st.flow, st.tspec.phys_rate_bps, st.sizes, logs[st.flow], st.start,
-                   st.interval, len(st.sizes),
+        polled = [(st.flow, *_ns_per_byte(st.tspec.phys_rate_bps), st.sizes, logs[st.flow],
+                   st.start, st.interval, len(st.sizes),
                    reference_txop(st.tspec, si_ns, p, cfg.overhead_mode))
                   for st in stations]
 
@@ -427,7 +475,8 @@ class Simulation:
                 next_beacon += beacon_ns
             n_caps += 1
             t = cap_start = t_cap if t_cap > busy_until else busy_until
-            for flow, phys_rate, sizes, log, start, interval, n_frames, ref_txop in polled:
+            for (flow, grant_num, grant_den, sizes, log, start, interval, n_frames,
+                 ref_txop) in polled:
                 if t >= dur:
                     break
                 if t < start:
@@ -445,7 +494,7 @@ class Simulation:
                     grant, branch = ref_txop, "fallback"
                     n_fallback += 1
                 elif reported:
-                    grant = txop_o1 - (-reported * bit_ns) // phys_rate
+                    grant = txop_o1 - (-reported * grant_num) // grant_den
                     branch = "adaptive"
                     n_adaptive += 1
                 else:
@@ -460,8 +509,9 @@ class Simulation:
                 first = nt = next_tx[flow]
                 reported_at = None
                 while nt < arrived:
-                    data_end = tx + phy_hdr - (neg_mac_num - sizes[nt] * bit_ns) // data_rate
-                    if data_end + ack_ifs > budget_end or data_end > dur:
+                    data_end = tx - (neg_hdr_num - sizes[nt] * air_num) // air_den
+                    acked = data_end + ack_ifs
+                    if acked > budget_end or data_end > dur:
                         break
                     if lossy and draw() < loss_p:
                         log[nt] = LOST
@@ -469,7 +519,7 @@ class Simulation:
                         log[nt] = data_end
                         reported_at = nt + 1
                     nt += 1
-                    tx = data_end + ack_ifs
+                    tx = acked
                 next_tx[flow] = nt
                 if nt == first:
                     null_end = tx + null_air

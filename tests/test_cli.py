@@ -493,6 +493,33 @@ def test_validate_parses_a_shared_trace_once(tmp_path, capsys, monkeypatch, frag
     assert len(parsed) == 1
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_trace_sweep_parses_its_file_once(tmp_path, capsys, monkeypatch, cpus):
+    # A 1..12 x 2 sweep over one trace file: the largest cell's set-up
+    # parses it, and every cell, in this process or a forked child, reuses
+    # those columns. The next command reads the rewritten file again.
+    path = tmp_path / "trace.txt"
+    path.write_text("".join(f"{k} I {40 * k} {900 + k}\n" for k in range(60)))
+    parent, parsed, real_load = os.getpid(), [], engine.load_trace
+
+    def load_trace(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        parsed.append(args)
+        return real_load(*args)
+
+    monkeypatch.setattr(engine, "load_trace", load_trace)
+    use_cpus(monkeypatch, cpus)
+    cfg = write_config(tmp_path, duration_s=22, traffic={"kind": "trace", "path": str(path)})
+    code, _, _ = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "a"))
+    assert code == 0 and parsed == [(str(path),)]
+    path.write_text("".join(f"{k} I {40 * k} {1900 + k}\n" for k in range(60)))
+    code, _, _ = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "b"))
+    assert code == 0 and len(parsed) == 2
+    a, b = ((tmp_path / d / "summary.csv").read_text().splitlines() for d in "ab")
+    assert len(a) == len(b) == 25 and a[0] == b[0] and a[1:] != b[1:]
+
+
 def test_simulate_names_the_station_of_a_malformed_trace(tmp_path, capsys):
     # Station 1 replays the bad file: simulate must say what validate says.
     good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"

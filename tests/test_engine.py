@@ -284,6 +284,19 @@ def test_grant_always_covers_actual_use():
 # report is capped, and a 2 Mbps TSPEC rate gives grants that still fit them.
 @example(phy=PhyParams(), sizes=(70_000, 20_000, 66_000), jitter=0.0,
          phys_rate=2_000_000, qs_exact=False, loss_p=0.0)
+# The engine reduces each rate's ns-per-byte fraction 8e9 / rate by its gcd:
+# rates that share no factor with 8e9 (the fraction stays as it is), rates
+# that divide it (denominator 1), and the default 11 Mb/s with loss.
+@example(phy=PhyParams(data_rate_bps=2_000_003), sizes=(12_000, 4_000, 1_500),
+         jitter=0.3, phys_rate=1_000_003, qs_exact=False, loss_p=0.0)
+@example(phy=PhyParams(data_rate_bps=2_000_003), sizes=(12_001, 4_001, 1_501),
+         jitter=0.0, phys_rate=1_000_003, qs_exact=True, loss_p=0.3)
+@example(phy=PhyParams(data_rate_bps=8_000_000), sizes=(12_000, 4_000, 1_500),
+         jitter=0.3, phys_rate=8_000_000, qs_exact=True, loss_p=0.0)
+@example(phy=PhyParams(data_rate_bps=8_000_000), sizes=(9_999, 3_333, 777),
+         jitter=0.0, phys_rate=8_000_000, qs_exact=False, loss_p=0.3)
+@example(phy=PhyParams(), sizes=(12_160, 4_560, 1_520), jitter=0.3,
+         phys_rate=11_000_000, qs_exact=False, loss_p=0.3)
 def test_timeline_matches_phy_and_sched_formulas(phy, sizes, jitter, phys_rate,
                                                  qs_exact, loss_p):
     # Rebuild one station's whole poll/TXOP timeline from phy.* and sched.*:
@@ -405,6 +418,44 @@ def test_each_trace_file_is_parsed_once_per_run(tmp_path, monkeypatch):
     assert all(st.sizes is traces[0].size_bytes and st.seqs is traces[0].seqs
                for st in sim.stations)
     assert [st.interval for st in sim.stations] == [40_000_000, 20_000_000]
+
+
+def test_set_ups_in_a_reusing_traces_block_parse_each_file_once(tmp_path, monkeypatch):
+    parsed = []
+    real_load = engine.load_trace
+    monkeypatch.setattr(engine, "load_trace",
+                        lambda path: parsed.append(path) or real_load(path))
+    path = tmp_path / "t.txt"
+    path.write_text("0 I 0 5000\n1 P 40 4000\n")
+    cfg = make_scenario(duration_s=21, traffic_start_s=20, stations=3,
+                        traffic={"kind": "trace", "path": str(path)})
+    with engine.reusing_traces():
+        sims = [engine.Simulation(cfg) for _ in range(3)]
+        with engine.reusing_traces():
+            engine.Simulation(cfg)
+        engine.Simulation(cfg)
+    assert parsed == [str(path)] * 2
+    assert all(st.sizes is sims[0].stations[0].sizes for sim in sims for st in sim.stations)
+    # Outside the block a rewritten file is read again.
+    path.write_text("0 I 0 700\n")
+    assert engine.Simulation(cfg).stations[0].sizes == array("q", [700])
+    assert len(parsed) == 3
+
+
+@pytest.mark.parametrize("duration_s, note", [(20.08, False), (20.14, True), (20.2, True)])
+def test_largest_frame_note_reads_the_frames_the_run_replays(tmp_path, duration_s, note):
+    # Frame 3 is above the TSPEC maximum MSDU (16 745 B); a run that ends
+    # before it is generated replays a head without it and notes nothing.
+    # The shorter runs slice the file; the longest replays all of it.
+    path = tmp_path / "t.txt"
+    path.write_text("0 I 0 900\n1 P 40 800\n2 B 80 700\n3 I 120 20000\n4 P 160 600\n")
+    sim = engine.Simulation(make_scenario(
+        duration_s=duration_s, traffic_start_s=20, tspec="jurassic-high",
+        stations=[{"traffic": {"kind": "trace", "path": str(path)}}] * 2))
+    assert [st.largest for st in sim.stations] == [20000 if note else 900] * 2
+    assert sim.traffic_notes == [
+        f"flow {i}: largest frame is 20000 B, above tspec.max_msdu_bytes 16745 B; "
+        f"grants sized from the TSPEC may never fit it" for i in range(2)] * note
 
 
 def test_a_bad_shared_trace_names_the_first_station(tmp_path):
