@@ -17,6 +17,12 @@ Every config object checks itself on construction, also in code and in
 its range. `PhyParams`, `Tspec` and `TrafficConfig` raise a
 `phy.FieldError` naming the attribute, which `_section` renames to its
 file key; `ScenarioConfig` raises `ConfigError` naming the file key.
+
+A choice that no scenario changes is not a key. The reference TXOP
+charges overhead per MSDU, throughput is taken over the window after
+traffic start, and station i's GoP starts 5 frames after station i-1's;
+a file that names `overhead_mode`, `throughput_window` or
+`traffic.rotate_gop` is refused as naming an unknown key.
 """
 
 from __future__ import annotations
@@ -28,8 +34,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import yaml
 
 from .phy import NS_PER_MS, NS_PER_S, NS_PER_US, FieldError, PhyParams, check_types
-from .sched import (OVERHEAD_MODES, OVERHEAD_PER_MSDU, TSPEC_PRESETS, Tspec,
-                    assign_si, min_msi)
+from .sched import TSPEC_PRESETS, Tspec, assign_si, min_msi
 from .traffic import COLUMN_LIMIT, DEFAULT_FRAME_INTERVAL_NS, FRAME_TYPES
 
 SCHEDULERS = ("reference", "adaptive")
@@ -67,7 +72,6 @@ class TrafficConfig:
     b_size: int = 2400
     jitter: float = 0.25
     frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS
-    rotate_gop: bool = True                # rotate GoP phase per station
     stagger_ns: int = 0                    # extra start offset per station index
     seed: int | None = None                # synth base seed; defaults to scenario seed
     path: str | None = None                # trace file for kind="trace"
@@ -116,10 +120,8 @@ class ScenarioConfig:
     duration_ns: int = 50 * NS_PER_S
     loss_p: float = 0.0
     qs_exact: bool = False
-    overhead_mode: str = OVERHEAD_PER_MSDU
     admission: str = "off"                 # "off" | "on"
     on_reject: str = "abort"               # "abort" | "run" (poll unadmitted anyway)
-    throughput_window: str = "active"      # "active" | "full"
     seed: int = 1
     record_polls: bool = False
     quality: str = "custom"                # label carried into summary CSV
@@ -154,14 +156,10 @@ class ScenarioConfig:
             raise ConfigError("traffic_start_s", "must be >= 0")
         if not 0.0 <= self.loss_p <= 1.0:
             raise ConfigError("loss_p", f"must be in [0, 1], got {self.loss_p}")
-        if self.overhead_mode not in OVERHEAD_MODES:
-            raise ConfigError("overhead_mode", f"must be one of {OVERHEAD_MODES}")
         if self.admission not in ("on", "off"):
             raise ConfigError("admission", "must be 'on' or 'off'")
         if self.on_reject not in ("abort", "run"):
             raise ConfigError("on_reject", "must be 'abort' or 'run'")
-        if self.throughput_window not in ("active", "full"):
-            raise ConfigError("throughput_window", "must be 'active' or 'full'")
         if set(self.quality) & {",", "\r", "\n"}:
             raise ConfigError("quality", "must not contain a comma or a line break "
                                          "(it is a summary.csv field)")
@@ -318,7 +316,6 @@ _TRAFFIC_KEYS = {
     "b_size": ("b_size", _as_int),
     "jitter": ("jitter", _as_float),
     "frame_interval_ms": ("frame_interval_ns", _scaled(NS_PER_MS)),
-    "rotate_gop": ("rotate_gop", _as_bool),
     "stagger_ms": ("stagger_ns", _scaled(NS_PER_MS)),
     "seed": ("seed", _optional(_as_int)),
     "path": ("path", _optional(_as_str)),
@@ -355,10 +352,8 @@ _SCENARIO_KEYS = {
     "duration_s": ("duration_ns", _scaled(NS_PER_S)),
     "loss_p": ("loss_p", _as_float),
     "qs_exact": ("qs_exact", _as_bool),
-    "overhead_mode": ("overhead_mode", _as_str),
     "admission": ("admission", _on_off),
     "on_reject": ("on_reject", _as_str),
-    "throughput_window": ("throughput_window", _as_str),
     "seed": ("seed", _as_int),
     "record_polls": ("record_polls", _as_bool),
     "quality": ("quality", _as_str),

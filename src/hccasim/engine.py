@@ -273,10 +273,8 @@ class SimReport:
         return all(log.conserved() for log in self.flows.values())
 
     def active_window_ns(self) -> int:
-        cfg = self.cfg
-        if cfg.throughput_window == "full":
-            return cfg.duration_ns
-        return max(0, cfg.duration_ns - cfg.traffic_start_ns)
+        """The throughput window: from traffic start to the end of the run."""
+        return max(0, self.cfg.duration_ns - self.cfg.traffic_start_ns)
 
 
 class StationSchedule(NamedTuple):
@@ -368,7 +366,7 @@ def _build_stations(cfg: ScenarioConfig) -> list[StationSchedule]:
                 sizes, seqs = sizes[:n], seqs[:n]
                 largest = max(sizes, default=0)
         else:
-            pattern = _rotate(tc.pattern, GOP_ROTATE_STEP * i) if tc.rotate_gop else tc.pattern
+            pattern = _rotate(tc.pattern, GOP_ROTATE_STEP * i)   # GoP phase per station
             base_seed = cfg.seed if tc.seed is None else tc.seed
             sizes, largest = _synth_schedule(pattern, tc.base_sizes(), tc.jitter, n,
                                              base_seed + i) if n else (array(COLUMN_TYPECODE), 0)
@@ -406,7 +404,7 @@ class Simulation:
         self.si_ns, self.divisor = assign_si(cfg.beacon_interval_ns, min_msi(tspecs))
         rejected = []
         if cfg.admission == "on":
-            verdicts = admit(tspecs, cfg.beacon_interval_ns, cfg.phy, cfg.overhead_mode)
+            verdicts = admit(tspecs, cfg.beacon_interval_ns, cfg.phy)
             rejected = [(st.flow, why) for st, why in zip(self.stations, verdicts)
                         if why is not None]
         self.admission_notes = [f"flow {flow} rejected: {why}" for flow, why in rejected]
@@ -460,10 +458,10 @@ class Simulation:
         logs = [array(COLUMN_TYPECODE, [0]) * len(st.sizes) for st in stations]
         polled = [(st.flow, *_ns_per_byte(st.tspec.phys_rate_bps), st.sizes, logs[st.flow],
                    st.start, st.interval, len(st.sizes),
-                   reference_txop(st.tspec, si_ns, p, cfg.overhead_mode))
+                   reference_txop(st.tspec, si_ns, p))
                   for st in stations]
 
-        n_beacons = n_caps = n_overruns = n_null = 0
+        n_caps = n_overruns = n_null = 0
         n_reference = n_adaptive = n_fallback = n_minimal = 0
         busy_until = next_beacon = t_cap = 0
         while t_cap < dur:
@@ -471,7 +469,6 @@ class Simulation:
             # while the medium is still busy with the previous CAP.
             while next_beacon <= t_cap:
                 busy_until = (next_beacon if next_beacon > busy_until else busy_until) + beacon_air
-                n_beacons += 1
                 next_beacon += beacon_ns
             n_caps += 1
             t = cap_start = t_cap if t_cap > busy_until else busy_until
@@ -564,8 +561,6 @@ class Simulation:
             t_cap = k * beacon_ns + (r * beacon_ns) // divisor
             if t_cap < t:
                 t_cap = t
-        if next_beacon < dur:
-            n_beacons += -(-(dur - next_beacon) // beacon_ns)
         for log, nt in zip(logs, next_tx):
             del log[nt:]
 
@@ -573,7 +568,8 @@ class Simulation:
                                   logs[st.flow], len(st.sizes) - next_tx[st.flow])
                  for st in stations}
         counters = Counters(
-            beacons=n_beacons, caps=n_caps, overruns=n_overruns,
+            # Every beacon instant before the end counts, deferred or not.
+            beacons=-(-dur // beacon_ns), caps=n_caps, overruns=n_overruns,
             polls_reference=n_reference, polls_adaptive=n_adaptive,
             polls_fallback=n_fallback, polls_minimal=n_minimal,
             data_frames=sum(len(log.recv_ns) for log in flows.values()),

@@ -4,10 +4,12 @@ aggregate throughput and the sweep summary table.
 The summary table reads a report's per-flow FlowLogs: their columns for
 delays and the counts they derive from them. Its p95 and max delay come
 from one exact nearest-rank selection, top_values, which sorts only the
-delays from a sampled threshold up. mean_e2e_delay and
-aggregate_throughput take a list of PacketRecords instead, such as
-parse_packets_csv returns, so recomputing a summary from a serialized CSV
-reproduces the simulator's own exactly.
+delays from a sampled threshold up; its first value is the percentile.
+Throughput is taken over the report's active window, from traffic start
+to the end of the run. mean_e2e_delay and aggregate_throughput take a
+list of PacketRecords instead, such as parse_packets_csv returns, so
+recomputing a summary from a serialized CSV reproduces the simulator's
+own exactly.
 """
 
 from __future__ import annotations
@@ -76,13 +78,6 @@ def top_values(columns, q: float) -> list:
     return top[-from_top:]
 
 
-def columns_percentile(columns, q: float):
-    """nearest_rank_percentile of the values of all columns taken together,
-    without sorting them all (see top_values); None when they hold none."""
-    top = top_values(columns, q)
-    return top[0] if top else None
-
-
 def aggregate_throughput(log, window_ns: int) -> float:
     """Delivered payload bits divided by the measurement window, in bit/s."""
     if window_ns <= 0:
@@ -119,7 +114,7 @@ def summary_row(report: SimReport) -> str:
 
 def _template_key(cfg):
     return (cfg.quality, cfg.beacon_interval_ns, cfg.duration_ns, cfg.traffic_start_ns,
-            cfg.loss_p, cfg.qs_exact, cfg.overhead_mode, cfg.throughput_window)
+            cfg.loss_p, cfg.qs_exact)
 
 
 def summary_csv(cfgs, rows) -> str:

@@ -3,7 +3,10 @@ per-stream TXOP computation for the reference (mean-based) and adaptive
 (next-frame-size) schedulers, and admission control.
 
 Times are integer nanoseconds throughout; the admission inequality is
-evaluated exactly in integers, never in floats.
+evaluated exactly in integers, never in floats. The reference TXOP
+charges the overhead of every MSDU it budgets for. For each shipped TSPEC
+its one-maximum-MSDU arm is the larger at every beacon interval from 1 to
+2 000 ms, so a single overhead per TXOP would grant the same time.
 """
 
 from __future__ import annotations
@@ -12,11 +15,6 @@ from dataclasses import dataclass, fields
 
 from .phy import (NS_PER_S, FieldError, PhyParams, check_types, data_tx_time,
                   tx_duration_ns, txop_overhead)
-
-OVERHEAD_PER_MSDU = "per_msdu"   # default: overhead scales with the MSDU count
-OVERHEAD_LUMPED = "lumped"       # single per-TXOP overhead regardless of count
-OVERHEAD_MODES = (OVERHEAD_PER_MSDU, OVERHEAD_LUMPED)
-
 
 @dataclass(frozen=True)
 class Tspec:
@@ -89,18 +87,14 @@ def msdu_count(si_ns: int, t: Tspec) -> int:
     return max(1, -(-si_ns * num // (den * NS_PER_S * t.nominal_msdu_bytes * 8)))
 
 
-def reference_txop(t: Tspec, si_ns: int, p: PhyParams,
-                   overhead_mode: str = OVERHEAD_PER_MSDU) -> int:
+def reference_txop(t: Tspec, si_ns: int, p: PhyParams) -> int:
     """Mean-characteristics TXOP: the larger of time for N nominal MSDUs and
-    time for one maximum MSDU, each plus overhead. Payload bits ride at the
-    TSPEC physical rate."""
-    if overhead_mode not in OVERHEAD_MODES:
-        raise ValueError(f"unknown overhead_mode {overhead_mode!r}")
+    time for one maximum MSDU, each plus the overhead of its MSDU count.
+    Payload bits ride at the TSPEC physical rate."""
     n = msdu_count(si_ns, t)
-    o_n = txop_overhead(n if overhead_mode == OVERHEAD_PER_MSDU else 1, p)
-    o_1 = txop_overhead(1, p)
-    nominal_arm = tx_duration_ns(n * t.nominal_msdu_bytes * 8, t.phys_rate_bps) + o_n
-    max_arm = tx_duration_ns(t.max_msdu_bytes * 8, t.phys_rate_bps) + o_1
+    nominal_arm = (tx_duration_ns(n * t.nominal_msdu_bytes * 8, t.phys_rate_bps)
+                   + txop_overhead(n, p))
+    max_arm = tx_duration_ns(t.max_msdu_bytes * 8, t.phys_rate_bps) + txop_overhead(1, p)
     return max(nominal_arm, max_arm)
 
 
@@ -120,8 +114,7 @@ def minimal_txop(t: Tspec, p: PhyParams) -> int:
     return txop_overhead(1, p) + data_tx_time(0, p)
 
 
-def admit(tspecs, beacon_ns: int, p: PhyParams,
-          overhead_mode: str = OVERHEAD_PER_MSDU) -> list[str | None]:
+def admit(tspecs, beacon_ns: int, p: PhyParams) -> list[str | None]:
     """Admission control over streams in request order: None for each
     admitted stream, else the reason it was rejected.
 
@@ -136,7 +129,7 @@ def admit(tspecs, beacon_ns: int, p: PhyParams,
     for cand in tspecs:
         group = admitted + [cand]
         si_ns, x = assign_si(beacon_ns, min_msi(group))
-        total = sum(reference_txop(t, si_ns, p, overhead_mode) for t in group)
+        total = sum(reference_txop(t, si_ns, p) for t in group)
         if total * x > beacon_ns:
             verdicts.append(f"utilization {float(total * x) / beacon_ns:.4f} exceeds "
                             f"1.0000 (sum TXOP {total} ns over SI {si_ns} ns)")

@@ -71,6 +71,19 @@ def test_unknown_key_is_an_error(tmp_path, capsys):
     assert "statoins" in stderr
 
 
+@pytest.mark.parametrize("override, error", [
+    ("overhead_mode=lumped", "overhead_mode: unknown configuration key"),
+    ("throughput_window=full", "throughput_window: unknown configuration key"),
+    ("traffic.rotate_gop=false", "traffic.rotate_gop: unknown traffic key"),
+])
+def test_fixed_model_choices_have_no_key(tmp_path, capsys, override, error):
+    # Per-MSDU TXOP overhead, the active throughput window and per-station
+    # GoP rotation are fixed; a scenario naming their old keys is refused.
+    code, stdout, stderr = run_cli(capsys, "validate", "--set", "preset=vbr-high",
+                                   "--set", override)
+    assert (code, stdout, stderr) == (2, "", f"error: {error}\n")
+
+
 def test_missing_trace_file_fails(tmp_path, capsys):
     cfg = write_config(tmp_path, traffic={"kind": "trace", "path": "no-such.txt"},
                        duration_s=21)

@@ -535,6 +535,35 @@ def test_beacon_air_time_charged():
     assert gap - base == beacon_air
 
 
+OVERLOAD = dict(preset="vbr-high", scheduler="adaptive", stations=12, seed=11,
+                traffic={"i_size": 30000, "p_size": 12000, "b_size": 6000})
+
+
+@pytest.mark.parametrize("kwargs, beacons", [
+    (dict(duration_s=0), 0),
+    # 100 ms beacons over a 33.3 ms SI grid; the run ends mid-interval
+    (dict(preset="cbr-nominal", beacon_interval_ms=100.0, duration_s=23.05), 231),
+    # 7.3 ms beacons, one CAP each: overloaded once traffic starts
+    (dict(OVERLOAD, beacon_interval_ms=7.3, duration_s=21.7), 2973),
+    (dict(OVERLOAD, beacon_interval_ms=100.0, duration_s=24), 240),
+])
+def test_every_beacon_instant_before_the_end_is_counted(kwargs, beacons):
+    # Counters.beacons is ceil(duration / beacon interval), as
+    # config.check_run_size counts them: a beacon deferred by a CAP that
+    # holds the medium still goes out, and one due after the last CAP
+    # started still counts.
+    cfg = make_scenario(record_polls=True, **kwargs)
+    r = engine.run(cfg)
+    bi = cfg.beacon_interval_ns
+    assert r.counters.beacons == len(range(0, cfg.duration_ns, bi)) == beacons
+    if cfg.stations == 12:
+        assert r.counters.overruns > 0
+        # a beacon instant falls strictly inside a granted TXOP, so the
+        # beacon waits for the CAP to end
+        assert any(p.poll_ns < -(-p.poll_ns // bi) * bi < p.poll_ns + p.grant_ns
+                   for p in r.polls)
+
+
 # -- queue-size field -------------------------------------------------------
 
 @given(st.integers(min_value=1, max_value=65024))

@@ -69,7 +69,7 @@ SHIFT = 16   # 1 << 16 ns: a 65.5 us range of delays
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_columns_percentile_matches_the_sorted_nearest_rank(seed):
+def test_top_values_start_at_the_sorted_nearest_rank(seed):
     rng = random.Random(seed)
     n = rng.choice([1, 2, 3, 20, 500, 5000])
     shape = seed % 3
@@ -83,27 +83,27 @@ def test_columns_percentile_matches_the_sorted_nearest_rank(seed):
         values = [rng.randrange(rng.choice([1 << 17, 10**10, 2**63])) for _ in range(n)]
     columns = _columns(rng, values)
     for q in (0.001, 1, 50, 95, 99.9, 100):
-        assert metrics.columns_percentile(columns, q) == \
+        assert metrics.top_values(columns, q)[0] == \
             metrics.nearest_rank_percentile(sorted(values), q), (q, n)
 
 
-def test_columns_percentile_edges():
-    assert metrics.columns_percentile([], 95) is None
-    assert metrics.columns_percentile([array("q"), array("q")], 95) is None
-    assert metrics.columns_percentile([array("q", [7])], 95) == 7
-    assert metrics.columns_percentile([array("q", [7])], 100) == 7
+def test_top_values_edges():
+    assert metrics.top_values([], 95) == []
+    assert metrics.top_values([array("q"), array("q")], 95) == []
+    assert metrics.top_values([array("q", [7])], 95) == [7]
+    assert metrics.top_values([array("q", [7])], 100) == [7]
     shift = SHIFT
     col = array("q", [3 << shift, 1, 5 << shift, 1 << shift])
-    assert metrics.columns_percentile([col], 100) == 5 << shift
-    assert metrics.columns_percentile([col], 25) == 1
-    assert metrics.columns_percentile([col], 50) == 1 << shift
+    assert metrics.top_values([col], 100) == [5 << shift]
+    assert metrics.top_values([col], 25) == [1, 1 << shift, 3 << shift, 5 << shift]
+    assert metrics.top_values([col], 50)[0] == 1 << shift
     with pytest.raises(ValueError):
-        metrics.columns_percentile([col], 0)
+        metrics.top_values([col], 0)
 
 
 @pytest.mark.parametrize("sampled", ["largest", "smallest"])
 @pytest.mark.parametrize("seed", range(6))
-def test_columns_percentile_when_the_sample_misleads(seed, sampled):
+def test_top_values_when_the_sample_misleads(seed, sampled):
     # top_values takes its threshold from every SAMPLE_STRIDE-th value of
     # each column. Where those positions hold the largest values, the first
     # threshold keeps little more than the sample and has to be lowered;
@@ -119,9 +119,8 @@ def test_columns_percentile_when_the_sample_misleads(seed, sampled):
     values = [v for column in columns for v in column]
     want = sorted(values)
     for q in (0.001, 1, 50, 95, 99.9, 100):
-        assert metrics.columns_percentile(columns, q) == \
-            metrics.nearest_rank_percentile(want, q), (q, len(values))
         top = metrics.top_values(columns, q)
+        assert top[0] == metrics.nearest_rank_percentile(want, q), (q, len(values))
         assert top == want[len(want) - len(top):]
 
 
@@ -152,8 +151,7 @@ def test_summary_row_matches_the_sorted_reference(seed, log):
                         stations=rng.randrange(1, 13), duration_s=rng.uniform(20.5, 26),
                         seed=rng.randrange(10**6), qs_exact=rng.random() < 0.5,
                         loss_p=rng.choice([0.0, 0.02, 0.1, 0.5, 1.0]),
-                        traffic={"stagger_ms": rng.choice([0.0, 7.0, 300.0, 1000.0])},
-                        throughput_window=rng.choice(["active", "full"]))
+                        traffic={"stagger_ms": rng.choice([0.0, 7.0, 300.0, 1000.0])})
     report = engine.run(cfg)
     packets = (report.packets if log == "records"
                else metrics.parse_packets_csv(report.packets_csv()))
@@ -222,19 +220,13 @@ def test_summarize_rejects_mixed_templates():
         metrics.summarize([a, b])
 
 
-def test_throughput_window_modes():
-    active = engine.run(make_scenario(preset="cbr-nominal", stations=1,
+def test_throughput_is_taken_after_traffic_start():
+    report = engine.run(make_scenario(preset="cbr-nominal", stations=1,
                                       duration_s=30, seed=2))
-    full = engine.run(make_scenario(preset="cbr-nominal", stations=1,
-                                    duration_s=30, seed=2,
-                                    throughput_window="full"))
-    assert active.packets_csv() == full.packets_csv()
-    t_active = metrics.aggregate_throughput(active.packets, active.active_window_ns())
-    t_full = metrics.aggregate_throughput(full.packets, full.active_window_ns())
-    # the full window dilutes throughput by the 20 s warm-up
-    assert t_full == pytest.approx(t_active * 10 / 30)
+    assert report.active_window_ns() == 10 * 10**9
     # the active-window sink rate approaches the source mean bit rate
-    assert t_active == pytest.approx(760_000, rel=0.02)
+    assert metrics.aggregate_throughput(report.packets, report.active_window_ns()) == \
+        pytest.approx(760_000, rel=0.02)
 
 
 def test_summary_row_undefined_delay_prints_empty():

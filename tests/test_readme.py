@@ -1,14 +1,17 @@
 """Every hccasim command line README shows in a fenced sh block must parse
 with the CLI's own parser, so the README cannot name an option the CLI
-lacks."""
+lacks; every YAML block of its "Scenario files" section must build a
+scenario, so it cannot show a key or a value that a file may not hold."""
 
 import pathlib
 import re
 import shlex
 
 import pytest
+import yaml
 
 from hccasim import cli
+from hccasim.config import scenario_from_dict
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
@@ -34,3 +37,19 @@ def test_readme_command_parses(command):
         cli.build_parser().parse_args(argv)
     except SystemExit as e:
         pytest.fail(f"{command!r} does not parse (exit {e.code})")
+
+
+def scenario_blocks() -> list[str]:
+    """The yaml blocks of README's "Scenario files" section."""
+    section = README.read_text().split("\n## Scenario files\n")[1].split("\n## ")[0]
+    return re.findall(r"^```yaml\n(.*?)^```", section, re.M | re.S)
+
+
+def test_readme_shows_its_scenario_blocks():
+    assert len(scenario_blocks()) >= 4
+
+
+@pytest.mark.parametrize("block", scenario_blocks(),
+                         ids=lambda block: re.search(r"^(\w+):", block, re.M).group(1))
+def test_readme_scenario_block_builds(block):
+    scenario_from_dict(yaml.safe_load(block))

@@ -101,18 +101,12 @@ def test_reference_txop_values(default_phy, zero_overhead_phy):
     t = make_tspec(rho=8000, L=1000, M=1000)
     assert reference_txop(t, 1_000_000_000, zero_overhead_phy) == \
         (1000 * 8 * 10**9 + MBPS11 - 1) // MBPS11
-
-
-def test_reference_txop_lumped_overhead(default_phy):
-    # lumped mode replaces O(N) with O(1) in the N-MSDU arm
+    # N = 10 nominal MSDUs outweigh one maximum MSDU: that arm charges the
+    # overhead of all ten
     t = make_tspec(rho=2e6, L=1000, M=1000)
-    n = msdu_count(40 * MS, t)
-    assert n == 10
-    per = reference_txop(t, 40 * MS, default_phy, "per_msdu")
-    lumped = reference_txop(t, 40 * MS, default_phy, "lumped")
-    assert per - lumped == txop_overhead(n, default_phy) - txop_overhead(1, default_phy)
-    with pytest.raises(ValueError):
-        reference_txop(t, 40 * MS, default_phy, "bogus")
+    assert msdu_count(40 * MS, t) == 10
+    assert reference_txop(t, 40 * MS, default_phy) == \
+        7_272_728 + txop_overhead(10, default_phy) == 7_272_728 + 5_911_820
 
 
 def test_adaptive_txop_values(zero_overhead_phy, default_phy):
