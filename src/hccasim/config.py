@@ -74,7 +74,7 @@ class TrafficConfig:
     frame_interval_ns: int = DEFAULT_FRAME_INTERVAL_NS
     stagger_ns: int = 0                    # extra start offset per station index
     seed: int | None = None                # synth base seed; defaults to scenario seed
-    path: str | None = None                # trace file for kind="trace"
+    path: str | None = None                # trace file; kind="trace" only
 
     def __post_init__(self):
         check_types(self)
@@ -82,6 +82,8 @@ class TrafficConfig:
             raise FieldError("kind", f"must be 'synth' or 'trace', got {self.kind!r}")
         if self.kind == "trace" and not self.path:
             raise FieldError("path", "required when kind is 'trace'")
+        if self.kind == "synth" and self.path is not None:
+            raise FieldError("path", "is read only when kind is 'trace'")
         if not self.pattern or set(self.pattern.upper()) - set(FRAME_TYPES):
             raise FieldError("pattern", "must be a non-empty string of I, P and B")
         for name in ("i_size", "p_size", "b_size"):

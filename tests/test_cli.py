@@ -84,6 +84,16 @@ def test_fixed_model_choices_have_no_key(tmp_path, capsys, override, error):
     assert (code, stdout, stderr) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_trace_path_under_synthetic_traffic_exits_2(tmp_path, capsys, command):
+    code, stdout, stderr = run_cli(capsys, command, "--set", "preset=vbr-high",
+                                   "--set", "traffic.path=/nonexistent/movie.txt",
+                                   *out_argv(command, tmp_path / "o"))
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: traffic.path: is read only when kind is 'trace'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_trace_file_fails(tmp_path, capsys):
     cfg = write_config(tmp_path, traffic={"kind": "trace", "path": "no-such.txt"},
                        duration_s=21)

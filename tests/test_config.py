@@ -129,7 +129,7 @@ PROBE_SCENARIOS = [
 ] + [{"tspec": {k: v for k, v in INLINE_TSPEC.items() if k != key}} for key in INLINE_TSPEC]
 # sha256 of every probe's outcome. Messages quote CPython's own float() and
 # int() errors, so the hash is tied to their wording (Python 3.11).
-ERROR_TEXT_SHA256 = "f60124ea77eaf54382a6959db1fc7b81ab80ec4ff1ff86f10efaace8c90d1a96"
+ERROR_TEXT_SHA256 = "f5fbaced13d460b858362f8f0bac3cf5b9e63c3da93982182e12f7cc96c95b5a"
 
 
 def _probe_outcomes():
@@ -268,6 +268,30 @@ def test_traffic_fields_validated_at_load():
             TrafficConfig(**{attr: bad})
         assert e.value.field == attr
     assert scenario_from_dict({"traffic": {"seed": None}}).traffic.seed is None
+
+
+def test_a_trace_path_is_refused_under_synthetic_traffic(tmp_path):
+    # A synthetic station never reads a path, so one given there is refused
+    # rather than ignored, wherever it is given.
+    message = "is read only when kind is 'trace'"
+    with pytest.raises(FieldError, match=f"^path {message}$") as e:
+        TrafficConfig(path="movie.txt")
+    assert e.value.field == "path"
+    path = tmp_path / "scenario.yaml"
+    path.write_text("preset: vbr-high\ntraffic:\n  path: movie.txt\n")
+    for load, named in [
+            (lambda: config.load_scenario(str(path)), "traffic.path"),
+            (lambda: scenario_from_dict({"traffic": {"kind": "synth", "path": ""}}),
+             "traffic.path"),
+            (lambda: scenario_from_dict({"stations": [
+                {"traffic": {"kind": "trace", "path": "movie.txt"}},
+                {"traffic": {"path": "movie.txt"}}]}), "stations[1].traffic.path")]:
+        with pytest.raises(ConfigError) as e:
+            load()
+        assert (e.value.field, e.value.detail) == (named, message)
+    # Unset, or set under trace traffic, it is taken.
+    assert scenario_from_dict({"traffic": {"path": None}}).traffic.path is None
+    assert config.load_scenario(str(path), ["traffic.kind=trace"]).traffic.path == "movie.txt"
 
 
 def test_values_above_a_64_bit_column_are_refused():
