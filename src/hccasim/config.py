@@ -18,11 +18,11 @@ its range. `PhyParams`, `Tspec` and `TrafficConfig` raise a
 `phy.FieldError` naming the attribute, which `_section` renames to its
 file key; `ScenarioConfig` raises `ConfigError` naming the file key.
 
-A choice that no scenario changes is not a key. The reference TXOP
-charges overhead per MSDU, throughput is taken over the window after
-traffic start, and station i's GoP starts 5 frames after station i-1's;
-a file that names `overhead_mode`, `throughput_window` or
-`traffic.rotate_gop` is refused as naming an unknown key.
+Three choices are fixed, not keys, because no scenario changes them: the
+reference TXOP charges overhead per MSDU, throughput is taken over the
+window after traffic start, and station i's GoP starts 5 frames after
+station i-1's. A `traffic.path` is read only under `kind: trace` and
+refused under `kind: synth`.
 """
 
 from __future__ import annotations
