@@ -76,7 +76,7 @@ def test_unknown_key_is_an_error(tmp_path, capsys):
     ("throughput_window=full", "throughput_window: unknown configuration key"),
     ("traffic.rotate_gop=false", "traffic.rotate_gop: unknown traffic key"),
 ])
-def test_fixed_model_choices_have_no_key(tmp_path, capsys, override, error):
+def test_fixed_model_choices_have_no_key(capsys, override, error):
     # Per-MSDU TXOP overhead, the active throughput window and per-station
     # GoP rotation are fixed; a scenario naming their old keys is refused.
     code, stdout, stderr = run_cli(capsys, "validate", "--set", "preset=vbr-high",
