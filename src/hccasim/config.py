@@ -106,6 +106,8 @@ class TrafficConfig:
 
 @dataclass(frozen=True)
 class StationSpec:
+    """One station's traffic source and the TSPEC it negotiates."""
+
     traffic: TrafficConfig
     tspec: Tspec
 
@@ -115,6 +117,10 @@ class StationSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A resolved, checked scenario, in integer nanoseconds: the scheduler,
+    the stations and their traffic and TSPECs, timing, loss, admission and
+    seed. Building one raises ConfigError naming the first bad field."""
+
     scheduler: str = "reference"
     stations: int = 1
     beacon_interval_ns: int = 120 * NS_PER_MS

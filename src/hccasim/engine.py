@@ -31,13 +31,17 @@ The run is one loop over SI boundaries, with no event queue:
   pending (the minimal grant), else the next-frame size that frame
   reported, in bytes (the adaptive grant for that size).
 * Packet logs are columns: per flow, one receive time (LOST for a lost
-  frame) per sent frame. Generation times, sizes and sequence numbers come
-  from the station's schedule, and per-packet records are only built on
-  request. Every per-frame column is an array('q') (a synthetic
-  schedule's sequence numbers are a range), 8 bytes per value and no int
-  object per frame. A run allocates each flow's receive log for every
-  frame of its schedule, stores frame k's receive time at index k when it
-  goes out, and cuts the log to the frames sent when the loop ends.
+  frame) per sent frame, and the ascending indices of the lost frames.
+  Generation times, sizes and sequence numbers come from the station's
+  schedule, and per-packet records are only built on request. Every
+  per-frame column is an array('q') (a synthetic schedule's sequence
+  numbers are a range), 8 bytes per value and no int object per frame. A
+  run allocates each flow's receive log for every frame of its schedule,
+  stores frame k's receive time at index k when it goes out, and cuts the
+  log to the frames sent when the loop ends. The loss branch that stores
+  LOST also appends k to the flow's lost indices, so the counts, the
+  summary and the packet-log writer find the lost frames there and never
+  compare a receive time with LOST again.
 
 Building a Simulation is the one set-up: it parses the trace files,
 builds the schedules, picks the SI and runs admission control (`hccasim
@@ -59,12 +63,13 @@ import io
 import os
 import random
 from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import chain, compress, islice, repeat
+from functools import lru_cache
+from itertools import islice
 from math import gcd
-from operator import eq, ne, sub
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from . import phy as phylib
@@ -118,6 +123,9 @@ def decode_qs(qs_field: int, exact: bool) -> int:
 
 @dataclass(frozen=True)
 class PacketRecord:
+    """One sent frame of a flow's packet log, as SimReport.packets and
+    metrics.parse_packets_csv build it; recv_ns is None for a lost frame."""
+
     flow: int
     seq: int
     gen_ns: int
@@ -128,6 +136,10 @@ class PacketRecord:
 
 @dataclass(frozen=True)
 class PollRecord:
+    """One poll: when it went out, the TXOP granted, the air time the
+    exchange used, the grant branch taken and the data frames sent. Kept
+    only when the scenario sets record_polls."""
+
     flow: int
     poll_ns: int
     grant_ns: int
@@ -138,6 +150,9 @@ class PollRecord:
 
 @dataclass
 class Counters:
+    """A run's event counts: beacons, CAPs and CAPs that overran their SI,
+    polls by grant branch, and data, null and lost frames."""
+
     beacons: int = 0
     caps: int = 0
     overruns: int = 0
@@ -156,10 +171,13 @@ class FlowLog:
     list every generated frame: frame k was generated at start_ns + k *
     interval_ns with sequence number seqs[k] and size sizes[k]. The first
     len(recv_ns) frames were sent; recv_ns is an array('q') whose entry k
-    is frame k's receive time, LOST when it was lost. queued_end is the
-    station's backlog at the end of the run, taken from its send cursor,
-    the same cursor the log was cut to: conserved() holds by construction
-    and checks no independent count."""
+    is frame k's receive time, LOST when it was lost. lost_at is an
+    ascending array('q') of the lost frames' indices, the positions of
+    LOST in recv_ns, recorded by the run as it stored them: the counts,
+    delays_ns() and the packet-log writer read it and never scan recv_ns
+    for LOST. queued_end is the station's backlog at the end of the run,
+    taken from its send cursor, the same cursor the log was cut to:
+    conserved() holds by construction and checks no independent count."""
 
     flow: int
     start_ns: int
@@ -167,17 +185,16 @@ class FlowLog:
     seqs: Sequence[int]
     sizes: Sequence[int]
     recv_ns: array
+    lost_at: array
     queued_end: int
 
     @property
     def generated(self) -> int:
         return len(self.sizes)
 
-    @cached_property
+    @property
     def lost(self) -> int:
-        # Counted once: array.count boxes every element, and lost is read
-        # for the run's counters, its summary and conserved().
-        return self.recv_ns.count(LOST)
+        return len(self.lost_at)
 
     @property
     def delivered(self) -> int:
@@ -185,12 +202,10 @@ class FlowLog:
 
     @property
     def delivered_bytes(self) -> int:
-        """The received frames' sizes summed in C: the sent frames' sizes
-        when none was lost, else those that a mask of the receive log
-        keeps."""
-        if not self.lost:
-            return sum(self.sizes[:len(self.recv_ns)])
-        return sum(compress(self.sizes, map(ne, self.recv_ns, repeat(LOST))))
+        """The received frames' sizes: the sent frames' sizes summed in C,
+        less those of the lost frames."""
+        return (sum(self.sizes[:len(self.recv_ns)])
+                - sum(map(self.sizes.__getitem__, self.lost_at)))
 
     def conserved(self) -> bool:
         return self.generated == self.delivered + self.lost + self.queued_end
@@ -206,22 +221,31 @@ class FlowLog:
 
     def delays_ns(self) -> array:
         """recv - gen of each received frame, in send order, as an array('q').
-        The differences are C-level passes over the columns (only a flow
-        that lost frames masks them out), moved PACKET_CSV_CHUNK_ROWS at a
-        time: no list of every delay is held, and fromlist converts each
-        value once where filling the array from an iterator converts it
-        twice."""
+        The differences are C-level passes over the columns, moved
+        PACKET_CSV_CHUNK_ROWS at a time: no list of every delay is held,
+        and fromlist converts each value once where filling the array from
+        an iterator converts it twice. A flow that lost frames then drops
+        the delays at lost_at, copying the runs between them."""
         delays = map(sub, self.recv_ns, self.gen_ns())
-        if self.lost:
-            delays = compress(delays, map(ne, self.recv_ns, repeat(LOST)))
         column = array(COLUMN_TYPECODE)
         while chunk := list(islice(delays, PACKET_CSV_CHUNK_ROWS)):
             column.fromlist(chunk)
-        return column
+        if not self.lost_at:
+            return column
+        kept, at = array(COLUMN_TYPECODE), 0
+        for k in self.lost_at:
+            kept += column[at:k]
+            at = k + 1
+        kept += column[at:]
+        return kept
 
 
 @dataclass
 class SimReport:
+    """What one run produced: the SI and divisor, each flow's FlowLog, the
+    poll records, the counters and the admission and traffic notes, with
+    the packet log's writers."""
+
     cfg: ScenarioConfig     # the scenario the run resolved and simulated
     si_ns: int
     divisor: int
@@ -246,22 +270,36 @@ class SimReport:
         rows per write, so the whole log is never held as one string. A
         chunk is one printf-style % over its rows' values: the flow's row
         template repeated once per row, with the lost-row template spliced
-        in at each lost frame, whose %.0s takes the LOST receive time and
-        prints nothing."""
+        in at each lost frame that bisect finds in lost_at, whose %.0s
+        takes the LOST receive time and prints nothing. The values fill the
+        % arguments by four extended-slice assignments, one per column,
+        which box each value once. A chunk's template is joined before its
+        values are boxed, and the previous chunk's arguments are released
+        first, so one chunk's values are held at a time."""
         fh.write(self.PACKET_CSV_HEADER + "\n")
         for log in self.flows.values():
-            recv, values = log.recv_ns, chain.from_iterable(log.rows())
+            recv, lost_at, interval = log.recv_ns, log.lost_at, log.interval_ns
             row, lost_row = f"{log.flow},%d,%d,%d,%d,0\n", f"{log.flow},%d,%d,%.0s,%d,1\n"
             width, rows = len(row), row * PACKET_CSV_CHUNK_ROWS
+            hi = 0
             for start in range(0, len(recv), PACKET_CSV_CHUNK_ROWS):
-                n = min(PACKET_CSV_CHUNK_ROWS, len(recv) - start)
+                end = min(start + PACKET_CSV_CHUNK_ROWS, len(recv))
                 template, at = [], 0
-                if log.lost:
-                    for k in compress(range(n), map(eq, recv[start:start + n], repeat(LOST))):
-                        template += rows[at * width:k * width], lost_row
-                        at = k + 1
-                template.append(rows[at * width:n * width])
-                fh.write("".join(template) % tuple(islice(values, 4 * n)))
+                lo, hi = hi, bisect_left(lost_at, end, hi)
+                for k in lost_at[lo:hi]:
+                    k -= start
+                    template += rows[at * width:k * width], lost_row
+                    at = k + 1
+                template.append(rows[at * width:(end - start) * width])
+                template = "".join(template)
+                values = [None] * (4 * (end - start))
+                values[0::4] = log.seqs[start:end]
+                values[1::4] = range(log.start_ns + start * interval,
+                                     log.start_ns + end * interval, interval)
+                values[2::4] = recv[start:end]
+                values[3::4] = log.sizes[start:end]
+                values = tuple(values)      # frees the list before % builds the text
+                fh.write(template % values)
 
     def packets_csv(self) -> str:
         """The packet log CSV as one string; write_packets_csv's text."""
@@ -449,15 +487,17 @@ class Simulation:
         qs_unit, qs_cap = QS_UNIT_BYTES, QS_MAX_UNITS * QS_UNIT_BYTES
 
         # The run's own state, per flow: the send cursor (frames [0:next_tx)
-        # are sent), the receive log and the AP's feedback value, None
-        # before the first poll. A log is written by index and cut to the
-        # cursor after the loop: storing an array item converts the value
-        # once, appending converts it twice.
+        # are sent), the receive log, the lost frames' indices and the AP's
+        # feedback value, None before the first poll. A log is written by
+        # index and cut to the cursor after the loop: storing an array item
+        # converts the value once, appending converts it twice; a lost
+        # frame's index is appended, as its loss is only known when drawn.
         next_tx = [0] * len(stations)
         feedback = [None] * len(stations)
         logs = [array(COLUMN_TYPECODE, [0]) * len(st.sizes) for st in stations]
+        lost_ats = [array(COLUMN_TYPECODE) for _ in stations]
         polled = [(st.flow, *_ns_per_byte(st.tspec.phys_rate_bps), st.sizes, logs[st.flow],
-                   st.start, st.interval, len(st.sizes),
+                   lost_ats[st.flow], st.start, st.interval, len(st.sizes),
                    reference_txop(st.tspec, si_ns, p))
                   for st in stations]
 
@@ -472,7 +512,7 @@ class Simulation:
                 next_beacon += beacon_ns
             n_caps += 1
             t = cap_start = t_cap if t_cap > busy_until else busy_until
-            for (flow, grant_num, grant_den, sizes, log, start, interval, n_frames,
+            for (flow, grant_num, grant_den, sizes, log, lost_at, start, interval, n_frames,
                  ref_txop) in polled:
                 if t >= dur:
                     break
@@ -512,6 +552,7 @@ class Simulation:
                         break
                     if lossy and draw() < loss_p:
                         log[nt] = LOST
+                        lost_at.append(nt)
                     else:
                         log[nt] = data_end
                         reported_at = nt + 1
@@ -565,7 +606,8 @@ class Simulation:
             del log[nt:]
 
         flows = {st.flow: FlowLog(st.flow, st.start, st.interval, st.seqs, st.sizes,
-                                  logs[st.flow], len(st.sizes) - next_tx[st.flow])
+                                  logs[st.flow], lost_ats[st.flow],
+                                  len(st.sizes) - next_tx[st.flow])
                  for st in stations}
         counters = Counters(
             # Every beacon instant before the end counts, deferred or not.

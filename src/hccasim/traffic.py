@@ -94,6 +94,9 @@ class VideoTrace:
 
 @dataclass(frozen=True)
 class TraceStats:
+    """A trace's mean and peak frame size and bit rate, as trace_stats
+    computes them, and their peak-to-mean ratio."""
+
     mean_size_bytes: float
     peak_size_bytes: int
     mean_bit_rate_bps: float

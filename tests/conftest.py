@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from hccasim.config import scenario_from_dict
+from hccasim.engine import LOST
 from hccasim.phy import PhyParams
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -35,6 +36,12 @@ def fragment_path():
 
 def make_scenario(**kwargs):
     return scenario_from_dict(dict(kwargs))
+
+
+def lost_positions(log):
+    """The reference for a FlowLog's lost_at: the indices of LOST in its
+    receive log."""
+    return [k for k, recv in enumerate(log.recv_ns) if recv == LOST]
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_scenario
+from conftest import lost_positions, make_scenario
 from hccasim import engine
 from hccasim.config import ConfigError
 from hccasim.engine import SimulationError, decode_qs, encode_qs
@@ -24,6 +24,7 @@ def test_single_station_cbr_delivers_everything():
     assert total(r, "generated") == 250          # 10 s of 25 fps
     assert total(r, "delivered") == 250
     assert total(r, "lost") == 0
+    assert r.flows[0].lost_at.tolist() == lost_positions(r.flows[0]) == []
     assert r.conservation_ok()
     # every frame served within one SI of its arrival
     assert all(p.recv_ns - p.gen_ns <= r.si_ns for p in r.packets)
@@ -57,7 +58,7 @@ def test_a_simulation_runs_again_with_the_same_report():
     sim = engine.Simulation(cfg)
     first = sim.run()
     assert total(first, "queued_end") > 0 and total(first, "lost") > 0
-    columns = {flow: (log.recv_ns.tolist(), log.queued_end)
+    columns = {flow: (log.recv_ns.tolist(), log.lost_at.tolist(), log.queued_end)
                for flow, log in first.flows.items()}
     csv, row = first.packets_csv(), summary_row(first)
     second = sim.run()
@@ -65,8 +66,9 @@ def test_a_simulation_runs_again_with_the_same_report():
     assert summary_row(second) == row
     assert second.counters == first.counters
     assert second.polls == first.polls and first.polls
-    assert {flow: (log.recv_ns.tolist(), log.queued_end)
+    assert {flow: (log.recv_ns.tolist(), log.lost_at.tolist(), log.queued_end)
             for flow, log in first.flows.items()} == columns
+    assert all(log.lost_at.tolist() == lost_positions(log) for log in second.flows.values())
     assert first.conservation_ok() and second.conservation_ok()
 
 
@@ -113,6 +115,8 @@ def test_total_loss_exercises_fallback_branch():
     r = engine.run(cfg)
     assert total(r, "delivered") == 0
     assert total(r, "lost") > 0
+    assert all(log.lost_at.tolist() == lost_positions(log) == list(range(len(log.recv_ns)))
+               for log in r.flows.values())
     assert r.conservation_ok()
     # nothing ever received, so every poll keeps using the mean-based formula
     assert r.counters.polls_adaptive == 0

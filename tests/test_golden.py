@@ -14,7 +14,7 @@ import random
 import pytest
 import yaml
 
-from conftest import make_scenario
+from conftest import lost_positions, make_scenario
 from hccasim import cli, engine, metrics
 from hccasim.traffic import synth_sizes
 
@@ -124,6 +124,7 @@ def test_golden_outputs(name, tmp_path):
     sent = [sum(p.frames_sent for p in report.polls if p.flow == f) for f in report.flows]
     assert sent == [len(log.recv_ns) for log in report.flows.values()]
     assert report.conservation_ok()
+    assert all(log.lost_at.tolist() == lost_positions(log) for log in report.flows.values())
     # The medium is exclusive: each poll starts no earlier than the poll
     # before it plus that poll's grant, and no exchange outlasts its grant.
     polls = report.polls

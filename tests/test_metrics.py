@@ -235,44 +235,60 @@ def test_summary_row_undefined_delay_prints_empty():
     assert row.split(",")[3] == ""
 
 
-def test_column_metrics_match_the_packet_reference():
+@pytest.mark.parametrize("seed, loss_p, stagger_ms, covers", [
+    # Every flow delivers some frames and loses some.
+    (8, 0.1, 30.0, lambda lost: all(True in flow and False in flow for flow in lost)),
+    # Flow 0's first frame and flow 2's last frame are lost.
+    (43, 0.05, 30.0, lambda lost: lost[0][0] and lost[2][-1]),
+    # Lossless; flow 2 starts after the end of the run and sends nothing.
+    (8, 0.0, 2500.0, lambda lost: lost[2] == [] and not any(map(any, lost))),
+    # Every frame is lost.
+    (8, 1.0, 30.0, lambda lost: all(flow and all(flow) for flow in lost)),
+])
+def test_column_metrics_match_the_packet_reference(seed, loss_p, stagger_ms, covers):
     # summary_row reads the report's FlowLogs, columns and counts; the
-    # PacketRecord functions over the serialized log must agree.
+    # PacketRecord functions over the serialized log must agree, and each
+    # flow's lost_at must list the positions of its lost rows.
     cfg = make_scenario(preset="vbr-high", scheduler="adaptive", stations=3,
-                        duration_s=24, seed=8, loss_p=0.1,
-                        traffic={"stagger_ms": 30.0})
+                        duration_s=24, seed=seed, loss_p=loss_p,
+                        traffic={"stagger_ms": stagger_ms})
     report = engine.run(cfg)
     parsed = metrics.parse_packets_csv(report.packets_csv())
     assert sorted(report.flows) == [0, 1, 2]
+    lost = [[p.lost for p in parsed if p.flow == flow] for flow in report.flows]
+    assert covers(lost)
     for flow, fl in report.flows.items():
         log = [p for p in parsed if p.flow == flow]
         delays = sorted(p.recv_ns - p.gen_ns for p in log if not p.lost)
-        assert fl.delivered == len(delays) > 0
-        assert fl.lost == sum(p.lost for p in log) > 0
+        assert fl.lost_at.tolist() == [k for k, p in enumerate(log) if p.lost]
+        assert fl.delivered == len(delays)
+        assert fl.lost == sum(p.lost for p in log)
         assert fl.delivered_bytes == sum(p.size_bytes for p in log if not p.lost)
         assert fl.generated == len(log) + fl.queued_end
         assert sorted(fl.delays_ns()) == delays
     fields = metrics.summary_row(report).split(",")
     mean_ns = metrics.mean_e2e_delay(parsed)
     thr = metrics.aggregate_throughput(parsed, report.active_window_ns())
-    assert fields[3] == str(round(mean_ns / 1000))
+    assert fields[3] == metrics._fmt_us(mean_ns)
     assert fields[6] == f"{thr:.1f}"
     assert fields[7:9] == [str(sum(not p.lost for p in parsed)),
                            str(sum(p.lost for p in parsed))]
 
 
-def _report_with_logs(sent_per_flow, lost_at=(), flows=None):
+def _report_with_logs(sent_per_flow, lost_at=(), flows=None, seqs=range):
     """A report whose k-th flow, numbered flows[k] (k by default), sent
-    sent_per_flow[k] frames, 40 ms apart; the frames at the indices in
-    lost_at were lost."""
+    sent_per_flow[k] frames, 40 ms apart, numbered seqs(1000, 1000 + sent);
+    the frames at the indices in lost_at were lost."""
     base = engine.run(make_scenario(preset="vbr-high", duration_s=0))
     logs = {}
     for flow, sent in zip(flows or range(len(sent_per_flow)), sent_per_flow):
         start = 20_000_000_000 + flow
-        recv = array("q", [LOST if k in lost_at else start + k * 40_000_000 + 3_000_000
-                           for k in range(sent)])
-        logs[flow] = FlowLog(flow, start, 40_000_000, range(1000, 1000 + sent),
-                             [12160 - k % 9000 for k in range(sent)], recv, 0)
+        lost = array("q", sorted(k for k in set(lost_at) if k < sent))
+        recv = array("q", [start + k * 40_000_000 + 3_000_000 for k in range(sent)])
+        for k in lost:
+            recv[k] = LOST
+        logs[flow] = FlowLog(flow, start, 40_000_000, seqs(1000, 1000 + sent),
+                             [12160 - k % 9000 for k in range(sent)], recv, lost, 0)
     return replace(base, flows=logs)
 
 
@@ -317,11 +333,16 @@ def test_packet_log_writer_edge_cases_match_the_row_reference(sent, lost_at, flo
     assert buf.getvalue() == _row_csv(report)
 
 
-def test_packet_log_writer_holds_one_chunk_at_a_time():
+@pytest.mark.parametrize("lost_at, seqs", [
+    (range(0, 25_000, 7), range),
+    # Lossless, numbered by an array('q') as a trace's frames are.
+    ((), lambda first, stop: array("q", range(first, stop))),
+])
+def test_packet_log_writer_holds_one_chunk_at_a_time(lost_at, seqs):
     # 100 000 rows, about 4 MB of text. Building the whole log as one
     # string would peak above the text length; writing it a chunk at a
     # time holds one chunk's rows and their joined text.
-    report = _report_with_logs([25_000] * 4, lost_at=range(0, 25_000, 7))
+    report = _report_with_logs([25_000] * 4, lost_at, seqs=seqs)
 
     class CharCount:
         chars = 0

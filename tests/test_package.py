@@ -1,8 +1,11 @@
 import argparse
 import ast
+import dataclasses
+import importlib
 import inspect
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,6 +19,21 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 def test_every_exported_name_resolves():
     assert [name for name in hccasim.__all__ if not hasattr(hccasim, name)] == []
+
+
+def test_every_dataclass_has_its_own_docstring():
+    # Without one, dataclasses builds __doc__ from inspect.signature when
+    # the class is made, at every import of the package.
+    missing = []
+    for info in pkgutil.iter_modules(hccasim.__path__):
+        module = importlib.import_module(f"hccasim.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                node = ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0]
+                if ast.get_docstring(node) is None:
+                    missing.append(f"{module.__name__}.{name}")
+    assert missing == []
 
 
 def test_readme_lists_every_scenario_key():
