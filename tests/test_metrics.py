@@ -244,7 +244,7 @@ def test_summary_row_undefined_delay_prints_empty():
     (8, 0.0, 2500.0, lambda lost: lost[2] == [] and not any(map(any, lost))),
     # Every frame is lost.
     (8, 1.0, 30.0, lambda lost: all(flow and all(flow) for flow in lost)),
-])
+], ids=["some-lost", "first-and-last-lost", "lossless-idle-flow", "all-lost"])
 def test_column_metrics_match_the_packet_reference(seed, loss_p, stagger_ms, covers):
     # summary_row reads the report's FlowLogs, columns and counts; the
     # PacketRecord functions over the serialized log must agree, and each
@@ -337,7 +337,7 @@ def test_packet_log_writer_edge_cases_match_the_row_reference(sent, lost_at, flo
     (range(0, 25_000, 7), range),
     # Lossless, numbered by an array('q') as a trace's frames are.
     ((), lambda first, stop: array("q", range(first, stop))),
-])
+], ids=["lossy", "lossless-array-seqs"])
 def test_packet_log_writer_holds_one_chunk_at_a_time(lost_at, seqs):
     # 100 000 rows, about 4 MB of text. Building the whole log as one
     # string would peak above the text length; writing it a chunk at a
