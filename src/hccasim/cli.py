@@ -62,16 +62,14 @@ def _load_config(args) -> ScenarioConfig:
     return scenario_from_dict(apply_overrides({}, args.set or []))
 
 
-def _set_up(cfg: ScenarioConfig) -> list[str]:
+def _set_up(cfg: ScenarioConfig) -> engine.Simulation:
     """Warn if cfg has more stations than the presets were validated for,
-    set it up as simulate does, in engine.Simulation, and return its
-    admission and traffic notes; the set-up itself is dropped. Raises what
-    simulate refuses before it runs."""
+    and return its set-up, the engine.Simulation that simulate runs.
+    Raises what simulate refuses before it runs."""
     warn = stations_warning(cfg)
     if warn:
         _warn(warn)
-    sim = engine.Simulation(cfg)
-    return sim.admission_notes + sim.traffic_notes
+    return engine.Simulation(cfg)
 
 
 def _usable_cpus() -> int:
@@ -216,10 +214,11 @@ def sweep_cells(base: ScenarioConfig, stations: range, schedulers) -> list[Scena
     return cells
 
 
-def _run_cell(cfg: ScenarioConfig) -> str:
-    """Run one sweep cell and return its metrics.summary_row, all that
-    summary.csv needs of it: a forked child sends back only these rows."""
-    return metrics.summary_row(engine.run(cfg))
+def _run_cell(cfg: ScenarioConfig, stations) -> str:
+    """Run one sweep cell on the first cfg.stations of stations and return
+    its metrics.summary_row, all that summary.csv needs of it: a forked
+    child sends back only these rows."""
+    return metrics.summary_row(engine.Simulation(cfg, stations).run())
 
 
 def _deal(cells, shares: int) -> list[list[int]]:
@@ -235,26 +234,27 @@ def _deal(cells, shares: int) -> list[list[int]]:
     return dealt
 
 
-def _run_share(cells, share) -> str:
+def _run_share(cells, stations, share) -> str:
     """_run_cell of each cell of share, in share order, one row per line.
     No row holds a "\n", but a quality label may hold other line breaks."""
-    return "\n".join(_run_cell(cells[i]) for i in share)
+    return "\n".join(_run_cell(cells[i], stations) for i in share)
 
 
-def _run_cells(cells) -> list[str]:
-    """_run_cell of every cell, in cell order. The cells are dealt into one
-    share per usable CPU; a child that _fork starts runs each share after
-    the first, and this process runs the first itself, so no worker waits to
-    start and no CPU sits idle. A share _fork starts no child for runs in
-    this process after the first. Every child is reaped; then the
-    ChildProcessError of the first child that died without sending its
-    rows is raised."""
+def _run_cells(cells, stations) -> list[str]:
+    """_run_cell of every cell on stations, in cell order. The cells are
+    dealt into one share per usable CPU; a child that _fork starts, and that
+    inherits stations, runs each share after the first, and this process
+    runs the first itself, so no worker waits to start and no CPU sits idle.
+    A share _fork starts no child for runs in this process after the first.
+    Every child is reaped; then the ChildProcessError of the first child
+    that died without sending its rows is raised."""
     shares = _deal(cells, min(len(cells), _usable_cpus()))
-    children = [(share, _fork(_run_share, cells, share)) for share in shares[1:]]
+    children = [(share, _fork(_run_share, cells, stations, share)) for share in shares[1:]]
     texts, error = [], None
     try:
-        texts.append((shares[0], _run_share(cells, shares[0])))
-        texts += [(share, _run_share(cells, share)) for share, child in children if not child]
+        texts.append((shares[0], _run_share(cells, stations, shares[0])))
+        texts += [(share, _run_share(cells, stations, share))
+                  for share, child in children if not child]
     finally:
         for share, child in children:
             if child:
@@ -269,25 +269,21 @@ def _run_cells(cells) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    """Set the largest cell up as validate would, then run every cell and
-    write summary.csv under args.out. That set-up's error stops the sweep
-    before any child starts, and its warnings are the sweep's."""
+    """Set the largest cell up as validate would, run every cell on its
+    stations and write summary.csv under args.out. That set-up's error
+    stops the sweep before any child starts; its warnings are the sweep's."""
     try:
         cfg = _load_config(args)
         cells = sweep_cells(cfg, _parse_station_range(args.stations),
                             _parse_schedulers(args.schedulers))
-        # The largest cell is the first with the most stations. sweep_cells
-        # gives every cell the same station specs and traffic seed, so each
-        # cell's stations are the first n of the largest cell's. Set-up reads
-        # neither the scheduler nor the run seed, a trace error depends only
-        # on the file, and sched.admit decides each stream from the streams
-        # before it. So a cell fails set-up only if the largest does, with
-        # the same text, and every cell's notes are among the largest's.
-        # Every set-up of this command reads a trace file once: the cells,
-        # and the children forked to run them, reuse the largest cell's.
-        with engine.reusing_traces():
-            notes = _set_up(max(cells, key=lambda c: c.stations))
-            rows = _run_cells(cells)
+        # sweep_cells pins the traffic seed, so each cell's stations are the
+        # first n of the largest cell's, and it runs on those. Set-up reads
+        # neither the scheduler nor the run seed, and sched.admit decides
+        # each stream from the streams before it, so a cell fails set-up
+        # only if the largest does, with the same text, and every cell's
+        # notes are among the largest's.
+        largest = _set_up(max(cells, key=lambda c: c.stations))
+        rows = _run_cells(cells, largest.stations)
     except (ConfigError, engine.SimulationError) as e:
         return _fail(str(e))
     except ChildProcessError as e:   # the input was fine; a worker died
@@ -299,7 +295,7 @@ def cmd_sweep(args) -> int:
             fh.write(metrics.summary_csv(cells, rows))
     except OSError as e:
         return _fail_run(f"out: {e}")
-    _warn_notes(notes)
+    _warn_notes(largest.admission_notes + largest.traffic_notes)
     _say(args, f"wrote {summary_path} ({len(rows)} runs)")
     return EXIT_OK
 
@@ -320,10 +316,10 @@ def cmd_validate(args) -> int:
     before the first CAP: the same warnings, and the same error and exit
     code for what simulate refuses before it runs."""
     try:
-        notes = _set_up(_load_config(args))
+        sim = _set_up(_load_config(args))
     except (ConfigError, engine.SimulationError) as e:
         return _fail(str(e))
-    _warn_notes(notes)
+    _warn_notes(sim.admission_notes + sim.traffic_notes)
     _say(args, "config ok")
     return EXIT_OK
 

@@ -20,11 +20,10 @@ The run is one loop over SI boundaries, with no event queue:
   its end (back-to-back CAPs under overload).
 * Each station's arrivals are a precomputed schedule of frame sizes at a
   fixed interval, synthetic or replayed from a trace file; a trace file
-  is parsed once per set-up (once per block of set-ups under
-  reusing_traces(), as a sweep's cells are), and its stations share its
-  columns. A CAP sees every frame generated up to the instant it fell
-  due, so frames generated while a CAP is under way become pollable only
-  from the next CAP.
+  is parsed once per set-up, and its stations share its columns; a sweep's
+  cells replay its largest cell's schedules. A CAP sees every frame
+  generated up to the instant it fell due, so frames generated while a
+  CAP is under way become pollable only from the next CAP.
 * The AP keeps one feedback value per station, set at each poll: None
   when no frame from it was received (the next grant falls back to the
   TSPEC-based one), 0 when the last frame received reported nothing
@@ -44,12 +43,12 @@ The run is one loop over SI boundaries, with no event queue:
   compare a receive time with LOST again.
 
 Building a Simulation is the one set-up: it parses the trace files,
-builds the schedules, picks the SI and runs admission control (`hccasim
-validate` stops there). Set-up (Simulation.stations and the schedule
-arrays that stations and sweep cells share) is read-only. Simulation.run()
-builds the state it changes, the send cursors, receive logs and feedback
-values, so it may be called again and gives the same report. The engine
-never forks.
+builds the schedules (or takes another set-up's), picks the SI and runs
+admission control (`hccasim validate` stops there). Set-up
+(Simulation.stations and the schedule arrays that stations and sweep
+cells share) is read-only. Simulation.run() builds the state it changes,
+the send cursors, receive logs and feedback values, so it may be called
+again and gives the same report. The engine never forks.
 
 All bookkeeping is in integer nanoseconds; runs are bitwise reproducible
 for a fixed (scenario, seed). A run reduces each rate's fraction 8e9 /
@@ -64,7 +63,6 @@ import os
 import random
 from array import array
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
@@ -83,13 +81,11 @@ QS_UNIT_BYTES = 256           # queue-size field granularity (8-bit field)
 QS_MAX_UNITS = 254
 GOP_ROTATE_STEP = 5           # per-station GoP phase shift, coprime with 12
 PACKET_CSV_CHUNK_ROWS = 4096  # rows boxed at once when a flow's columns are walked
-SCHEDULE_CACHE_SIZE = 32      # synthetic schedules kept per process: a 1..32-station sweep
+# Synthetic schedules kept per process for callers that build many set-ups,
+# as perfbench's set-up probe does, one per cell of a 1..32-station sweep.
+SCHEDULE_CACHE_SIZE = 32
 LOST = -1                     # receive time logged for a lost frame; real ones are >= 0
 BYTE_NS = 8 * NS_PER_S        # ns per byte at 1 b/s: a byte's air time is BYTE_NS / rate
-
-# Parsed trace columns that every set-up inside a reusing_traces() block
-# shares; None outside one, where each set-up parses its own.
-_shared_traces: dict | None = None
 
 
 class SimulationError(RuntimeError):
@@ -344,25 +340,10 @@ def _synth_schedule(pattern: str, base_sizes: tuple[int, int, int], jitter: floa
                     n: int, seed: int) -> tuple[array, int]:
     """synth_sizes as an array('q'), and its largest size, built once per
     process for each key. Station i replays the same schedule in every cell
-    of a sweep, so the cells share this one object rather than rebuild it;
-    nothing writes to it."""
+    of a sweep, so set-ups of those cells share this one object rather than
+    rebuild it; nothing writes to it."""
     sizes = synth_sizes(pattern, base_sizes, jitter, n, seed)
     return array(COLUMN_TYPECODE, sizes), max(sizes, default=0)
-
-
-@contextmanager
-def reusing_traces():
-    """Within the block, each set-up reuses the trace columns that an
-    earlier set-up in it parsed, so a sweep's cells parse no file its first
-    set-up parsed, and a child forked inside the block inherits them.
-    Leaving the block drops them: the next block, or a set-up outside any,
-    reads a rewritten file again."""
-    global _shared_traces
-    outer, _shared_traces = _shared_traces, {}
-    try:
-        yield
-    finally:
-        _shared_traces = outer
 
 
 def _build_stations(cfg: ScenarioConfig) -> list[StationSchedule]:
@@ -371,13 +352,13 @@ def _build_stations(cfg: ScenarioConfig) -> list[StationSchedule]:
     frame interval its stations replay it, and they all share the parsed
     VideoTrace's array('q') columns. A file that cannot be read, is not
     UTF-8 or is malformed is a ConfigError naming the first station that
-    replays it. Nothing is kept across calls outside a reusing_traces()
-    block, so a file rewritten between two runs is read again."""
+    replays it. Nothing is kept across calls, so a file rewritten between
+    two set-ups is read again."""
     stations = []
     # (size_bytes, seqs, largest size) of each trace file, keyed by every
     # path as written and by the file's realpath (a realpath is its own
     # realpath), so realpath runs once per spelling.
-    traces = {} if _shared_traces is None else _shared_traces
+    traces = {}
     dur = cfg.duration_ns
     for i, spec in enumerate(cfg.station_list()):
         tc = spec.traffic
@@ -420,11 +401,21 @@ class Simulation:
     afresh. Building one raises SimulationError where admission control
     rejects a flow and on_reject is abort. It stays a class, not a
     function, because perfbench/child.py's set-up probe builds
-    engine.Simulation(cfg) and traces __init__ and run apart."""
+    engine.Simulation(cfg) and traces __init__ and run apart. Given
+    stations, the schedules of a scenario that differs from cfg at most in
+    scheduler, a larger station count and (traffic.seed set) the run seed,
+    as cli.sweep_cells' largest cell does, it replays stations[:cfg.stations]
+    and builds none; fewer stations than cfg's is a ValueError."""
 
-    def __init__(self, cfg: ScenarioConfig):
+    def __init__(self, cfg: ScenarioConfig,
+                 stations: Sequence[StationSchedule] | None = None):
         self.cfg = cfg
-        self.stations = _build_stations(cfg)
+        if stations is None:
+            stations = _build_stations(cfg)
+        elif len(stations) < cfg.stations:
+            raise ValueError(f"{len(stations)} station schedules for "
+                             f"{cfg.stations} stations")
+        self.stations = stations[:cfg.stations]
         # Note each station whose largest frame no TSPEC-sized grant may fit
         # (it sends null frames while it waits) or whose traffic never starts.
         dur, notes = cfg.duration_ns, []

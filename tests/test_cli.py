@@ -453,6 +453,8 @@ def test_oversized_run_is_refused_before_it_starts(tmp_path, capsys, command):
     # Traffic never starts: no frame, but 250 CAPs of two million polls.
     (("validate", "--set", "stations=2000000", "--set", "duration_s=10"), "poll"),
     (("sweep", "--stations", "1..100000"), "poll"),
+    # No CAP: nothing polled, but every station would be set up.
+    (("simulate", "--set", "stations=100000000", "--set", "duration_s=0"), "set up"),
 ])
 def test_huge_station_counts_are_refused_at_once(tmp_path, capsys, argv, counted):
     t0 = time.perf_counter()
@@ -573,7 +575,7 @@ def test_sweep_reaps_every_child_and_reports_the_first_failure(tmp_path, capsys,
         ("raise") or, in a child, leaving with that exit status."""
         ran_here = []
 
-        def run_cell(cfg):
+        def run_cell(cfg, stations):
             if os.getpid() == parent:
                 ran_here.append(cfg.stations)
             fail = failures.get(cfg.stations)
@@ -581,7 +583,7 @@ def test_sweep_reaps_every_child_and_reports_the_first_failure(tmp_path, capsys,
                 raise ConfigError(f"cell{cfg.stations}", "failed")
             if fail and os.getpid() != parent:
                 os._exit(fail)
-            return real_run_cell(cfg)
+            return real_run_cell(cfg, stations)
 
         monkeypatch.setattr(cli, "_run_cell", run_cell)
         result = run_cli(capsys, *argv, "--out", str(tmp_path / name))
@@ -778,10 +780,10 @@ def test_sweep_matches_in_process_runs(tmp_path, capsys, monkeypatch, schedulers
         monkeypatch.setattr(os, "fork", fork_fails)
     parent, ran_here, real_run_cell = os.getpid(), [], cli._run_cell
 
-    def run_cell(cfg):
+    def run_cell(cfg, stations):
         if os.getpid() == parent:
             ran_here.append(cfg)
-        return real_run_cell(cfg)
+        return real_run_cell(cfg, stations)
 
     monkeypatch.setattr(cli, "_run_cell", run_cell)
     out = tmp_path / "o"
@@ -794,17 +796,23 @@ def test_sweep_matches_in_process_runs(tmp_path, capsys, monkeypatch, schedulers
 
 
 def set_up_or_error(cfg):
-    """A cell's set-up as cmd_sweep sees it: its notes, or its error."""
+    """A cell's set-up as cmd_sweep sees it: the Simulation, or its error."""
     try:
         return cli._set_up(cfg)
     except (ConfigError, engine.SimulationError) as e:
         return type(e), str(e)
 
 
+def notes(sim):
+    return sim.admission_notes + sim.traffic_notes
+
+
 def test_every_cell_sets_up_as_the_largest_allows(tmp_path):
-    # cmd_sweep sets up only its largest cell. Over this grid, no cell may
-    # fail set-up unless the largest does, with the same error, and no
-    # cell may have a note the largest lacks.
+    # cmd_sweep sets up only its largest cell, and runs every cell on its
+    # stations. Over this grid, no cell may fail set-up unless the largest
+    # does, with the same error, and no cell may have a note the largest
+    # lacks. Where the largest sets up, every cell on its stations has the
+    # notes and the summary row of the cell set up on its own.
     good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
     good.write_text("0 I 0 9000\n1 P 40 20000\n2 B 80 800\n")
     bad.write_text("0 I 0 900\n1 Q 40 800\n")
@@ -812,7 +820,8 @@ def test_every_cell_sets_up_as_the_largest_allows(tmp_path):
                 for p in ("vbr-high", "cbr-nominal") for i in (12160, 20000)]
     traffics += [{"preset": "vbr-high", "traffic": {"kind": "trace", "path": str(f)}}
                  for f in (good, bad)]
-    seen = set()
+    traffics.append({"preset": "vbr-high", "loss_p": 0.1})
+    seen, replayed = set(), 0
     for traffic, (admission, on_reject), start, stations, schedulers in itertools.product(
             traffics, [("off", "abort"), ("on", "abort"), ("on", "run")], (20, 25),
             (range(1, 7), range(3, 6)), (["reference", "adaptive"], ["adaptive", "reference"])):
@@ -826,19 +835,25 @@ def test_every_cell_sets_up_as_the_largest_allows(tmp_path):
                 assert got == largest
                 seen.add(got[1].split(" ")[0])
             else:
-                assert isinstance(largest, tuple) or set(got) <= set(largest)
-                seen.update(n.split()[2] for n in got)
+                assert isinstance(largest, tuple) or set(notes(got)) <= set(notes(largest))
+                seen.update(n.split()[2] for n in notes(got))
+            if not isinstance(largest, tuple):
+                assert notes(engine.Simulation(cell, largest.stations)) == notes(got)
+                assert (cli._run_cell(cell, largest.stations)
+                        == metrics.summary_row(engine.run(cell)))
+                replayed += 1
+    assert replayed == 1008     # the cells of the points whose largest cell sets up
     # Both errors and all three note kinds occur in the grid.
     assert seen == {"admission", "stations[0].traffic.path:", "rejected:", "largest",
                     "traffic"}
 
 
-@pytest.mark.parametrize("cpus, built_here", [(1, 25), (2, 13)])
-def test_sweep_builds_each_synthetic_schedule_once(tmp_path, capsys, monkeypatch,
-                                                   cpus, built_here):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_builds_each_synthetic_schedule_once(tmp_path, capsys, monkeypatch, cpus):
     # Station i replays the same schedule in all 24 cells of a 1..12 sweep.
     # The largest cell's set-up builds every schedule in this process, and
-    # a forked child inherits them: one that builds a schedule fails.
+    # every cell, here or in a forked child, runs on them: a child that
+    # builds a schedule fails.
     parent, built, stations = os.getpid(), [], []
 
     def synth_sizes(*args):
@@ -859,14 +874,10 @@ def test_sweep_builds_each_synthetic_schedule_once(tmp_path, capsys, monkeypatch
     code, _, _ = run_cli(capsys, "sweep", "--set", "preset=vbr-high", "--set",
                          "duration_s=21", "--out", str(tmp_path / "o"))
     assert code == 0
-    assert len(stations) == built_here
-    assert len(built) == 12
-    widest = stations[0]
-    assert len(widest) == 12
-    for cell in stations:
-        for i, st in enumerate(cell):
-            assert isinstance(st.sizes, array) and st.sizes.typecode == "q"
-            assert st.sizes is widest[i].sizes
+    assert len(stations) == 1
+    assert len(built) == len(stations[0]) == 12
+    for st in stations[0]:
+        assert isinstance(st.sizes, array) and st.sizes.typecode == "q"
 
 
 def bad_file(tmp_path, kind) -> str:

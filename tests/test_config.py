@@ -412,6 +412,18 @@ def test_run_poll_limit_boundary():
         scenario_from_dict({"tspec": tspec})
 
 
+def test_run_station_limit_boundary():
+    # These runs have no CAP or one, so they poll at most MAX_RUN_POLLS
+    # stations and generate nothing, yet set-up would build every station.
+    # The count is checked in closed form: no station is built here.
+    limit = config.MAX_RUN_STATIONS
+    assert scenario_from_dict({"duration_s": 0, "stations": limit}).stations == limit
+    for duration_s, stations in [(0, limit + 1), (0, 10**8), (0.001, 10**7)]:
+        with pytest.raises(ConfigError, match=f"^stations: run would set up {stations} "
+                                              f"stations, above the limit of {limit}$"):
+            scenario_from_dict({"duration_s": duration_s, "stations": stations})
+
+
 def test_engine_checks_run_size_of_unvalidated_configs():
     cfg = scenario_from_dict({"duration_s": 600})
     with pytest.raises(ConfigError, match="traffic.frame_interval_ms"):

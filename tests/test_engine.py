@@ -424,26 +424,19 @@ def test_each_trace_file_is_parsed_once_per_run(tmp_path, monkeypatch):
     assert [st.interval for st in sim.stations] == [40_000_000, 20_000_000]
 
 
-def test_set_ups_in_a_reusing_traces_block_parse_each_file_once(tmp_path, monkeypatch):
-    parsed = []
-    real_load = engine.load_trace
-    monkeypatch.setattr(engine, "load_trace",
-                        lambda path: parsed.append(path) or real_load(path))
-    path = tmp_path / "t.txt"
-    path.write_text("0 I 0 5000\n1 P 40 4000\n")
-    cfg = make_scenario(duration_s=21, traffic_start_s=20, stations=3,
-                        traffic={"kind": "trace", "path": str(path)})
-    with engine.reusing_traces():
-        sims = [engine.Simulation(cfg) for _ in range(3)]
-        with engine.reusing_traces():
-            engine.Simulation(cfg)
-        engine.Simulation(cfg)
-    assert parsed == [str(path)] * 2
-    assert all(st.sizes is sims[0].stations[0].sizes for sim in sims for st in sim.stations)
-    # Outside the block a rewritten file is read again.
-    path.write_text("0 I 0 700\n")
-    assert engine.Simulation(cfg).stations[0].sizes == array("q", [700])
-    assert len(parsed) == 3
+def test_a_set_up_replays_the_first_of_the_stations_it_is_given():
+    # A 2-station cell on a 4-station set-up's schedules, as a sweep runs
+    # it: another scheduler and run seed, the same traffic seed.
+    cfg = make_scenario(preset="vbr-high", stations=4, duration_s=22, loss_p=0.1,
+                        traffic={"seed": 3})
+    big = engine.Simulation(cfg)
+    cell = replace(cfg, stations=2, scheduler="reference", seed=9)
+    sim = engine.Simulation(cell, big.stations)
+    assert sim.stations == big.stations[:2]
+    assert sim.run().packets_csv() == engine.run(cell).packets_csv()
+    # Fewer schedules than stations is refused, not a smaller run.
+    with pytest.raises(ValueError, match="^2 station schedules for 4 stations$"):
+        engine.Simulation(cfg, sim.stations)
 
 
 @pytest.mark.parametrize("duration_s, note", [(20.08, False), (20.14, True), (20.2, True)])

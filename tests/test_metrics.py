@@ -1,5 +1,7 @@
 import io
+import itertools
 import random
+import sys
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -277,8 +279,9 @@ def test_column_metrics_match_the_packet_reference(seed, loss_p, stagger_ms, cov
 
 def _report_with_logs(sent_per_flow, lost_at=(), flows=None, seqs=range):
     """A report whose k-th flow, numbered flows[k] (k by default), sent
-    sent_per_flow[k] frames, 40 ms apart, numbered seqs(1000, 1000 + sent);
-    the frames at the indices in lost_at were lost."""
+    sent_per_flow[k] frames, 40 ms apart, numbered seqs(1000, 1000 + sent),
+    their sizes an array('q') as a run's are; the frames at the indices in
+    lost_at were lost."""
     base = engine.run(make_scenario(preset="vbr-high", duration_s=0))
     logs = {}
     for flow, sent in zip(flows or range(len(sent_per_flow)), sent_per_flow):
@@ -288,7 +291,8 @@ def _report_with_logs(sent_per_flow, lost_at=(), flows=None, seqs=range):
         for k in lost:
             recv[k] = LOST
         logs[flow] = FlowLog(flow, start, 40_000_000, seqs(1000, 1000 + sent),
-                             [12160 - k % 9000 for k in range(sent)], recv, lost, 0)
+                             array("q", [12160 - k % 9000 for k in range(sent)]), recv,
+                             lost, 0)
     return replace(base, flows=logs)
 
 
@@ -339,16 +343,21 @@ def test_packet_log_writer_edge_cases_match_the_row_reference(sent, lost_at, flo
     ((), lambda first, stop: array("q", range(first, stop))),
 ], ids=["lossy", "lossless-array-seqs"])
 def test_packet_log_writer_holds_one_chunk_at_a_time(lost_at, seqs):
-    # 100 000 rows, about 4 MB of text. Building the whole log as one
-    # string would peak above the text length; writing it a chunk at a
-    # time holds one chunk's rows and their joined text.
+    # 100 000 rows, about 4 MB of text. A writer that holds one chunk at a
+    # time peaks at one chunk's cost: its % arguments, each value boxed
+    # once, in a tuple; its row template twice (the flow's repeated row
+    # and the chunk's joined template); and its text, which the formatter
+    # over-allocates by up to a quarter as it grows. A writer that also
+    # keeps the list it filled the tuple from, one pointer per value, or
+    # any part of a second chunk, peaks above that.
     report = _report_with_logs([25_000] * 4, lost_at, seqs=seqs)
 
     class CharCount:
-        chars = 0
+        chars = longest = 0
 
         def write(self, text):
             self.chars += len(text)
+            self.longest = max(self.longest, sys.getsizeof(text))
 
     sink = CharCount()
     tracemalloc.start()
@@ -358,4 +367,8 @@ def test_packet_log_writer_holds_one_chunk_at_a_time(lost_at, seqs):
     finally:
         tracemalloc.stop()
     assert sink.chars == len(report.packets_csv()) > 3_000_000
-    assert peak < sink.chars / 4
+    log = report.flows[0]
+    args = tuple(value for row in itertools.islice(log.rows(), CHUNK) for value in row)
+    template = sys.getsizeof(f"{log.flow},%d,%d,%d,%d,0\n" * CHUNK)
+    chunk = sys.getsizeof(args) + sum(map(sys.getsizeof, args)) + 2 * template
+    assert peak < chunk + sink.longest * 5 / 4

@@ -1,11 +1,14 @@
 """Every hccasim command line README shows in a fenced sh block must parse
 with the CLI's own parser, so the README cannot name an option the CLI
 lacks; every YAML block of its "Scenario files" section must build a
-scenario, so it cannot show a key or a value that a file may not hold."""
+scenario, so it cannot show a key or a value that a file may not hold;
+every python block of its "Library use" section must run, so it cannot
+call an API the package lacks."""
 
 import pathlib
 import re
 import shlex
+import shutil
 
 import pytest
 import yaml
@@ -13,7 +16,8 @@ import yaml
 from hccasim import cli
 from hccasim.config import scenario_from_dict
 
-README = pathlib.Path(__file__).parent.parent / "README.md"
+TESTS = pathlib.Path(__file__).parent
+README = TESTS.parent / "README.md"
 
 
 def readme_commands() -> list[str]:
@@ -39,10 +43,18 @@ def test_readme_command_parses(command):
         pytest.fail(f"{command!r} does not parse (exit {e.code})")
 
 
+def section_blocks(section: str, language: str) -> list[str]:
+    """The fenced blocks in language of README's section."""
+    text = README.read_text().split(f"\n## {section}\n")[1].split("\n## ")[0]
+    return re.findall(rf"^```{language}\n(.*?)^```", text, re.M | re.S)
+
+
 def scenario_blocks() -> list[str]:
-    """The yaml blocks of README's "Scenario files" section."""
-    section = README.read_text().split("\n## Scenario files\n")[1].split("\n## ")[0]
-    return re.findall(r"^```yaml\n(.*?)^```", section, re.M | re.S)
+    return section_blocks("Scenario files", "yaml")
+
+
+def library_blocks() -> list[str]:
+    return section_blocks("Library use", "python")
 
 
 def test_readme_shows_its_scenario_blocks():
@@ -53,3 +65,17 @@ def test_readme_shows_its_scenario_blocks():
                          ids=lambda block: re.search(r"^(\w+):", block, re.M).group(1))
 def test_readme_scenario_block_builds(block):
     scenario_from_dict(yaml.safe_load(block))
+
+
+def test_readme_shows_its_library_blocks():
+    assert len(library_blocks()) >= 3
+
+
+@pytest.mark.parametrize("block", library_blocks(),
+                         ids=lambda block: re.search(r"^from hccasim\S* import (\w+)", block,
+                                                     re.M).group(1))
+def test_readme_library_block_runs(block, tmp_path, monkeypatch):
+    # The trace example reads movie.txt; the first block writes packets.csv.
+    shutil.copy(TESTS / "data" / "trace_fragment_high.txt", tmp_path / "movie.txt")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
