@@ -100,23 +100,6 @@ def _ns_per_byte(rate_bps: int) -> tuple[int, int]:
     return BYTE_NS // g, rate_bps // g
 
 
-def encode_qs(next_size_bytes: int, exact: bool) -> int:
-    """Queue-size field for a pending next frame; 0 means nothing pending.
-    Quantized mode reports ceil(size/256) capped at 254 units."""
-    if next_size_bytes <= 0:
-        return 0
-    if exact:
-        return next_size_bytes
-    return min(QS_MAX_UNITS, -(-next_size_bytes // QS_UNIT_BYTES))
-
-
-def decode_qs(qs_field: int, exact: bool) -> int:
-    """Bytes the AP budgets for from a queue-size report (0 = no report)."""
-    if qs_field <= 0:
-        return 0
-    return qs_field if exact else qs_field * QS_UNIT_BYTES
-
-
 @dataclass(frozen=True)
 class PacketRecord:
     """One sent frame of a flow's packet log, as SimReport.packets and
@@ -452,21 +435,22 @@ class Simulation:
         record_polls, polls = cfg.record_polls, []
         draw = random.Random(cfg.seed).random
 
-        # PHY and grant constants, once per run. Frame air times, the
-        # adaptive and minimal grants and the queue-size report below expand
-        # phylib.data_tx_time, sched.adaptive_txop / minimal_txop and
-        # decode_qs(encode_qs(size)) with them. A byte's air time at a rate
-        # is the fraction _ns_per_byte(rate), 8e9 / rate reduced by its gcd
-        # once per run (the data rate) or per flow (its TSPEC rate, in
+        # PHY and grant constants, once per run. Frame air times, the adaptive
+        # and minimal grants and the queue-size report below expand with them
+        # the formulas that tests/oracle_engine.py, this loop's specification,
+        # computes unreduced: phy.data_tx_time, sched.adaptive_txop,
+        # minimal_txop and decode_qs(encode_qs(size)). A byte's air time at a
+        # rate is the fraction _ns_per_byte(rate), 8e9 / rate reduced by its
+        # gcd once per run (the data rate) or per flow (its TSPEC rate, in
         # polled): 8000 / 11 at 11 Mb/s. ceil(bytes * num / den) is written
-        # -(-bytes * num // den), exact for any integer rate. A frame of up
-        # to 134 217 B times 8000 stays below 2**30, one CPython digit, where
+        # -(-bytes * num // den), exact for any integer rate. A frame of up to
+        # 134 217 B times 8000 stays below 2**30, one CPython digit, where
         # times 8e9 it takes two, and one-digit ints take CPython's fast
-        # multiply and divide: on Python 3.11 (-288000 - a*8000) // 11 took
-        # 75 ns where (-288e9 - a*8e9) // 11e6 took 163 ns. A rate that
-        # shares no factor with 8e9 keeps the unreduced speed. A data
-        # frame's air time, its MAC header and payload plus the whole-ns PHY
-        # header, is one ceiling: -(neg_hdr_num - size * air_num) // air_den.
+        # multiply and divide: on Python 3.11 (-288000 - a*8000) // 11 took 75
+        # ns where (-288e9 - a*8e9) // 11e6 took 163 ns. A rate that shares no
+        # factor with 8e9 keeps the unreduced speed. A data frame's air time,
+        # its MAC header and payload plus the whole-ns PHY header, is one
+        # ceiling: -(neg_hdr_num - size * air_num) // air_den.
         poll_lead = phylib.ctrl_tx_time(p.poll_frame_bytes, p) + p.sifs_ns
         ack_ifs = p.sifs_ns + phylib.ctrl_tx_time(p.ack_frame_bytes, p) + p.sifs_ns
         beacon_air = phylib.ctrl_tx_time(BEACON_FRAME_BYTES, p)

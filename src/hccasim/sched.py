@@ -7,14 +7,19 @@ evaluated exactly in integers, never in floats. The reference TXOP
 charges the overhead of every MSDU it budgets for. For each shipped TSPEC
 its one-maximum-MSDU arm is the larger at every beacon interval from 1 to
 2 000 ms, so a single overhead per TXOP would grant the same time.
+
+The engine's CAP loop inlines the adaptive and minimal grants with per-run
+constants, and tests/oracle_engine.py, the loop's specification, computes
+them unreduced. adaptive_txop stays here all the same: it is public
+(hccasim.__all__), and the acceptance tests check it against hand-derived
+grants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .phy import (NS_PER_S, FieldError, PhyParams, check_types, data_tx_time,
-                  tx_duration_ns, txop_overhead)
+from .phy import NS_PER_S, FieldError, PhyParams, check_types, tx_duration_ns, txop_overhead
 
 @dataclass(frozen=True)
 class Tspec:
@@ -106,12 +111,6 @@ def adaptive_txop(next_size_bytes: int, t: Tspec, p: PhyParams) -> int:
             "next_size must be positive; a zero report gets a minimal poll grant"
         )
     return tx_duration_ns(next_size_bytes * 8, t.phys_rate_bps) + txop_overhead(1, p)
-
-
-def minimal_txop(t: Tspec, p: PhyParams) -> int:
-    """Grant for a station that reported an empty queue: just enough for a
-    null data frame so the station stays pollable and can refresh its report."""
-    return txop_overhead(1, p) + data_tx_time(0, p)
 
 
 def admit(tspecs, beacon_ns: int, p: PhyParams) -> list[str | None]:

@@ -2,15 +2,16 @@ from array import array
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from conftest import lost_positions, make_scenario
 from hccasim import engine
 from hccasim.config import ConfigError
-from hccasim.engine import SimulationError, decode_qs, encode_qs
+from hccasim.engine import SimulationError
 from hccasim.metrics import summary_row
-from hccasim.phy import NS_PER_MS, PhyParams, ctrl_tx_time, data_tx_time
-from hccasim.sched import adaptive_txop, minimal_txop, reference_txop, tspec_preset
+from hccasim.phy import NS_PER_MS, ctrl_tx_time
+from hccasim.sched import adaptive_txop, reference_txop, tspec_preset
+from oracle_engine import decode_qs, encode_qs
 
 
 def total(report, attr):
@@ -269,88 +270,6 @@ def test_grant_always_covers_actual_use():
         assert all(p.used_ns <= p.grant_ns for p in r.polls), kw
 
 
-@settings(max_examples=60, deadline=None)
-@given(phy=st.builds(PhyParams,
-                     sifs_ns=st.integers(0, 50_000),
-                     preamble_bits=st.integers(0, 200),
-                     plcp_header_bits=st.integers(0, 100),
-                     mac_header_bytes=st.integers(0, 60),
-                     data_rate_bps=st.integers(2_000_000, 54_000_000),
-                     basic_rate_bps=st.integers(500_000, 2_000_000),
-                     ack_frame_bytes=st.integers(0, 20),
-                     poll_frame_bytes=st.integers(0, 40)),
-       sizes=st.tuples(*[st.integers(1, 16_000)] * 3),
-       jitter=st.sampled_from([0.0, 0.3]),
-       phys_rate=st.integers(1_000_000, 54_000_000),
-       qs_exact=st.booleans(),
-       loss_p=st.sampled_from([0.0, 0.3]))
-# Frames above 65 024 B (254 queue-size units) in quantized mode: their
-# report is capped, and a 2 Mbps TSPEC rate gives grants that still fit them.
-@example(phy=PhyParams(), sizes=(70_000, 20_000, 66_000), jitter=0.0,
-         phys_rate=2_000_000, qs_exact=False, loss_p=0.0)
-# The engine reduces each rate's ns-per-byte fraction 8e9 / rate by its gcd:
-# rates that share no factor with 8e9 (the fraction stays as it is), rates
-# that divide it (denominator 1), and the default 11 Mb/s with loss.
-@example(phy=PhyParams(data_rate_bps=2_000_003), sizes=(12_000, 4_000, 1_500),
-         jitter=0.3, phys_rate=1_000_003, qs_exact=False, loss_p=0.0)
-@example(phy=PhyParams(data_rate_bps=2_000_003), sizes=(12_001, 4_001, 1_501),
-         jitter=0.0, phys_rate=1_000_003, qs_exact=True, loss_p=0.3)
-@example(phy=PhyParams(data_rate_bps=8_000_000), sizes=(12_000, 4_000, 1_500),
-         jitter=0.3, phys_rate=8_000_000, qs_exact=True, loss_p=0.0)
-@example(phy=PhyParams(data_rate_bps=8_000_000), sizes=(9_999, 3_333, 777),
-         jitter=0.0, phys_rate=8_000_000, qs_exact=False, loss_p=0.3)
-@example(phy=PhyParams(), sizes=(12_160, 4_560, 1_520), jitter=0.3,
-         phys_rate=11_000_000, qs_exact=False, loss_p=0.3)
-def test_timeline_matches_phy_and_sched_formulas(phy, sizes, jitter, phys_rate,
-                                                 qs_exact, loss_p):
-    # Rebuild one station's whole poll/TXOP timeline from phy.* and sched.*:
-    # the engine's per-run constants and inline air-time and grant formulas
-    # must agree with them exactly.
-    cfg = make_scenario(
-        scheduler="adaptive", stations=1, traffic_start_s=0, duration_s=0.4,
-        seed=1, qs_exact=qs_exact, loss_p=loss_p, record_polls=True, phy=phy,
-        traffic={"pattern": "IPB", "i_size": sizes[0], "p_size": sizes[1],
-                 "b_size": sizes[2], "jitter": jitter},
-        tspec={"rho_bps": 760000.0, "nominal_bytes": 3800, "max_bytes": 16745,
-               "delay_bound_ms": 80.0, "msi_ms": 40.0, "phys_rate_bps": phys_rate})
-    r = engine.run(cfg)
-    station = engine._build_stations(cfg)[0]
-    sizes, seqs = station.sizes, station.seqs
-    poll_lead = ctrl_tx_time(phy.poll_frame_bytes, phy) + phy.sifs_ns
-    ack_ifs = phy.sifs_ns + ctrl_tx_time(phy.ack_frame_bytes, phy) + phy.sifs_ns
-
-    def report_for(index):
-        size = sizes[index] if index < len(sizes) else 0
-        return decode_qs(encode_qs(size, qs_exact), qs_exact)
-
-    packets = iter(r.packets)
-    sent, reported = 0, None
-    for poll in r.polls:
-        if poll.branch == "adaptive":
-            assert poll.grant_ns == adaptive_txop(reported, cfg.tspec, phy)
-        elif poll.branch == "minimal":
-            assert reported == 0
-            assert poll.grant_ns == minimal_txop(cfg.tspec, phy)
-        else:
-            assert poll.branch == "fallback"
-            assert poll.grant_ns == reference_txop(cfg.tspec, r.si_ns, phy)
-        tx = poll.poll_ns + poll_lead
-        for _ in range(poll.frames_sent):
-            rec = next(packets)
-            assert (rec.seq, rec.size_bytes) == (seqs[sent], sizes[sent])
-            air = data_tx_time(rec.size_bytes, phy)
-            assert rec.recv_ns in (None, tx + air)
-            tx += air + ack_ifs
-            sent += 1
-            if not rec.lost:
-                reported = report_for(sent)
-        if poll.frames_sent == 0 and poll.used_ns != poll_lead:
-            tx += data_tx_time(0, phy) + ack_ifs    # null frame
-            reported = report_for(sent)             # unused if the null was lost
-        assert poll.used_ns == tx - poll.poll_ns
-    assert next(packets, None) is None
-
-
 def test_stream_end_turns_polls_minimal(tmp_path):
     # three-frame trace, long run: once drained the station reports 0 and
     # gets null-frame polls with the minimal grant
@@ -561,7 +480,7 @@ def test_every_beacon_instant_before_the_end_is_counted(kwargs, beacons):
                    for p in r.polls)
 
 
-# -- queue-size field -------------------------------------------------------
+# -- queue-size field (the oracle's formulas; the engine inlines them) -------
 
 @given(st.integers(min_value=1, max_value=65024))
 def test_quantized_report_never_underestimates(size):

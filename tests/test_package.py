@@ -118,3 +118,35 @@ def test_every_cli_option_is_read():
         unread += [(name, a.dest) for a in sub._actions
                    if a.dest != "help" and f"args.{a.dest}" not in source]
     assert unread == []
+
+
+def test_every_library_definition_has_a_reader():
+    # A function, class or method that no library code reads, that is not
+    # exported and that neither the benchmark nor the acceptance gate reads
+    # is kept for other tests only; such copies belong in the tests. A
+    # reference is a name or an attribute in the code, never a string.
+    # Dunder methods are Python's to call.
+    root = pathlib.Path(hccasim.__file__).resolve().parent
+    sources = sorted(root.glob("*.py"))
+
+    def read_names(paths):
+        nodes = [node for path in paths
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
+        return ({node.id for node in nodes if isinstance(node, ast.Name)}
+                | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
+
+    readers = [*sorted((README.parent / "perfbench").glob("*.py")),
+               README.parent / "tests" / "test_acceptance.py"]
+    read = read_names(sources) | set(hccasim.__all__) | read_names(readers)
+    unread = []
+    for path in sources:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                members = [node.name]
+                if isinstance(node, ast.ClassDef):
+                    members += [f"{node.name}.{m.name}" for m in node.body
+                                if isinstance(m, ast.FunctionDef)
+                                and not m.name.startswith("__")]
+                unread += [f"{path.stem}.{name}" for name in members
+                           if name.rpartition(".")[2] not in read]
+    assert unread == []

