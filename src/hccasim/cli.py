@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from . import engine, metrics
 from .config import (ConfigError, SCHEDULERS, ScenarioConfig, apply_overrides,
-                     load_scenario, scenario_from_dict, stations_warning)
+                     check_sweep_size, load_scenario, scenario_from_dict, stations_warning)
 from .traffic import STATS_CSV_HEADER, load_trace, stats_csv_row, trace_stats
 
 EXIT_OK = 0
@@ -135,13 +135,17 @@ def cmd_simulate(args) -> int:
     150 bytes; where _fork starts none, this process summarizes once the
     packet log is written. The files are the same either way, on one CPU
     (taskset -c 0) too, and summary.csv is written only once packets.csv
-    has been. The child pays where a second CPU is even partly free: on 2
-    CPUs whose capacity (two forked busy loops timed against one) read
-    1.03-2.08, median 1.2, the benchmark's wall_ratio was 0.889 forked
-    against 1.006 on one CPU for vbr-adaptive-long (lower in 8 of 10
-    pairs) and 0.908 against 1.030 for trace-reference-lossy (10 of 10),
-    for about 1.2 MiB more peak RSS (28.84 against 27.75 MiB, 32.91
-    against 31.65 MiB)."""
+    has been. Whether the child pays depends on what the second CPU has
+    free, so each reading below gives the capacity it was taken at: the
+    time of two forked busy loops over one alone, 1.0 for two free CPUs
+    and 2.0 for no parallel gain. On 2 CPUs at capacity 1.03-2.08, median
+    1.2, the benchmark's wall_ratio was 0.889 forked against 1.006 on one
+    CPU for vbr-adaptive-long (lower in 8 of 10 pairs) and 0.908 against
+    1.030 for trace-reference-lossy (10 of 10), for about 1.2 MiB more
+    peak RSS (28.84 against 27.75 MiB, 32.91 against 31.65 MiB). On 2 CPUs
+    at capacity 2.0-2.1, the same command with no child was faster: in 16
+    of 16 alternating pairs on trace-reference-lossy (225.7 against 236.7
+    ms) and in 14 of 16 on vbr-adaptive-long (216.7 against 222.6 ms)."""
     try:
         cfg = _load_config(args)
         warn = stations_warning(cfg)
@@ -274,8 +278,10 @@ def cmd_sweep(args) -> int:
     stops the sweep before any child starts; its warnings are the sweep's."""
     try:
         cfg = _load_config(args)
-        cells = sweep_cells(cfg, _parse_station_range(args.stations),
-                            _parse_schedulers(args.schedulers))
+        stations = _parse_station_range(args.stations)
+        schedulers = _parse_schedulers(args.schedulers)
+        check_sweep_size(cfg, stations, len(schedulers))
+        cells = sweep_cells(cfg, stations, schedulers)
         # sweep_cells pins the traffic seed, so each cell's stations are the
         # first n of the largest cell's, and it runs on those. Set-up reads
         # neither the scheduler nor the run seed, and sched.admit decides

@@ -10,7 +10,8 @@ and TSPEC) or a list of per-station mappings with their own `traffic` /
 Files give times in human units (`beacon_interval_ms`, `duration_s`,
 `phy.sifs_us`, ...); every config object holds them as integer
 nanoseconds. Each file mapping is read by `_read` from a table of its
-keys, and `_scaled` does every unit conversion.
+keys, and `_scaled` does every unit conversion. An integer or boolean
+key's value is handed on as it is.
 
 Every config object checks itself on construction, also in code and in
 `dataclasses.replace`: each field's type first (`phy.check_types`), then
@@ -35,7 +36,7 @@ import yaml
 
 from .phy import NS_PER_MS, NS_PER_S, NS_PER_US, FieldError, PhyParams, check_types
 from .sched import TSPEC_PRESETS, Tspec, assign_si, min_msi
-from .traffic import COLUMN_LIMIT, DEFAULT_FRAME_INTERVAL_NS, FRAME_TYPES
+from .traffic import COLUMN_LIMIT, DEFAULT_FRAME_INTERVAL_NS, FRAME_TYPES, open_text_file
 
 SCHEDULERS = ("reference", "adaptive")
 VALIDATED_STATION_RANGE = (1, 12)
@@ -54,6 +55,9 @@ MAX_RUN_POLLS = 10_000_000
 # about 1.2 KiB and 21 us each, even for a run of no CAP: 100 000 stations
 # peaked at 122 MiB and took 2.2 s (Python 3.11, x86-64).
 MAX_RUN_STATIONS = 100_000
+# Largest number of station polls all the cells of a sweep may make together:
+# about a minute of CPU at the README sweep's rate (195 000 polls in 0.12 s).
+MAX_SWEEP_POLLS = 10 * MAX_RUN_POLLS
 
 
 class ConfigError(ValueError):
@@ -211,15 +215,9 @@ WORKLOAD_PRESETS = {
 # _read turns into a ConfigError naming the key; a section's caster (phy,
 # traffic, tspec) names its own keys under it.
 
-def _as_bool(value, name) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError("expected true or false")
-    return value
-
-
-def _as_int(value, name) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("expected an integer")
+def _as_is(value, name):
+    # An int or bool key converts nothing: its config object's check_types
+    # is the one check of its type.
     return value
 
 
@@ -323,13 +321,13 @@ def _file_key(table: dict, attr: str) -> str:
 _TRAFFIC_KEYS = {
     "kind": ("kind", _as_str),
     "pattern": ("pattern", _as_str),
-    "i_size": ("i_size", _as_int),
-    "p_size": ("p_size", _as_int),
-    "b_size": ("b_size", _as_int),
+    "i_size": ("i_size", _as_is),
+    "p_size": ("p_size", _as_is),
+    "b_size": ("b_size", _as_is),
     "jitter": ("jitter", _as_float),
     "frame_interval_ms": ("frame_interval_ns", _scaled(NS_PER_MS)),
     "stagger_ms": ("stagger_ns", _scaled(NS_PER_MS)),
-    "seed": ("seed", _optional(_as_int)),
+    "seed": ("seed", _as_is),
     "path": ("path", _optional(_as_str)),
 }
 
@@ -343,11 +341,11 @@ _PHY_KEYS = {
 
 _TSPEC_KEYS = {
     "rho_bps": ("mean_data_rate_bps", _as_float),
-    "nominal_bytes": ("nominal_msdu_bytes", _as_int),
-    "max_bytes": ("max_msdu_bytes", _as_int),
+    "nominal_bytes": ("nominal_msdu_bytes", _as_is),
+    "max_bytes": ("max_msdu_bytes", _as_is),
     "delay_bound_ms": ("delay_bound_ns", _scaled(NS_PER_MS)),
     "msi_ms": ("max_service_interval_ns", _scaled(NS_PER_MS)),
-    "phys_rate_bps": ("phys_rate_bps", _as_int),
+    "phys_rate_bps": ("phys_rate_bps", _as_is),
 }
 
 _tspec_section = _section(Tspec, _TSPEC_KEYS, "TSPEC key")
@@ -358,16 +356,16 @@ _STATION_KEYS = {"traffic": ("traffic", _section(TrafficConfig, _TRAFFIC_KEYS, "
 
 _SCENARIO_KEYS = {
     "scheduler": ("scheduler", _as_str),
-    "stations": ("stations", _as_int),
+    "stations": ("stations", _as_is),
     "beacon_interval_ms": ("beacon_interval_ns", _scaled(NS_PER_MS)),
     "traffic_start_s": ("traffic_start_ns", _scaled(NS_PER_S)),
     "duration_s": ("duration_ns", _scaled(NS_PER_S)),
     "loss_p": ("loss_p", _as_float),
-    "qs_exact": ("qs_exact", _as_bool),
+    "qs_exact": ("qs_exact", _as_is),
     "admission": ("admission", _on_off),
     "on_reject": ("on_reject", _as_str),
-    "seed": ("seed", _as_int),
-    "record_polls": ("record_polls", _as_bool),
+    "seed": ("seed", _as_is),
+    "record_polls": ("record_polls", _as_is),
     "quality": ("quality", _as_str),
     "phy": ("phy", _section(PhyParams, _PHY_KEYS, "PHY parameter")),
     **_STATION_KEYS,
@@ -421,11 +419,11 @@ def check_run_size(cfg: ScenarioConfig) -> None:
     dur = cfg.duration_ns
     horizon = dur - cfg.traffic_start_ns
     beacons = -(-dur // cfg.beacon_interval_ns)
-    specs = [(s.traffic, s.tspec) for s in cfg.station_specs] or [(cfg.traffic, cfg.tspec)]
+    traffics = [s.traffic for s in cfg.station_specs] or [cfg.traffic]
     per_spec = 1 if cfg.station_specs else cfg.stations
     culprit = "stations" if cfg.stations > VALIDATED_STATION_RANGE[1] else "duration_s"
     frames, fastest = 0, None
-    for i, (tc, _) in enumerate(specs):
+    for i, tc in enumerate(traffics):
         if tc.kind == "synth" and horizon > 0:
             frames += per_spec * -(-horizon // tc.frame_interval_ns)
             if fastest is None or tc.frame_interval_ns < fastest[1].frame_interval_ns:
@@ -440,9 +438,7 @@ def check_run_size(cfg: ScenarioConfig) -> None:
             culprit = "beacon_interval_ms"
         raise ConfigError(culprit, f"run would generate about {frames} frames and "
                                    f"{beacons} beacons, above the limit of {MAX_RUN_FRAMES}")
-    # The engine's CAPs fall at SI boundaries: at most this many before dur.
-    _, divisor = assign_si(cfg.beacon_interval_ns, min_msi(t for _, t in specs))
-    caps = -(-dur * divisor // cfg.beacon_interval_ns)
+    caps = _caps(cfg)
     if cfg.stations * caps > MAX_RUN_POLLS:
         raise ConfigError(culprit, f"run would poll {cfg.stations} stations in each of "
                                    f"about {caps} CAPs, above the limit of "
@@ -450,6 +446,30 @@ def check_run_size(cfg: ScenarioConfig) -> None:
     if cfg.stations > MAX_RUN_STATIONS:
         raise ConfigError("stations", f"run would set up {cfg.stations} stations, above "
                                       f"the limit of {MAX_RUN_STATIONS}")
+
+
+def check_sweep_size(base: ScenarioConfig, stations: range, n_schedulers: int) -> None:
+    """Refuse a sweep of base over stations and n_schedulers schedulers whose
+    cells would together poll more than MAX_SWEEP_POLLS stations, naming
+    stations; call it before any cell is built. Every cell makes base's
+    CAPs, since a cell changes only its scheduler, station count and seed."""
+    first, last = stations[0], stations[-1]
+    count = last - first + 1
+    caps = _caps(base)
+    polls = n_schedulers * caps * (first + last) * count // 2
+    if polls > MAX_SWEEP_POLLS:
+        raise ConfigError("stations", f"run would poll stations {polls} times over the "
+                                      f"{n_schedulers * count} cells of the sweep, about "
+                                      f"{caps} CAPs each, above the limit of "
+                                      f"{MAX_SWEEP_POLLS} polls")
+
+
+def _caps(cfg: ScenarioConfig) -> int:
+    """The most CAPs cfg's run makes: the engine's CAPs fall at SI
+    boundaries before the end of the run."""
+    tspecs = [s.tspec for s in cfg.station_specs] or [cfg.tspec]
+    _, divisor = assign_si(cfg.beacon_interval_ns, min_msi(tspecs))
+    return -(-cfg.duration_ns * divisor // cfg.beacon_interval_ns)
 
 
 def stations_warning(cfg: ScenarioConfig) -> str | None:
@@ -462,10 +482,11 @@ def stations_warning(cfg: ScenarioConfig) -> str | None:
 
 
 def load_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
-    """Load a scenario YAML file; a file that cannot be read, is not UTF-8,
-    is not YAML or is not a mapping is a ConfigError naming `config`."""
+    """Load a scenario YAML file; a file that cannot be read, is not a
+    regular file, is not UTF-8, is not YAML or is not a mapping is a
+    ConfigError naming `config`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text_file(path, "utf-8") as fh:
             raw = yaml.safe_load(fh)
     except (OSError, UnicodeError, yaml.YAMLError) as e:
         raise ConfigError("config", str(e)) from e

@@ -24,7 +24,9 @@ it once when iterating it often.
 
 from __future__ import annotations
 
+import os
 import random
+import stat
 from array import array
 from dataclasses import dataclass
 from itertools import cycle, islice
@@ -212,8 +214,17 @@ def _refuse(lines: list[str], first_line_no: int):
                          "refused by the column pass, but no line is bad")
 
 
+def open_text_file(path, encoding: str):
+    """path opened to read as text, once os.stat shows a regular file; else
+    an OSError: a FIFO would block the open, a device such as /dev/zero
+    would be read without end."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError(f"not a regular file: {str(path)!r}")
+    return open(path, "r", encoding=encoding)
+
+
 def load_trace(path) -> VideoTrace:
-    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not data
+    with open_text_file(path, "utf-8-sig") as fh:  # a leading BOM is not data
         return parse_trace(fh)
 
 

@@ -1,12 +1,15 @@
 import itertools
 import os
+import pathlib
+import subprocess
+import sys
 import time
 from array import array
 
 import pytest
 import yaml
 
-from hccasim import cli, engine, metrics
+from hccasim import cli, config, engine, metrics
 from hccasim.cli import main
 from hccasim.config import ConfigError, ScenarioConfig, load_scenario, scenario_from_dict
 from hccasim.metrics import SUMMARY_CSV_HEADER, summarize
@@ -37,6 +40,27 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# The CLI confined to one CPU, so that it forks no worker and a timeout that
+# kills it ends the whole command.
+ONE_CPU_MAIN = """
+import os, sys
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from hccasim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_cli_process(*argv, timeout=5.0):
+    """The CLI run with argv in a child process, for a command that could
+    block or run on: a completed process, or subprocess.TimeoutExpired once
+    the child is killed after timeout seconds."""
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", ONE_CPU_MAIN, *argv], capture_output=True,
+                          text=True, timeout=timeout, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_simulate_writes_csvs(tmp_path, capsys):
@@ -466,6 +490,17 @@ def test_huge_station_counts_are_refused_at_once(tmp_path, capsys, argv, counted
     assert not (tmp_path / "o").exists()
 
 
+def test_a_sweep_too_large_to_finish_is_refused_at_once(tmp_path):
+    # 200 000 cells of 25 CAPs, each inside the run limits: 2.5e11 polls.
+    done = run_cli_process("sweep", "--stations", "1..100000", "--set", "duration_s=1",
+                           "--out", str(tmp_path / "o"))
+    assert done.returncode == 2
+    assert done.stderr == ("error: stations: run would poll stations 250002500000 times "
+                           "over the 200000 cells of the sweep, about 25 CAPs each, above "
+                           f"the limit of {config.MAX_SWEEP_POLLS} polls\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_cell_above_run_size_limit_is_refused(tmp_path, capsys):
     # One station of 1e6 frames passes validation; the 11- and 12-station
     # cells (1.1e7 and 1.2e7 frames) are refused when sweep_cells builds
@@ -883,6 +918,8 @@ def test_sweep_builds_each_synthetic_schedule_once(tmp_path, capsys, monkeypatch
 def bad_file(tmp_path, kind) -> str:
     """A path that cannot be read as a UTF-8 text file of the wanted form."""
     path = tmp_path / f"bad-{kind}"
+    if kind == "device":
+        return os.devnull
     if kind == "directory":
         path.mkdir()
     elif kind == "not-utf8":
@@ -896,7 +933,7 @@ def bad_file(tmp_path, kind) -> str:
     return str(path)
 
 
-BAD_CONFIGS = ["missing", "directory", "not-utf8", "malformed-yaml",
+BAD_CONFIGS = ["missing", "directory", "device", "not-utf8", "malformed-yaml",
                "top-level-list", "top-level-scalar"]
 
 
@@ -927,7 +964,7 @@ def test_unreadable_config_is_refused_before_overrides(tmp_path, capsys, command
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate", "sweep", "trace-stats"])
-@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "device", "not-utf8"])
 def test_unreadable_trace_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, kind):
     use_cpus(monkeypatch, 2)  # sweep cells run in forked children
     path = bad_file(tmp_path, kind)
@@ -943,6 +980,25 @@ def test_unreadable_trace_exits_2_naming_it(tmp_path, capsys, monkeypatch, comma
     assert stderr.startswith(prefix)
     assert "Traceback" not in stderr
     assert stdout == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("argv, named", [
+    (("validate", "--config", "{fifo}"), "config"),
+    (("simulate", "--set", "traffic.kind=trace", "--set", "traffic.path={fifo}",
+      "--set", "duration_s=21"), "stations[0].traffic.path"),
+    (("trace-stats", "{fifo}"), "trace"),
+])
+def test_a_named_pipe_is_refused_not_opened(tmp_path, argv, named):
+    # Opening a FIFO for reading blocks until something writes to it.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    argv = [arg.format(fifo=fifo) for arg in argv]
+    out = [] if argv[0] == "trace-stats" else out_argv(argv[0], tmp_path / "o")
+    done = run_cli_process(*argv, *out)
+    assert done.returncode == 2
+    assert done.stderr == f"error: {named}: not a regular file: '{fifo}'\n"
     assert not (tmp_path / "o").exists()
 
 

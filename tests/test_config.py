@@ -129,7 +129,7 @@ PROBE_SCENARIOS = [
 ] + [{"tspec": {k: v for k, v in INLINE_TSPEC.items() if k != key}} for key in INLINE_TSPEC]
 # sha256 of every probe's outcome. Messages quote CPython's own float() and
 # int() errors, so the hash is tied to their wording (Python 3.11).
-ERROR_TEXT_SHA256 = "f5fbaced13d460b858362f8f0bac3cf5b9e63c3da93982182e12f7cc96c95b5a"
+ERROR_TEXT_SHA256 = "753bdb217d52a4cda864dbea9767155a2500f66e9aa491676e38570438ee1e04"
 
 
 def _probe_outcomes():
@@ -149,6 +149,18 @@ def _probe_outcomes():
 def test_error_text_is_pinned():
     text = "\n".join(_probe_outcomes())
     assert hashlib.sha256(text.encode()).hexdigest() == ERROR_TEXT_SHA256
+
+
+def test_sweep_size_counts_the_polls_of_every_cell():
+    base = scenario_from_dict({"duration_s": 1})           # 25 CAPs of 40 ms
+    config.check_sweep_size(base, range(1, 2000), 2)       # 99 950 000 polls
+    with pytest.raises(ConfigError, match=r"^stations: run would poll stations 100050000 "
+                                          r"times over the 4000 cells of the sweep, "):
+        config.check_sweep_size(base, range(1, 2001), 2)
+    # A range too long for len() is counted too.
+    with pytest.raises(ConfigError, match=r"^stations: run would poll "):
+        config.check_sweep_size(base, range(1, 10**20), 1)
+    config.check_sweep_size(replace(base, duration_ns=0), range(1, 10**20), 2)
 
 
 def test_stations_warning_counts_the_stations_simulated():

@@ -274,6 +274,15 @@ MUTANTS = [
      "arrived = (t_cap - start) // interval + 2", check_examples),
     ("feedback kept after a poll that received nothing",
      "feedback[flow] = None", "pass", check_examples),
+    ("a beacon due at the CAP is sent after it",
+     "while next_beacon <= t_cap:", "while next_beacon < t_cap:", check_examples),
+    ("a frame whose exchange fills the grant is not sent",
+     "if acked > budget_end or data_end > dur:",
+     "if acked >= budget_end or data_end > dur:", check_examples),
+    ("no loss draw for null frames",
+     "if not (lossy and draw() < loss_p):", "if True:", check_examples),
+    ("the medium frees when the last exchange ends, not the last grant",
+     "            busy_until = t\n", "            busy_until = tx\n", check_examples),
     ("a frame ending at the end of the run is dropped",
      "data_end > dur", "data_end >= dur", check_frame_received_at_the_end),
     ("grants that fill the SI count as an overrun",
