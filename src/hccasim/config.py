@@ -57,6 +57,8 @@ MAX_RUN_POLLS = 10_000_000
 MAX_RUN_STATIONS = 100_000
 # Largest number of station polls all the cells of a sweep may make together:
 # about a minute of CPU at the README sweep's rate (195 000 polls in 0.12 s).
+# A cell that makes no CAP still sets up, logs and summarizes every station,
+# so it counts each of them as one poll.
 MAX_SWEEP_POLLS = 10 * MAX_RUN_POLLS
 
 
@@ -452,15 +454,18 @@ def check_sweep_size(base: ScenarioConfig, stations: range, n_schedulers: int) -
     """Refuse a sweep of base over stations and n_schedulers schedulers whose
     cells would together poll more than MAX_SWEEP_POLLS stations, naming
     stations; call it before any cell is built. Every cell makes base's
-    CAPs, since a cell changes only its scheduler, station count and seed."""
+    CAPs, since a cell changes only its scheduler, station count and seed;
+    a cell of no CAP counts each of its stations once."""
     first, last = stations[0], stations[-1]
     count = last - first + 1
     caps = _caps(base)
-    polls = n_schedulers * caps * (first + last) * count // 2
+    polls = n_schedulers * max(caps, 1) * (first + last) * count // 2
     if polls > MAX_SWEEP_POLLS:
-        raise ConfigError("stations", f"run would poll stations {polls} times over the "
-                                      f"{n_schedulers * count} cells of the sweep, about "
-                                      f"{caps} CAPs each, above the limit of "
+        cells = f"{n_schedulers * count} cells of the sweep"
+        what = (f"poll stations {polls} times over the {cells}, about {caps} CAPs each"
+                if caps else f"set up stations {polls} times over the {cells}, which "
+                             f"make no CAP and count a set-up as a poll")
+        raise ConfigError("stations", f"run would {what}, above the limit of "
                                       f"{MAX_SWEEP_POLLS} polls")
 
 
@@ -501,7 +506,9 @@ def load_scenario(path, overrides: list[str] | None = None) -> ScenarioConfig:
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Apply `--set key=value` items onto a raw config mapping. Keys use
-    dotted paths (e.g. traffic.jitter=0.3); values are parsed as YAML."""
+    dotted paths (e.g. traffic.jitter=0.3); values are parsed as YAML. A
+    path that steps into a present value that is not a mapping is a
+    ConfigError naming that prefix; an absent key starts a new mapping."""
     data = copy.deepcopy(raw)
     for item in overrides:
         if "=" not in item:
@@ -516,11 +523,11 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             value = text
         node = data
         parts = key.split(".")
-        for part in parts[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[part] = nxt
-            node = nxt
+        for i, part in enumerate(parts[:-1]):
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(".".join(parts[:i + 1]),
+                                  f"must be a mapping to --set {key}, "
+                                  f"got {type(node).__name__}")
         node[parts[-1]] = value
     return data

@@ -65,9 +65,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 from math import gcd
-from operator import sub
 from typing import NamedTuple, Sequence
 
 from . import phy as phylib
@@ -153,7 +151,7 @@ class FlowLog:
     is frame k's receive time, LOST when it was lost. lost_at is an
     ascending array('q') of the lost frames' indices, the positions of
     LOST in recv_ns, recorded by the run as it stored them: the counts,
-    delays_ns() and the packet-log writer read it and never scan recv_ns
+    the summary and the packet-log writer read it and never scan recv_ns
     for LOST. queued_end is the station's backlog at the end of the run,
     taken from its send cursor, the same cursor the log was cut to:
     conserved() holds by construction and checks no independent count."""
@@ -197,26 +195,6 @@ class FlowLog:
         """(seq, gen_ns, recv_ns, size_bytes) per sent frame; recv_ns is
         LOST for a lost frame."""
         return zip(self.seqs, self.gen_ns(), self.recv_ns, self.sizes)
-
-    def delays_ns(self) -> array:
-        """recv - gen of each received frame, in send order, as an array('q').
-        The differences are C-level passes over the columns, moved
-        PACKET_CSV_CHUNK_ROWS at a time: no list of every delay is held,
-        and fromlist converts each value once where filling the array from
-        an iterator converts it twice. A flow that lost frames then drops
-        the delays at lost_at, copying the runs between them."""
-        delays = map(sub, self.recv_ns, self.gen_ns())
-        column = array(COLUMN_TYPECODE)
-        while chunk := list(islice(delays, PACKET_CSV_CHUNK_ROWS)):
-            column.fromlist(chunk)
-        if not self.lost_at:
-            return column
-        kept, at = array(COLUMN_TYPECODE), 0
-        for k in self.lost_at:
-            kept += column[at:k]
-            at = k + 1
-        kept += column[at:]
-        return kept
 
 
 @dataclass

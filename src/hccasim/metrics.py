@@ -1,28 +1,30 @@
 """Evaluation metrics over per-packet logs: mean end-to-end delay,
 aggregate throughput and the sweep summary table.
 
-The summary table reads a report's per-flow FlowLogs: their columns for
-delays and the counts they derive from them. Its p95 and max delay come
-from one exact nearest-rank selection, top_values, which sorts only the
-delays from a sampled threshold up; its first value is the percentile.
-Throughput is taken over the report's active window, from traffic start
-to the end of the run. mean_e2e_delay and aggregate_throughput take a
-list of PacketRecords instead, such as parse_packets_csv returns, so
-recomputing a summary from a serialized CSV reproduces the simulator's
-own exactly.
+The summary table reads a report's per-flow FlowLogs, their columns and
+counts, and keeps no per-frame delay column. Each flow's delay total is
+exact in closed form from its receive times and lost indices
+(delay_total_ns). The p95 and max delay come from one exact nearest-rank
+selection, top_delays, which filters the stream recv - gen of each flow
+against a sampled threshold and sorts only what is kept; its first value
+is the percentile. Throughput is taken over the report's active window,
+from traffic start to the end of the run. mean_e2e_delay and
+aggregate_throughput take a list of PacketRecords instead, such as
+parse_packets_csv returns, so recomputing a summary from a serialized
+CSV reproduces the simulator's own exactly.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from operator import le
+from operator import le, sub
 
-from .engine import PacketRecord, SimReport
+from .engine import LOST, FlowLog, PacketRecord, SimReport
 
 SUMMARY_CSV_HEADER = ("scheduler,stations,quality,mean_delay_us,p95_delay_us,"
                       "max_delay_us,throughput_bps,delivered,lost,overruns")
-SAMPLE_STRIDE = 17  # top_values samples every 17th value, coprime with a 12-frame GoP
+SAMPLE_STRIDE = 17  # top_delays samples every 17th value, coprime with a 12-frame GoP
 
 
 def _delays_ns(log) -> list[int]:
@@ -48,32 +50,46 @@ def nearest_rank_percentile(sorted_values, q: float):
     return sorted_values[int(rank) - 1]
 
 
-def top_values(columns, q: float) -> list:
-    """The values of all columns taken together from their nearest-rank
-    q-th percentile up, ascending: the percentile first, the largest value
-    last; [] when the columns hold no value. Only a top slice of the values
-    is sorted. A threshold taken from every SAMPLE_STRIDE-th value keeps
-    the values at or above it, in one C-level filter pass per column, and
-    is lowered until enough of them are kept."""
-    n = sum(map(len, columns))
+def delay_total_ns(log: FlowLog) -> int:
+    """The sum of recv - gen over log's delivered frames, exact, from sums
+    over its columns: frame k was generated at start_ns + k * interval_ns,
+    and each lost frame's receive time is LOST."""
+    n, lost = len(log.recv_ns), log.lost
+    return (sum(log.recv_ns) - LOST * lost - (n - lost) * log.start_ns
+            - log.interval_ns * (n * (n - 1) // 2 - sum(log.lost_at)))
+
+
+def top_delays(logs, q: float) -> list:
+    """The delays recv - gen of the delivered frames of all logs taken
+    together, from their nearest-rank q-th percentile up, ascending: the
+    percentile first, the largest delay last; [] when no frame was
+    delivered. Each flow's delays are a stream over its columns, and only a
+    top slice of them is kept and sorted. A threshold taken from every
+    SAMPLE_STRIDE-th frame keeps the delays at or above it, in one C-level
+    filter pass per flow, and is lowered until enough of them are kept.
+    A lost frame's LOST - gen is negative and a delivered frame's delay is
+    not, so lost frames stay in the streams and rank below every delay."""
+    n = sum(log.delivered for log in logs)
     if not n:
         return []
     if not 0 < q <= 100:
         raise ValueError("percentile must be in (0, 100]")
-    from_top = n - int(-(-n * q // 100)) + 1   # n - ceil(n*q/100) + 1 values
-    sample = sorted(chain.from_iterable(column[::SAMPLE_STRIDE] for column in columns))
-    # At least `above` values are kept, and about SAMPLE_STRIDE times as
-    # many: aim at twice the values needed, then four times as far down.
-    above = 2 * (from_top // SAMPLE_STRIDE + 1)
+    from_top = n - int(-(-n * q // 100)) + 1   # n - ceil(n*q/100) + 1 delays
+    stride = SAMPLE_STRIDE
+    sample = sorted(chain.from_iterable(map(sub, log.recv_ns[::stride], log.gen_ns()[::stride])
+                                        for log in logs))
+    # At least `above` delays are kept, and about SAMPLE_STRIDE times as
+    # many: aim at twice the delays needed, then four times as far down.
+    above = 2 * (from_top // stride + 1)
     while above < len(sample):
-        threshold = sample[-above]
-        top = list(chain.from_iterable(filter(partial(le, threshold), column)
-                                       for column in columns))
+        keep = partial(le, sample[-above])
+        top = list(chain.from_iterable(filter(keep, map(sub, log.recv_ns, log.gen_ns()))
+                                       for log in logs))
         if len(top) >= from_top:
             break
         above *= 4
     else:
-        top = list(chain.from_iterable(columns))
+        top = list(chain.from_iterable(map(sub, log.recv_ns, log.gen_ns()) for log in logs))
     top.sort()
     return top[-from_top:]
 
@@ -93,13 +109,10 @@ def _fmt_us(value_ns) -> str:
 
 
 def summary_row(report: SimReport) -> str:
-    # Each flow's delays are an array('q'): they are summed per flow, and only
-    # the top of them is sorted, so no list of every delay is built.
     logs = report.flows.values()
-    delays = [log.delays_ns() for log in logs]
-    delivered = sum(map(len, delays))
-    mean_ns = sum(map(sum, delays)) / delivered if delivered else None
-    top = top_values(delays, 95)
+    delivered = sum(log.delivered for log in logs)
+    mean_ns = sum(map(delay_total_ns, logs)) / delivered if delivered else None
+    top = top_delays(logs, 95)
     p95_ns, max_ns = (top[0], top[-1]) if top else (None, None)
     window = report.active_window_ns()
     # Same arithmetic as aggregate_throughput, over the logged bytes.

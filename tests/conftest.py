@@ -44,6 +44,16 @@ def lost_positions(log):
     return [k for k, recv in enumerate(log.recv_ns) if recv == LOST]
 
 
+def check_flow_delays(metrics, fl, log):
+    """The metrics module's delay total and top delays of the FlowLog fl
+    against the delays of log, fl's PacketRecords: the total exact, not
+    rounded to a mean, and the delays from the nearest-rank p95 up."""
+    delays = sorted(p.recv_ns - p.gen_ns for p in log if not p.lost)
+    assert metrics.delay_total_ns(fl) == sum(delays)
+    rank = -(-len(delays) * 95 // 100)          # ceil(n * 0.95), 1-based
+    assert metrics.top_delays([fl], 95) == (delays[rank - 1:] if delays else [])
+
+
 @pytest.fixture(scope="session")
 def vbr_sweep_reports():
     """Shared 1..8 station sweep of both schedulers on the bursty VBR

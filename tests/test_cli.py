@@ -501,6 +501,19 @@ def test_a_sweep_too_large_to_finish_is_refused_at_once(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_sweep_of_cells_without_a_cap_is_refused_at_once(tmp_path):
+    # 200 000 cells of a run of no time: no CAP, yet every cell sets up,
+    # logs and summarizes each of its stations.
+    done = run_cli_process("sweep", "--stations", "1..100000", "--set", "duration_s=0",
+                           "--out", str(tmp_path / "o"))
+    assert done.returncode == 2
+    assert done.stderr == ("error: stations: run would set up stations 10000100000 times "
+                           "over the 200000 cells of the sweep, which make no CAP and count "
+                           "a set-up as a poll, above the limit of "
+                           f"{config.MAX_SWEEP_POLLS} polls\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_cell_above_run_size_limit_is_refused(tmp_path, capsys):
     # One station of 1e6 frames passes validation; the 11- and 12-station
     # cells (1.1e7 and 1.2e7 frames) are refused when sweep_cells builds

@@ -160,7 +160,14 @@ def test_sweep_size_counts_the_polls_of_every_cell():
     # A range too long for len() is counted too.
     with pytest.raises(ConfigError, match=r"^stations: run would poll "):
         config.check_sweep_size(base, range(1, 10**20), 1)
-    config.check_sweep_size(replace(base, duration_ns=0), range(1, 10**20), 2)
+    # A cell of no CAP still sets up every station: each counts as a poll.
+    with pytest.raises(ConfigError, match=r"^stations: run would set up stations "
+                                          r"\d+ times over the \d+ cells of the sweep, "
+                                          r"which make no CAP "):
+        config.check_sweep_size(replace(base, duration_ns=0), range(1, 10**20), 2)
+    config.check_sweep_size(replace(base, duration_ns=0), range(1, 10000), 2)  # 99 990 000
+    with pytest.raises(ConfigError, match=r"^stations: run would set up stations 100010000 "):
+        config.check_sweep_size(replace(base, duration_ns=0), range(1, 10001), 2)
 
 
 def test_stations_warning_counts_the_stations_simulated():
@@ -183,6 +190,15 @@ def test_apply_overrides_nested_paths():
         apply_overrides({}, ["=5"])
     with pytest.raises(ConfigError, match=r"^--set: empty key in ' =5'$"):
         apply_overrides({}, [" =5"])
+    # A path into a present value that is not a mapping names its prefix;
+    # the value is not replaced by a new mapping.
+    with pytest.raises(ConfigError, match=r"^traffic: must be a mapping to --set "
+                                          r"traffic\.jitter, got int$"):
+        apply_overrides({"traffic": 5}, ["traffic.jitter=0.1"])
+    with pytest.raises(ConfigError, match=r"^phy: must be a mapping to --set phy\.sifs_us, "):
+        apply_overrides({}, ["phy=3", "phy.sifs_us=10"])
+    with pytest.raises(ConfigError, match=r"^traffic\.pattern: must be a mapping "):
+        apply_overrides({}, ["traffic.pattern=IPB", "traffic.pattern.x=1"])
 
 
 def test_override_values_parse_as_yaml():

@@ -16,6 +16,7 @@ import yaml
 
 from conftest import lost_positions, make_scenario
 from hccasim import cli, engine, metrics
+from hccasim.phy import ctrl_tx_time, data_tx_time
 from hccasim.traffic import synth_sizes
 
 CASES = {
@@ -130,6 +131,13 @@ def test_golden_outputs(name, tmp_path):
     polls = report.polls
     assert all(p.poll_ns >= q.poll_ns + q.grant_ns for q, p in zip(polls, polls[1:]))
     assert all(p.used_ns <= p.grant_ns for p in polls)
+    # Causality: a delivered frame arrives no sooner than a poll and the
+    # frame's own air time after it was generated, so no delay is negative.
+    phy = report.cfg.phy
+    poll_lead = ctrl_tx_time(phy.poll_frame_bytes, phy) + phy.sifs_ns
+    assert all(recv - gen >= poll_lead + data_tx_time(size, phy)
+               for log in report.flows.values() for _, gen, recv, size in log.rows()
+               if recv != engine.LOST)
     _, want_packets, want_polls = CASES[name]
     assert _sha(report.packets_csv() + metrics.summarize([report])) == want_packets
     assert _sha(_polls_text(report.polls)) == want_polls

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import make_scenario
+from conftest import check_flow_delays, make_scenario
 from hccasim import engine, metrics
 from hccasim.engine import LOST, PACKET_CSV_CHUNK_ROWS as CHUNK, FlowLog, PacketRecord
 
@@ -60,18 +60,37 @@ def test_nearest_rank_percentile():
     assert metrics.nearest_rank_percentile([], 95) is None
 
 
-def _columns(rng, values):
-    """values split at random points into array('q') columns, some empty."""
+def _delay_log(flow, delays, lost_at=(), start=1_000_000, interval=40_000_000):
+    """A FlowLog whose delivered frames, in order, have the given delays;
+    the frames at the indices in lost_at, among len(delays) + len(lost_at)
+    sent, were lost."""
+    sent = len(delays) + len(lost_at)
+    lost, it = set(lost_at), iter(delays)
+    recv = array("q", [LOST if k in lost else start + k * interval + next(it)
+                       for k in range(sent)])
+    return FlowLog(flow, start, interval, range(sent), array("q", [1000] * sent), recv,
+                   array("q", sorted(lost)), 0)
+
+
+def _logs(rng, values):
+    """values split at random points into FlowLogs, some empty, each
+    losing no frame, a tenth as many as it delivers, or as many."""
     cuts = sorted(rng.randrange(len(values) + 1) for _ in range(rng.randrange(4)))
     bounds = [0] + cuts + [len(values)]
-    return [array("q", values[a:b]) for a, b in zip(bounds, bounds[1:])]
+    logs = []
+    for flow, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        lost = rng.choice([0, (b - a) // 10, b - a])
+        logs.append(_delay_log(flow, values[a:b], rng.sample(range(b - a + lost), lost),
+                               start=rng.randrange(10**6),
+                               interval=rng.choice([1, 40_000_000])))
+    return logs
 
 
 SHIFT = 16   # 1 << 16 ns: a 65.5 us range of delays
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_top_values_start_at_the_sorted_nearest_rank(seed):
+def test_top_delays_start_at_the_sorted_nearest_rank(seed):
     rng = random.Random(seed)
     n = rng.choice([1, 2, 3, 20, 500, 5000])
     shape = seed % 3
@@ -82,47 +101,53 @@ def test_top_values_start_at_the_sorted_nearest_rank(seed):
         base = rng.randrange(10**5) << SHIFT
         values = [base + rng.randrange(1 << SHIFT) for _ in range(n)]
     else:               # from 0 up to tens of seconds in ns, and beyond
-        values = [rng.randrange(rng.choice([1 << 17, 10**10, 2**63])) for _ in range(n)]
-    columns = _columns(rng, values)
+        values = [rng.randrange(rng.choice([1 << 17, 10**10, 2**62])) for _ in range(n)]
+    logs = _logs(rng, values)
+    assert sum(log.delivered for log in logs) == n
     for q in (0.001, 1, 50, 95, 99.9, 100):
-        assert metrics.top_values(columns, q)[0] == \
+        assert metrics.top_delays(logs, q)[0] == \
             metrics.nearest_rank_percentile(sorted(values), q), (q, n)
 
 
-def test_top_values_edges():
-    assert metrics.top_values([], 95) == []
-    assert metrics.top_values([array("q"), array("q")], 95) == []
-    assert metrics.top_values([array("q", [7])], 95) == [7]
-    assert metrics.top_values([array("q", [7])], 100) == [7]
+def test_top_delays_edges():
+    assert metrics.top_delays([], 95) == []
+    assert metrics.top_delays([_delay_log(0, []), _delay_log(1, [])], 95) == []
+    assert metrics.top_delays([_delay_log(0, [], lost_at=[0, 1, 2])], 95) == []
+    assert metrics.top_delays([_delay_log(0, [7])], 95) == [7]
+    assert metrics.top_delays([_delay_log(0, [7], lost_at=[0])], 100) == [7]
     shift = SHIFT
-    col = array("q", [3 << shift, 1, 5 << shift, 1 << shift])
-    assert metrics.top_values([col], 100) == [5 << shift]
-    assert metrics.top_values([col], 25) == [1, 1 << shift, 3 << shift, 5 << shift]
-    assert metrics.top_values([col], 50)[0] == 1 << shift
+    log = _delay_log(0, [3 << shift, 1, 5 << shift, 1 << shift], lost_at=[1, 4])
+    assert metrics.top_delays([log], 100) == [5 << shift]
+    assert metrics.top_delays([log], 25) == [1, 1 << shift, 3 << shift, 5 << shift]
+    assert metrics.top_delays([log], 50)[0] == 1 << shift
     with pytest.raises(ValueError):
-        metrics.top_values([col], 0)
+        metrics.top_delays([log], 0)
 
 
-@pytest.mark.parametrize("sampled", ["largest", "smallest"])
+@pytest.mark.parametrize("sampled", ["largest", "smallest", "lost"])
 @pytest.mark.parametrize("seed", range(6))
-def test_top_values_when_the_sample_misleads(seed, sampled):
-    # top_values takes its threshold from every SAMPLE_STRIDE-th value of
-    # each column. Where those positions hold the largest values, the first
+def test_top_delays_when_the_sample_misleads(seed, sampled):
+    # top_delays takes its threshold from every SAMPLE_STRIDE-th frame of
+    # each flow. Where those positions hold the largest delays, the first
     # threshold keeps little more than the sample and has to be lowered;
-    # where they hold the smallest, it keeps far more than it needs.
+    # where they hold the smallest, it keeps far more than it needs; where
+    # they hold lost frames, the threshold is a lost frame's negative
+    # value, below every delay.
     rng = random.Random(seed)
     stride = metrics.SAMPLE_STRIDE
-    columns = []
-    for _ in range(rng.randrange(1, 5)):
+    logs, values = [], []
+    for flow in range(rng.randrange(1, 5)):
         length = rng.choice([1, stride, 3 * stride + 2, 40 * stride + 5, 600 * stride + 1])
-        high, low = (10**9, 0) if sampled == "largest" else (0, 10**9)
-        columns.append(array("q", [(high if k % stride == 0 else low) + rng.randrange(10**6)
-                                   for k in range(length)]))
-    values = [v for column in columns for v in column]
+        high, low = (0, 10**9) if sampled == "smallest" else (10**9, 0)
+        lost_at = range(0, length, stride) if sampled == "lost" else ()
+        delays = [(high if k % stride == 0 else low) + rng.randrange(10**6)
+                  for k in range(length) if k not in lost_at]
+        logs.append(_delay_log(flow, delays, lost_at))
+        values += delays
     want = sorted(values)
     for q in (0.001, 1, 50, 95, 99.9, 100):
-        top = metrics.top_values(columns, q)
-        assert top[0] == metrics.nearest_rank_percentile(want, q), (q, len(values))
+        top = metrics.top_delays(logs, q)
+        assert top[:1] == ([metrics.nearest_rank_percentile(want, q)] if want else []), q
         assert top == want[len(want) - len(top):]
 
 
@@ -161,10 +186,12 @@ def test_summary_row_matches_the_sorted_reference(seed, log):
 
 
 def test_run_and_summary_hold_few_bytes_per_frame():
-    # Every per-frame column is an array('q'): the schedule's sizes, the
-    # receive log and the summary's delays take 8 bytes a value each, and
-    # nothing builds an int object or a list entry per frame for the whole
-    # run. A list of boxed ints costs about 40 bytes per value.
+    # Every per-frame column is an array('q'): the schedule's sizes and the
+    # receive log take 8 bytes a value each, and nothing builds an int
+    # object or a list entry per frame for the whole run. The summary reads
+    # those columns and keeps no per-frame column of its own. A list of
+    # boxed ints costs about 40 bytes per value; one more array('q') of the
+    # run's delays, 8.
     engine._synth_schedule.cache_clear()
     cfg = make_scenario(preset="vbr-high", scheduler="adaptive", stations=8,
                         duration_s=140, seed=3)
@@ -178,7 +205,7 @@ def test_run_and_summary_hold_few_bytes_per_frame():
         engine._synth_schedule.cache_clear()
     frames = sum(log.generated for log in report.flows.values())
     assert frames > 20_000
-    assert peak / frames <= 40, peak / frames
+    assert peak / frames <= 28, peak / frames
 
 
 def test_summary_recomputes_from_serialized_log():
@@ -249,8 +276,9 @@ def test_summary_row_undefined_delay_prints_empty():
 ], ids=["some-lost", "first-and-last-lost", "lossless-idle-flow", "all-lost"])
 def test_column_metrics_match_the_packet_reference(seed, loss_p, stagger_ms, covers):
     # summary_row reads the report's FlowLogs, columns and counts; the
-    # PacketRecord functions over the serialized log must agree, and each
-    # flow's lost_at must list the positions of its lost rows.
+    # PacketRecord functions over the serialized log must agree, each
+    # flow's lost_at must list the positions of its lost rows, and its
+    # delay total and top delays must be its sorted delays' own.
     cfg = make_scenario(preset="vbr-high", scheduler="adaptive", stations=3,
                         duration_s=24, seed=seed, loss_p=loss_p,
                         traffic={"stagger_ms": stagger_ms})
@@ -261,13 +289,12 @@ def test_column_metrics_match_the_packet_reference(seed, loss_p, stagger_ms, cov
     assert covers(lost)
     for flow, fl in report.flows.items():
         log = [p for p in parsed if p.flow == flow]
-        delays = sorted(p.recv_ns - p.gen_ns for p in log if not p.lost)
         assert fl.lost_at.tolist() == [k for k, p in enumerate(log) if p.lost]
-        assert fl.delivered == len(delays)
+        assert fl.delivered == sum(not p.lost for p in log)
         assert fl.lost == sum(p.lost for p in log)
         assert fl.delivered_bytes == sum(p.size_bytes for p in log if not p.lost)
         assert fl.generated == len(log) + fl.queued_end
-        assert sorted(fl.delays_ns()) == delays
+        check_flow_delays(metrics, fl, log)
     fields = metrics.summary_row(report).split(",")
     mean_ns = metrics.mean_e2e_delay(parsed)
     thr = metrics.aggregate_throughput(parsed, report.active_window_ns())

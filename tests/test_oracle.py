@@ -2,10 +2,11 @@
 
 The differential test runs both engines on random multi-station scenarios
 and requires identical results. The mutant table shows what the checks
-catch: the comparison on fixed examples, and three scenarios built on an
-exact-nanosecond tie. Each row is engine.py with one line changed, loaded
-in this process, and must fail its named check, while the engine as
-written passes every check.
+catch: the comparison on fixed examples, three scenarios built on an
+exact-nanosecond tie, and metrics.py's delay columns against the packet
+reference. Each row is one library file with one line changed, loaded in
+this process, and must fail its named check, while each file as written
+passes every check.
 """
 
 import pathlib
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import example, given, note, settings, strategies as st
 
 import oracle_engine
-from conftest import FRAGMENT_PATH
-from hccasim import engine
+from conftest import FRAGMENT_PATH, check_flow_delays
+from hccasim import engine, metrics
 from hccasim.config import SCHEDULERS, scenario_from_dict
 from hccasim.phy import NS_PER_MS
 from hccasim.sched import adaptive_txop
@@ -253,71 +254,94 @@ def check_minimal_grant_fits_the_null_exchange(eng, tmp_path):
     assert_agrees(eng, cfg)
 
 
+def check_delay_columns(mod, tmp_path):
+    # A metrics module's delay total and top delays of each flow of a run
+    # that delivers and loses frames, against its packet log. Dropping a
+    # term of the total moves the mean by less than 1 ns, so the summary
+    # row's whole microseconds cannot show it.
+    cfg = scenario_from_dict({"preset": "vbr-high", "scheduler": "adaptive",
+                              "stations": 3, "duration_s": 24, "seed": 8, "loss_p": 0.1})
+    report = engine.run(cfg)
+    packets = report.packets
+    assert report.counters.lost_frames
+    for flow, fl in report.flows.items():
+        check_flow_delays(mod, fl, [p for p in packets if p.flow == flow])
+
+
 # -- mutant table -------------------------------------------------------------
 
 ENGINE_PATH = pathlib.Path(engine.__file__)
-ENGINE_SOURCE = ENGINE_PATH.read_text(encoding="utf-8")
+METRICS_PATH = pathlib.Path(metrics.__file__)
 
-# (name, old text, new text, the check it must fail). Each old text occurs
-# exactly once in engine.py.
+# (name, file, old text, new text, the check it must fail). Each old text
+# occurs exactly once in its file.
 MUTANTS = [
-    ("no beacon deferral",
+    ("no beacon deferral", ENGINE_PATH,
      "(next_beacon if next_beacon > busy_until else busy_until) + beacon_air",
      "next_beacon + beacon_air", check_examples),
-    ("no back-to-back CAP push",
+    ("no back-to-back CAP push", ENGINE_PATH,
      "if t_cap < t:\n                t_cap = t", "pass", check_examples),
-    ("arrival cursor <= becomes <",
+    ("arrival cursor <= becomes <", ENGINE_PATH,
      "arrived = (t_cap - start) // interval + 1",
      "arrived = (t_cap - start - 1) // interval + 1", check_examples),
-    ("arrival cursor + 1 becomes + 2",
+    ("arrival cursor + 1 becomes + 2", ENGINE_PATH,
      "arrived = (t_cap - start) // interval + 1",
      "arrived = (t_cap - start) // interval + 2", check_examples),
-    ("feedback kept after a poll that received nothing",
+    ("feedback kept after a poll that received nothing", ENGINE_PATH,
      "feedback[flow] = None", "pass", check_examples),
-    ("a beacon due at the CAP is sent after it",
+    ("a beacon due at the CAP is sent after it", ENGINE_PATH,
      "while next_beacon <= t_cap:", "while next_beacon < t_cap:", check_examples),
-    ("a frame whose exchange fills the grant is not sent",
+    ("a frame whose exchange fills the grant is not sent", ENGINE_PATH,
      "if acked > budget_end or data_end > dur:",
      "if acked >= budget_end or data_end > dur:", check_examples),
-    ("no loss draw for null frames",
+    ("no loss draw for null frames", ENGINE_PATH,
      "if not (lossy and draw() < loss_p):", "if True:", check_examples),
-    ("the medium frees when the last exchange ends, not the last grant",
+    ("the medium frees when the last exchange ends, not the last grant", ENGINE_PATH,
      "            busy_until = t\n", "            busy_until = tx\n", check_examples),
-    ("a frame ending at the end of the run is dropped",
+    ("a frame ending at the end of the run is dropped", ENGINE_PATH,
      "data_end > dur", "data_end >= dur", check_frame_received_at_the_end),
-    ("grants that fill the SI count as an overrun",
+    ("grants that fill the SI count as an overrun", ENGINE_PATH,
      "t - cap_start > si_ns", "t - cap_start >= si_ns", check_grants_that_fill_the_si),
-    ("a null exchange that fills the grant is not sent",
+    ("a null exchange that fills the grant is not sent", ENGINE_PATH,
      "null_end + ack_ifs <= budget_end", "null_end + ack_ifs < budget_end",
      check_minimal_grant_fits_the_null_exchange),
+    ("the delay total keeps each lost frame's LOST",
+     METRICS_PATH, "sum(log.recv_ns) - LOST * lost - ", "sum(log.recv_ns) - ",
+     check_delay_columns),
+    ("the top delays are counted over the sent frames",
+     METRICS_PATH, "n = sum(log.delivered for log in logs)",
+     "n = sum(len(log.recv_ns) for log in logs)", check_delay_columns),
 ]
 
 
-def load_engine(source: str) -> types.ModuleType:
-    """engine.py's source as a fresh module of the hccasim package. It is
-    in sys.modules while it executes, as dataclass needs."""
-    module = types.ModuleType("hccasim._mutant_engine")
+def load_module(path: pathlib.Path, source: str) -> types.ModuleType:
+    """source, the text of the library file path, as a fresh module of the
+    hccasim package. It is in sys.modules while it executes, as dataclass
+    needs."""
+    module = types.ModuleType(f"hccasim._mutant_{path.stem}")
     module.__package__ = "hccasim"
     sys.modules[module.__name__] = module
     try:
-        exec(compile(source, str(ENGINE_PATH), "exec"), module.__dict__)
+        exec(compile(source, str(path), "exec"), module.__dict__)
     finally:
         del sys.modules[module.__name__]
     return module
 
 
-@pytest.mark.parametrize("check", dict.fromkeys(row[3] for row in MUTANTS),
+@pytest.mark.parametrize("check", dict.fromkeys(row[4] for row in MUTANTS),
                          ids=lambda f: f.__name__)
-def test_the_engine_passes_every_check(check, tmp_path):
-    # Its source loaded as the mutants are: a mutant fails its check for
-    # its one changed line, not for the way it was loaded.
-    check(load_engine(ENGINE_SOURCE), tmp_path)
+def test_the_source_passes_every_check(check, tmp_path):
+    # The file its mutants change, loaded as they are: a mutant fails its
+    # check for its one changed line, not for the way it was loaded.
+    path = next(row[1] for row in MUTANTS if row[4] is check)
+    check(load_module(path, path.read_text(encoding="utf-8")), tmp_path)
 
 
-@pytest.mark.parametrize("old, new, check", [row[1:] for row in MUTANTS],
+@pytest.mark.parametrize("path, old, new, check", [row[1:] for row in MUTANTS],
                          ids=[row[0] for row in MUTANTS])
-def test_each_mutant_fails_its_check(old, new, check, tmp_path):
-    assert ENGINE_SOURCE.count(old) == 1
-    mutant = load_engine(ENGINE_SOURCE.replace(old, new))
+def test_each_mutant_fails_its_check(path, old, new, check, tmp_path):
+    source = path.read_text(encoding="utf-8")
+    assert source.count(old) == 1
+    mutant = load_module(path, source.replace(old, new))
     with pytest.raises(AssertionError):
         check(mutant, tmp_path)
