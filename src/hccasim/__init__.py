@@ -6,8 +6,8 @@ from .engine import FlowLog, SimReport, SimulationError, run
 from .phy import PhyParams, ctrl_tx_time, data_tx_time, txop_overhead
 from .sched import (Tspec, adaptive_txop, admit, assign_si, min_msi, msdu_count,
                     reference_txop, tspec_preset)
-from .traffic import (FrameRecord, VideoTrace, load_trace, parse_trace, serialize_trace,
-                      synth_sizes, trace_stats)
+from .traffic import (FrameRecord, VideoTrace, load_trace, parse_trace, synth_sizes,
+                      trace_stats)
 
 __version__ = "0.1.0"
 
@@ -17,6 +17,6 @@ __all__ = [
     "adaptive_txop", "admit", "assign_si", "ctrl_tx_time",
     "data_tx_time", "load_scenario", "load_trace", "min_msi", "msdu_count",
     "parse_trace", "reference_txop", "run", "scenario_from_dict",
-    "serialize_trace", "synth_sizes", "trace_stats", "tspec_preset",
+    "synth_sizes", "trace_stats", "tspec_preset",
     "txop_overhead",
 ]

@@ -6,20 +6,20 @@ Trace file format (whitespace-separated, '#' comments allowed):
 
     <frame_seq> <frame_type I|P|B> <display_time_ms> <frame_size_bytes>
 
-The display-time column is preserved but never used for arrival timing:
-frames arrive in coding (sequence) order at a fixed interval, 40 ms by
-default. One video frame is one MSDU, whatever its size.
+Every display time is checked to be a number, but none is kept: frames
+arrive in coding (sequence) order at a fixed interval, 40 ms by default.
+One video frame is one MSDU, whatever its size.
 
 A VideoTrace holds its frames as columns (sequence numbers, frame types,
-display times, sizes), sorted by sequence number only when the file is out
-of order. parse_trace (and load_trace, which opens a file for it) is the
-one place a trace is checked; a VideoTrace takes its columns as given.
-parse_trace reads TRACE_CHUNK_LINES lines at a time and fills the columns
-a column at a time (split, int, float and str.upper mapped over each
-chunk's fields); a chunk with a bad line is read again line by line, only
-to report the first bad line. VideoTrace.records is a derived view: it
-builds a fresh tuple of FrameRecord named tuples on every access, so read
-it once when iterating it often.
+sizes), sorted by sequence number only when the file is out of order.
+parse_trace (and load_trace, which opens a file for it) is the one place
+a trace is checked; a VideoTrace takes its columns as given. parse_trace
+reads TRACE_CHUNK_LINES lines at a time and fills the columns a column at
+a time (split, int, float and str.upper mapped over each chunk's fields;
+each float is dropped once made); a chunk with a bad line is read again
+line by line, only to report the first bad line. VideoTrace.records is a
+derived view: it builds a fresh tuple of FrameRecord named tuples on
+every access, so read it once when iterating it often.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import os
 import random
 import stat
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from itertools import cycle, islice
 from typing import NamedTuple
@@ -62,23 +63,21 @@ class FrameRecord(NamedTuple):
 
     seq: int
     frame_type: str
-    display_time_ms: float
     size_bytes: int
 
 
 @dataclass(frozen=True)
 class VideoTrace:
     """One trace as columns in coding order: frame k has sequence number
-    seqs[k], type frame_types[k], display time display_ms[k] and size
-    size_bytes[k]. seqs and size_bytes are array('q') columns (a run
-    shares them), frame_types and display_ms tuples. The columns are
+    seqs[k], type frame_types[k] and size size_bytes[k]. seqs and
+    size_bytes are array('q') columns (a run shares them), frame_types a
+    tuple. A trace file's display times are not kept. The columns are
     taken as given: build a VideoTrace with parse_trace or load_trace,
     which check them. A VideoTrace is not hashable, because arrays are
     not."""
 
     seqs: array
     frame_types: tuple
-    display_ms: tuple
     size_bytes: array
 
     __hash__ = None
@@ -90,8 +89,7 @@ class VideoTrace:
     def records(self) -> tuple[FrameRecord, ...]:
         """Per-frame rows in coding order, built from the columns on every
         access."""
-        return tuple(map(FrameRecord, self.seqs, self.frame_types, self.display_ms,
-                         self.size_bytes))
+        return tuple(map(FrameRecord, self.seqs, self.frame_types, self.size_bytes))
 
 
 @dataclass(frozen=True)
@@ -112,13 +110,13 @@ def parse_trace(stream) -> VideoTrace:
     sequence numbers keep their input order. Every line is checked; a bad
     line is a TraceParseError naming it."""
     seqs, sizes = array(COLUMN_TYPECODE), array(COLUMN_TYPECODE)
-    types, display = [], []
+    types = []
     in_order = True
     lines = iter(stream)
     first_line_no = 1
     while chunk := list(islice(lines, TRACE_CHUNK_LINES)):
         try:
-            in_order &= _read_chunk(chunk, seqs, types, display, sizes)
+            in_order &= _read_chunk(chunk, seqs, types, sizes)
         except (ValueError, OverflowError):
             _refuse(chunk, first_line_no)
         first_line_no += len(chunk)
@@ -129,16 +127,16 @@ def parse_trace(stream) -> VideoTrace:
         order = sorted(range(len(seqs)), key=seqs.__getitem__)
         seqs, sizes = (array(COLUMN_TYPECODE, map(col.__getitem__, order))
                        for col in (seqs, sizes))
-        types, display = (map(col.__getitem__, order) for col in (types, display))
-    return VideoTrace(seqs, tuple(types), tuple(display), sizes)
+        types = map(types.__getitem__, order)
+    return VideoTrace(seqs, tuple(types), sizes)
 
 
-def _read_chunk(lines: list[str], seqs: array, types: list, display: list,
-                sizes: array) -> bool:
-    """Append the frames of a chunk of trace lines to the four columns, one
-    column at a time; True if their seqs are in order and follow the seqs
-    already read. Raises ValueError or OverflowError, with the columns
-    partly extended, if any line is not a valid frame line."""
+def _read_chunk(lines: list[str], seqs: array, types: list, sizes: array) -> bool:
+    """Append the frames of a chunk of trace lines to the three columns, one
+    column at a time, once their display times are checked; True if their
+    seqs are in order and follow the seqs already read. Raises ValueError
+    or OverflowError, with the columns partly extended, if any line is not
+    a valid frame line."""
     text = _LINE_SEP.join(lines)
     if text.count("#") >= len(lines):       # more '#'s than separators: comments
         lines = [line.partition("#")[0] for line in lines]
@@ -162,7 +160,7 @@ def _read_chunk(lines: list[str], seqs: array, types: list, display: list,
     if ordered[0] < 0 or min(chunk_sizes) <= 0:
         raise ValueError("a negative sequence or a non-positive size")
     in_order = ordered == chunk_seqs and (not seqs or seqs[-1] <= ordered[0])
-    display += map(float, fields[2::5])
+    deque(map(float, fields[2::5]), 0)      # checked, not kept
     seqs.fromlist(chunk_seqs)                # OverflowError at 2**63 or more
     sizes.fromlist(chunk_sizes)
     types += chunk_types
@@ -226,20 +224,6 @@ def open_text_file(path, encoding: str):
 def load_trace(path) -> VideoTrace:
     with open_text_file(path, "utf-8-sig") as fh:  # a leading BOM is not data
         return parse_trace(fh)
-
-
-def serialize_trace(trace: VideoTrace) -> str:
-    """Inverse of parse_trace: parse(serialize(t)) == t."""
-    return "".join(f"{seq} {ftype} {_display_text(time_ms)} {size}\n"
-                   for seq, ftype, time_ms, size
-                   in zip(trace.seqs, trace.frame_types, trace.display_ms, trace.size_bytes))
-
-
-def _display_text(time_ms: float) -> str:
-    """time_ms as :g text where that reads back as the same float, else as
-    its shortest text that does (repr)."""
-    text = f"{time_ms:g}"
-    return text if float(text) == time_ms else repr(time_ms)
 
 
 def trace_stats(trace: VideoTrace) -> TraceStats:

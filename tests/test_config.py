@@ -1,9 +1,9 @@
-import hashlib
 import re
 from dataclasses import replace
 
 import pytest
 
+from conftest import DATA_DIR
 from hccasim import config, engine
 from hccasim.config import (ConfigError, ScenarioConfig, TrafficConfig, apply_overrides,
                             scenario_from_dict)
@@ -127,9 +127,9 @@ PROBE_SCENARIOS = [
     {"phy": {"basic_rate_bps": 2e7}}, {"tspec": dict(INLINE_TSPEC, msi_ms=100)},
     {"stations": [{"tspec": dict(INLINE_TSPEC, max_bytes=400)}]},
 ] + [{"tspec": {k: v for k, v in INLINE_TSPEC.items() if k != key}} for key in INLINE_TSPEC]
-# sha256 of every probe's outcome. Messages quote CPython's own float() and
-# int() errors, so the hash is tied to their wording (Python 3.11).
-ERROR_TEXT_SHA256 = "753bdb217d52a4cda864dbea9767155a2500f66e9aa491676e38570438ee1e04"
+# Every probe's outcome, one line each. Messages quote CPython's own float()
+# and int() errors, so the text is tied to their wording (Python 3.11).
+ERROR_TEXT_PATH = DATA_DIR / "error_text.txt"
 
 
 def _probe_outcomes():
@@ -147,8 +147,10 @@ def _probe_outcomes():
 
 
 def test_error_text_is_pinned():
-    text = "\n".join(_probe_outcomes())
-    assert hashlib.sha256(text.encode()).hexdigest() == ERROR_TEXT_SHA256
+    with open(ERROR_TEXT_PATH, encoding="utf-8", newline="") as fh:
+        pinned = fh.read().split("\n")
+    assert pinned.pop() == ""
+    assert list(_probe_outcomes()) == pinned
 
 
 def test_sweep_size_counts_the_polls_of_every_cell():

@@ -191,21 +191,27 @@ def test_run_and_summary_hold_few_bytes_per_frame():
     # object or a list entry per frame for the whole run. The summary reads
     # those columns and keeps no per-frame column of its own. A list of
     # boxed ints costs about 40 bytes per value; one more array('q') of the
-    # run's delays, 8.
-    engine._synth_schedule.cache_clear()
-    cfg = make_scenario(preset="vbr-high", scheduler="adaptive", stations=8,
-                        duration_s=140, seed=3)
-    tracemalloc.start()
-    try:
-        report = engine.run(cfg)
-        metrics.summary_row(report)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # run's delays, built inside the summary, 8. The peak is read at two
+    # durations and bounded per frame by its slope, so the costs that do
+    # not grow with the run cancel and a short run keeps the resolution.
+    def peak_and_frames(duration_s):
+        cfg = make_scenario(preset="vbr-high", scheduler="adaptive", stations=8,
+                            duration_s=duration_s, seed=3)
         engine._synth_schedule.cache_clear()
-    frames = sum(log.generated for log in report.flows.values())
-    assert frames > 20_000
-    assert peak / frames <= 28, peak / frames
+        tracemalloc.start()
+        try:
+            report = engine.run(cfg)
+            metrics.summary_row(report)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            engine._synth_schedule.cache_clear()
+        return peak, sum(log.generated for log in report.flows.values())
+
+    (short_peak, short_frames), (long_peak, long_frames) = map(peak_and_frames, (24, 32))
+    frames = long_frames - short_frames
+    assert frames >= 1_600
+    assert (long_peak - short_peak) / frames <= 28, (long_peak - short_peak) / frames
 
 
 def test_summary_recomputes_from_serialized_log():
@@ -365,37 +371,45 @@ def test_packet_log_writer_edge_cases_match_the_row_reference(sent, lost_at, flo
 
 
 @pytest.mark.parametrize("lost_at, seqs", [
-    (range(0, 25_000, 7), range),
+    (range(0, 3 * CHUNK, 7), range),
     # Lossless, numbered by an array('q') as a trace's frames are.
     ((), lambda first, stop: array("q", range(first, stop))),
 ], ids=["lossy", "lossless-array-seqs"])
 def test_packet_log_writer_holds_one_chunk_at_a_time(lost_at, seqs):
-    # 100 000 rows, about 4 MB of text. A writer that holds one chunk at a
-    # time peaks at one chunk's cost: its % arguments, each value boxed
-    # once, in a tuple; its row template twice (the flow's repeated row
-    # and the chunk's joined template); and its text, which the formatter
-    # over-allocates by up to a quarter as it grows. A writer that also
-    # keeps the list it filled the tuple from, one pointer per value, or
-    # any part of a second chunk, peaks above that.
-    report = _report_with_logs([25_000] * 4, lost_at, seqs=seqs)
+    # Flow 0 spans two full chunks and a remainder, flow 1 one short chunk.
+    # A writer that holds one chunk at a time peaks at its largest chunk's
+    # cost: its % arguments, each value boxed once, in a tuple; its row
+    # template twice (the flow's repeated row and the chunk's joined
+    # template); and its text, which the formatter over-allocates by up to
+    # a quarter as it grows. A writer that also keeps the list it filled
+    # the tuple from, one pointer per value, or any part of a second
+    # chunk, peaks above that.
+    report = _report_with_logs([2 * CHUNK + 99, 40], lost_at, seqs=seqs)
 
-    class CharCount:
-        chars = longest = 0
+    class LargestWrite:
+        chars = size = rows = 0
+        first_row = ""
 
         def write(self, text):
             self.chars += len(text)
-            self.longest = max(self.longest, sys.getsizeof(text))
+            if sys.getsizeof(text) > self.size:
+                self.size, self.rows = sys.getsizeof(text), text.count("\n")
+                self.first_row = text[:text.index("\n")]
 
-    sink = CharCount()
+    sink = LargestWrite()
     tracemalloc.start()
     try:
         report.write_packets_csv(sink)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sink.chars == len(report.packets_csv()) > 3_000_000
-    log = report.flows[0]
-    args = tuple(value for row in itertools.islice(log.rows(), CHUNK) for value in row)
-    template = sys.getsizeof(f"{log.flow},%d,%d,%d,%d,0\n" * CHUNK)
+    assert sink.chars == len(report.packets_csv())
+    assert sink.rows == CHUNK
+    flow, seq = map(int, sink.first_row.split(",")[:2])
+    log = report.flows[flow]
+    start = log.seqs.index(seq)
+    args = tuple(value for row in itertools.islice(log.rows(), start, start + sink.rows)
+                 for value in row)
+    template = sys.getsizeof(f"{log.flow},%d,%d,%d,%d,0\n" * sink.rows)
     chunk = sys.getsizeof(args) + sum(map(sys.getsizeof, args)) + 2 * template
-    assert peak < chunk + sink.longest * 5 / 4
+    assert peak < chunk + sink.size * 5 / 4

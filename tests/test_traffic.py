@@ -7,19 +7,19 @@ import pytest
 from conftest import FRAGMENT_SIZES
 from hccasim import traffic
 from hccasim.traffic import (TRACE_CHUNK_LINES, FrameRecord, TraceParseError, VideoTrace,
-                             load_trace, parse_trace, serialize_trace, stats_csv_row,
-                             synth_sizes, trace_stats)
+                             load_trace, parse_trace, stats_csv_row, synth_sizes, trace_stats)
 
 
 def _row_parse(lines):
     """The row form of a parse, as a reference: one FrameRecord per frame
-    line, stably sorted by sequence number."""
+    line, stably sorted by sequence number. Its display time is checked
+    to be a number and dropped."""
     rows = []
     for raw in lines:
         cols = raw.split("#", 1)[0].split()
         if cols:
-            rows.append(FrameRecord(int(cols[0]), cols[1].upper(), float(cols[2]),
-                                    int(cols[3])))
+            float(cols[2])
+            rows.append(FrameRecord(int(cols[0]), cols[1].upper(), int(cols[3])))
     return tuple(sorted(rows, key=lambda r: r.seq))
 
 
@@ -27,10 +27,8 @@ def test_parse_fragment(fragment_path):
     trace = load_trace(fragment_path)
     assert len(trace) == 12
     first, last = trace.records[0], trace.records[-1]
-    assert (first.seq, first.frame_type, first.display_time_ms, first.size_bytes) == \
-        (527, "I", 21120.0, 8124)
-    assert (last.seq, last.frame_type, last.display_time_ms, last.size_bytes) == \
-        (538, "B", 21440.0, 6223)
+    assert (first.seq, first.frame_type, first.size_bytes) == (527, "I", 8124)
+    assert (last.seq, last.frame_type, last.size_bytes) == (538, "B", 6223)
     assert list(trace.size_bytes) == FRAGMENT_SIZES
     with open(fragment_path, encoding="utf-8") as fh:
         assert trace.records == _row_parse(fh)
@@ -72,7 +70,7 @@ def test_parse_skips_comments_and_blank_lines():
     ("1 I 40 900 7\n", "expected 4 columns, got 5"),
     ("1 X 40 900\n", "unknown frame type"),
     ("x I 40 900\n", "bad frame sequence"),
-    ("1 I y 900\n", "bad display time"),
+    ("1 I y 900\n", "bad display time 'y'"),
     ("1 I 40 zap\n", "bad frame size"),
     ("1 I 40 0\n", "must be positive"),
     ("1 I 40 -5\n", "frame size must be positive, got -5"),
@@ -99,18 +97,6 @@ def test_parse_empty_is_an_error(text):
         parse_trace(io.StringIO(text))
     assert str(e.value) == "trace contains no frames"
     assert e.value.line_no is None
-
-
-def test_round_trip(fragment_path):
-    trace = load_trace(fragment_path)
-    again = parse_trace(io.StringIO(serialize_trace(trace)))
-    assert again == trace
-    # Display times that :g would cut to 6 significant digits.
-    trace = VideoTrace(array("q", [0, 1, 2]), ("I", "P", "B"), (12345.678, 0.1 + 0.2, 1e-7),
-                       array("q", [900, 800, 700]))
-    text = serialize_trace(trace)
-    assert text == "0 I 12345.678 900\n1 P 0.30000000000000004 800\n2 B 1e-07 700\n"
-    assert parse_trace(io.StringIO(text)) == trace
 
 
 def test_a_leading_byte_order_mark_is_not_data(fragment_path, tmp_path):
@@ -146,7 +132,7 @@ def _trace_of_sizes(sizes) -> VideoTrace:
     """A VideoTrace with the given frame sizes; trace_stats reads only
     the sizes and the frame interval."""
     n = len(sizes)
-    return VideoTrace(array("q", range(n)), ("I",) * n, (0.0,) * n, array("q", sizes))
+    return VideoTrace(array("q", range(n)), ("I",) * n, array("q", sizes))
 
 
 def test_synth_zero_jitter():
@@ -202,7 +188,6 @@ def test_columns_match_row_parse_on_random_traces():
         rows = _row_parse(lines)
         assert trace.records == rows
         assert list(trace.size_bytes) == [r.size_bytes for r in rows]
-        assert parse_trace(io.StringIO(serialize_trace(trace))) == trace
 
 
 def _line_read(lines) -> VideoTrace:
@@ -215,8 +200,8 @@ def _line_read(lines) -> VideoTrace:
         rows = _row_parse(lines)
         if not rows:
             raise TraceParseError(None, "trace contains no frames") from None
-        seqs, types, display, sizes = zip(*rows)
-        return VideoTrace(array("q", seqs), types, display, array("q", sizes))
+        seqs, types, sizes = zip(*rows)
+        return VideoTrace(array("q", seqs), types, array("q", sizes))
 
 
 def _outcome(read):
@@ -281,7 +266,8 @@ def _numbered_lines(n):
 
 @pytest.mark.parametrize("bad_line_nos", [(TRACE_CHUNK_LINES,), (TRACE_CHUNK_LINES + 1,),
                                           (TRACE_CHUNK_LINES, TRACE_CHUNK_LINES + 1)])
-@pytest.mark.parametrize("bad", ["7 I 40", "7 Q 40 900", "7 I 40 -5", "# 7 I 40 900 9"])
+@pytest.mark.parametrize("bad", ["7 I 40", "7 Q 40 900", "7 I y 900", "7 I 40 -5",
+                                 "# 7 I 40 900 9"])
 def test_column_pass_reports_bad_lines_at_a_chunk_border(bad, bad_line_nos, tmp_path):
     lines = _numbered_lines(TRACE_CHUNK_LINES + 5)
     for line_no in bad_line_nos:
