@@ -255,11 +255,20 @@ def _optional(caster):
 
 def _scaled(scale: int):
     """Caster for a number given in a file unit: value * scale rounded to an
-    integer (half to even). Scales ms, s and us to ns; scale 1 rounds a PHY
-    bit or byte count. The only rounding of a config value."""
+    integer (half to even). Scales ms, s and us to ns. The only rounding of
+    a config value."""
     def cast(value, name) -> int:
         return int(round(_as_float(value, name) * scale))
     return cast
+
+
+def _whole(value, name) -> int:
+    """Caster for a PHY bit, byte or rate count: a number or numeric string
+    with a whole value (2e7, YAML's '11e6'), never rounded."""
+    number = _as_float(value, name)
+    if not number.is_integer():
+        raise ValueError("must be a whole number")
+    return int(number)
 
 
 def _read(raw, table: dict, section: str, noun: str) -> dict:
@@ -336,7 +345,7 @@ _TRAFFIC_KEYS = {
 # Human units in the file: microseconds, then bit, byte and bit/s counts.
 _PHY_KEYS = {
     "sifs_us": ("sifs_ns", _scaled(NS_PER_US)),
-    **{key: (key, _scaled(1)) for key in (
+    **{key: (key, _whole) for key in (
         "preamble_bits", "plcp_header_bits", "mac_header_bytes", "data_rate_bps",
         "basic_rate_bps", "ack_frame_bytes", "poll_frame_bytes")},
 }

@@ -365,7 +365,13 @@ def test_phy_range_errors_name_the_file_key():
             ("data_rate_bps", 5e5, "1000000 exceeds data_rate_bps 500000"),
             ("data_rate_bps", 0, "must be positive"),
             ("sifs_us", -1, "must be >= 0"),
-            ("ack_frame_bytes", -14, "must be >= 0")]:
+            ("ack_frame_bytes", -14, "must be >= 0"),
+            # A count is never rounded: a fraction is refused.
+            ("mac_header_bytes", 36.4, "cannot interpret 36.4 (must be a whole number)"),
+            ("preamble_bits", 0.5, "cannot interpret 0.5 (must be a whole number)"),
+            ("data_rate_bps", "10000000.5",
+             "cannot interpret '10000000.5' (must be a whole number)"),
+            ("basic_rate_bps", "1.5e0", "cannot interpret '1.5e0' (must be a whole number)")]:
         with pytest.raises(ConfigError) as e:
             scenario_from_dict({"phy": {key: bad}})
         named = "basic_rate_bps" if "exceeds" in message else key
@@ -373,6 +379,15 @@ def test_phy_range_errors_name_the_file_key():
     # Code-built PhyParams keep the checks, naming their own attributes.
     with pytest.raises(ValueError, match="^sifs_ns must be >= 0$"):
         PhyParams(sifs_ns=-1)
+
+
+def test_phy_counts_take_a_whole_number_in_any_spelling():
+    # A bit, byte or rate count is a number or a numeric string with a whole
+    # value; test_phy_range_errors_name_the_file_key refuses fractions.
+    phy = scenario_from_dict({"phy": {"data_rate_bps": "11e6", "basic_rate_bps": 2e6,
+                                      "mac_header_bytes": 36.0}}).phy
+    assert (phy.data_rate_bps, phy.basic_rate_bps, phy.mac_header_bytes) == \
+        (11_000_000, 2_000_000, 36)
 
 
 @pytest.mark.parametrize("section", ["tspec", "stations[0].tspec"])

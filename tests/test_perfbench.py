@@ -55,10 +55,9 @@ def test_polls_carry_grant_and_used_time(lossy_report):
     assert polls and all(0 <= p.used_ns <= p.grant_ns for p in polls)
 
 
-# The targets the tracer finds no attribute for in this tree: the sweep
-# forks instead of starting a pool, and the engine reaches these functions
-# through other names. A seventh would be a layer the benchmark stopped
-# seeing.
+# The tracer targets that name nothing in the package: the sweep forks
+# instead of starting a pool, and the engine computes grants and arrivals
+# inline. A seventh would be a layer the benchmark stopped seeing.
 DEAD_TARGETS = {"hccasim.cli.ProcessPoolExecutor", "hccasim.engine.adaptive_txop",
                 "hccasim.engine.arrivals", "hccasim.engine.minimal_txop",
                 "hccasim.engine.synth_trace", "hccasim.sched.data_tx_time"}
